@@ -4,7 +4,7 @@ The package computes, for a concrete multiplicity sequence d_N, every
 explicit constant in the cutoff entropy bounds (C_delta, S_delta,
 c_{delta,E}, S_{delta,E}, C_E, S_E), the underlying energy window with
 certified suprema, the explicit pure-state decompositions on a truncated
-space, an exact diagonalization oracle checking each bound, and the
+space, an exact closed-form entropy oracle checking each bound, and the
 partition-trace / p-sum nuclearity caps.
 """
 
@@ -40,23 +40,13 @@ from .energy import (
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from .entropy import (
-    DensityMatrix,
-    WeightedPureEnsemble,
-    assemble_density,
-    eigvalsh_jacobi,
-    ensemble_entropy_bound,
-    eta,
-    eta_bound_constant,
-    von_neumann_entropy,
-)
+from .entropy import eta, eta_bound_constant
 from .errors import (
     ConfigError,
     ConstructionError,
     DivergenceError,
     EntrocutError,
     OracleLimitError,
-    PositivityError,
     SpectrumFileError,
 )
 from .pairing import (
@@ -68,7 +58,6 @@ from .pairing import (
     oracle_vs_bounds,
     polarization_check,
     pure_state_vector,
-    tau_ensemble,
     theta_eval,
     theta_product_identity_check,
 )
@@ -98,14 +87,12 @@ __all__ = [
     "build_energy_function", "eval_f", "eval_f_delta", "eval_f_many",
     "eval_f_reference", "integral_j0", "make_synthetic_pair",
     "verify_spectral_identity",
-    "DensityMatrix", "WeightedPureEnsemble", "assemble_density",
-    "eigvalsh_jacobi", "ensemble_entropy_bound", "eta", "eta_bound_constant",
-    "von_neumann_entropy",
+    "eta", "eta_bound_constant",
     "ConfigError", "ConstructionError", "DivergenceError", "EntrocutError",
-    "OracleLimitError", "PositivityError", "SpectrumFileError",
+    "OracleLimitError", "SpectrumFileError",
     "OracleComparison", "ThetaDecomposition", "TruncatedSpace",
     "assemble_theta", "build_truncated_space", "oracle_vs_bounds",
-    "polarization_check", "pure_state_vector", "tau_ensemble", "theta_eval",
+    "polarization_check", "pure_state_vector", "theta_eval",
     "theta_product_identity_check",
     "GrowthFit", "SpectrumModel", "exponential_cap", "extend_model",
     "fit_growth_constants", "log_dim", "model_dims", "parse_spectrum_file",

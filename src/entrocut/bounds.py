@@ -24,6 +24,7 @@ from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model, lo
 
 _INV_E = 1.0 / math.e
 _LOG_TINY = math.log(1e-300)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,22 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
     return report
 
 
+def _pow_or_inf(x: float, e: float) -> float:
+    """x^e, or inf where it leaves the float range."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _a_exp(a: float, exponent: float, what: str) -> float:
+    """a e^{exponent}, checked in log space; DivergenceError when no float holds it."""
+    log_value = math.log(a) + exponent
+    if log_value >= _LOG_FLOAT_MAX:
+        raise DivergenceError(f"{what} is e^{log_value:.6g}, beyond the float range")
+    return a * math.exp(exponent)
+
+
 def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
                     fit: GrowthFit | None = None,
                     tail: TailConfig | None = None) -> tuple[float, float]:
@@ -342,7 +359,7 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
         raise ValueError("a GrowthFit is required to bound the tail of an unbounded spectrum")
     kappa, log_c_fit = fit.kappa, fit.log_C
     # terms C e^{N^kappa - beta N} decrease once kappa N^{kappa-1} < beta
-    n_turn = (kappa / beta) ** (1.0 / (1.0 - kappa))
+    n_turn = _pow_or_inf(kappa / beta, 1.0 / (1.0 - kappa))
     if n_turn > tail.n_cap:
         raise DivergenceError(
             f"trace tail for beta = {beta:g} does not start decreasing before "
@@ -395,7 +412,8 @@ class TraceBoundConstants:
     def bound(self, beta: float) -> float:
         if beta <= 0.0:
             raise ValueError("beta must be positive")
-        return self.a * math.exp(self.b * beta ** (-self.c))
+        return _a_exp(self.a, self.b * _pow_or_inf(beta, -self.c),
+                      f"trace bound at beta = {beta:g}")
 
 
 def _sum_exp_neg_power(kappa: float, rel_eps: float = 1e-18) -> float:
@@ -466,7 +484,10 @@ class TraceVerification:
 def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
                        beta_grid: list[float] | tuple[float, ...],
                        n_trunc: int | None = None) -> TraceVerification:
-    """Check trace <= a exp(b beta^{-c}) on the grid; never raises on failure."""
+    """Check trace <= a exp(b beta^{-c}) on the grid; a failed row does not raise.
+
+    Raises DivergenceError when the bound at some beta exceeds the float range.
+    """
     constants = trace_bound_constants(fit.kappa, fit.C)
     if n_trunc is None:
         n_trunc = fit.certified_range[1]
@@ -504,7 +525,8 @@ def nu_p_damping_cap(constants: TraceBoundConstants, p: float, beta: float) -> f
     """Analytic cap a exp((b/p^c) beta^{-c}) dominating nu_p_damping_bound."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    return constants.a * math.exp((constants.b / p ** constants.c) * beta ** (-constants.c))
+    return _a_exp(constants.a, (constants.b / p ** constants.c) * _pow_or_inf(beta, -constants.c),
+                  f"p-sum cap at p = {p:g}, beta = {beta:g}")
 
 
 def schatten_p(matrix: np.ndarray, p: float) -> float:

@@ -33,6 +33,7 @@ from .errors import (
     SpectrumFileError,
 )
 from .pairing import (
+    OracleComparison,
     build_truncated_space,
     oracle_vs_bounds,
     polarization_check,
@@ -120,20 +121,19 @@ def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _oracle_columns(model: SpectrumModel, ef: EnergyFunction, delta: float,
-                    energy_cut: int, he_bound: float, limit: int,
-                    space_cache: dict) -> tuple:
-    """(exact entropy, chain pass) or empty strings when the oracle is out of reach."""
+def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float, energy_cut: int,
+                limit: int, space_cache: dict) -> OracleComparison | None:
+    """The oracle at (delta, E), or None when the truncated space exceeds
+    the oracle limit or delta*E leaves the quadrature range.  Spaces are
+    cached by E across calls."""
     try:
         space = space_cache.get(energy_cut)
         if space is None:
             space = build_truncated_space(model, energy_cut, dim_limit=limit)
             space_cache[energy_cut] = space
-        oc = oracle_vs_bounds(space, ef, delta)
+        return oracle_vs_bounds(space, ef, delta)
     except (OracleLimitError, ValueError):
-        return "", ""
-    chain_ok = oc.ok and oc.c_deltaE * oc.exact_entropy <= he_bound + 1e-9
-    return oc.exact_entropy, chain_ok
+        return None
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -153,8 +153,12 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     for delta in cfg.delta:
         for energy_cut in cfg.E:
             rep = cutoff_bound(model, ef, delta, energy_cut)
-            oracle_entropy, oracle_pass = _oracle_columns(
-                model, ef, delta, energy_cut, rep.HE_bound, cfg.oracle_limit, space_cache)
+            oc = _oracle_row(model, ef, delta, energy_cut, cfg.oracle_limit, space_cache)
+            if oc is None:
+                oracle_entropy, oracle_pass = "", ""
+            else:
+                oracle_entropy = oc.exact_entropy
+                oracle_pass = oc.ok and oc.c_deltaE * oc.exact_entropy <= rep.HE_bound + 1e-9
             rows.append([
                 model.label, cfg.alpha, delta, energy_cut,
                 rep.c_deltaE, rep.S_deltaE, rep.C_E, rep.S_E, rep.HE_bound,
@@ -217,14 +221,8 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
         space_cache: dict = {}
         for delta in cfg.delta:
             for energy_cut in cfg.E:
-                try:
-                    space = space_cache.get(energy_cut)
-                    if space is None:
-                        space = build_truncated_space(model, energy_cut,
-                                                      dim_limit=cfg.oracle_limit)
-                        space_cache[energy_cut] = space
-                    oc = oracle_vs_bounds(space, ef, delta)
-                except (OracleLimitError, ValueError):
+                oc = _oracle_row(model, ef, delta, energy_cut, cfg.oracle_limit, space_cache)
+                if oc is None:
                     continue
                 rows.append(["concavity", f"delta={delta:g} E={energy_cut}",
                              oc.slack, oc.ok])

@@ -94,10 +94,15 @@ def _convert(key: str, raw: str, line_no: int):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines into a typed dict; unknown keys are errors."""
+    """Read `key = value` lines into a typed dict; unknown keys and an
+    unreadable file raise ConfigError."""
     known = set(_LIST_TYPES) | set(_SCALAR_TYPES)
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

@@ -1,22 +1,15 @@
-"""Von Neumann entropy, the eta-function bound, and ensemble inequalities.
+"""The entropy function eta and its sharp power bound.
 
-eta(x) = -x log x with eta(0) = 0.  For 0 < p < 1 the sharp comparison
-eta(t) <= c_p t^p holds on t >= 0 with c_p = 1/((1-p) e), equality exactly at
-t_0 = e^{-1/(1-p)}.
-
-Eigenvalues are computed by a hand-written complex cyclic Jacobi iteration
-(robustness over speed; the spaces here stay small).  Tests cross-check it
-against an independent LAPACK route.
+eta(x) = -x log x with eta(0) = 0; a von Neumann entropy is the sum of eta
+over a spectrum.  For 0 < p < 1 the sharp comparison eta(t) <= c_p t^p holds
+on t >= 0 with c_p = 1/((1-p) e), equality exactly at t_0 = e^{-1/(1-p)}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConstructionError, PositivityError
 
 
 def eta(x: np.ndarray | float) -> np.ndarray | float:
@@ -41,174 +34,3 @@ def eta_bound_constant(p: float) -> tuple[float, float]:
     c_p = 1.0 / ((1.0 - p) * math.e)
     t0 = math.exp(-1.0 / (1.0 - p))
     return c_p, t0
-
-
-def eigvalsh_jacobi(
-    matrix: np.ndarray,
-    rel_off_tol: float = 1e-13,
-    max_sweeps: int = 60,
-) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by complex cyclic Jacobi rotations.
-
-    Each rotation factors the pivot's phase out first, then applies the real
-    Jacobi angle; convergence when the off-diagonal Frobenius norm falls
-    below rel_off_tol * ||A||_F.  Returns eigenvalues in ascending order.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = rel_off_tol * norm
-
-    def off_norm() -> float:
-        # direct sum, not ||A||^2 - ||diag||^2: the subtraction cannot
-        # resolve off-norms below sqrt(eps) * ||A||
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    off = off_norm()
-    for _ in range(max_sweeps):
-        if off <= threshold:
-            return np.sort(np.real(np.diag(a)))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phi = math.atan2(apq.imag, apq.real)
-                r = abs(apq)
-                theta = 0.5 * math.atan2(2.0 * r, float(a[p, p].real - a[q, q].real))
-                if theta > 0.25 * math.pi:
-                    # keep |theta| <= pi/4: the swapping branch can cycle on
-                    # degenerate spectra
-                    theta -= 0.5 * math.pi
-                c = math.cos(theta)
-                s = math.sin(theta)
-                e_phi = complex(math.cos(phi), math.sin(phi))
-                # columns: (p, q) <- (e^{i phi} c p + s q, -e^{i phi} s p + c q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = e_phi * c * col_p + s * col_q
-                a[:, q] = -e_phi * s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = np.conj(e_phi * c) * row_p + s * row_q
-                a[q, :] = np.conj(-e_phi * s) * row_p + c * row_q
-        off = off_norm()
-    if off <= threshold:
-        return np.sort(np.real(np.diag(a)))
-    raise ConstructionError(
-        f"Jacobi iteration did not reach off-diagonal tolerance in {max_sweeps} sweeps",
-        off,
-    )
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian positive-semidefinite trace-one matrix."""
-
-    matrix: np.ndarray
-
-    def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-9) -> None:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if float(np.max(np.abs(m - m.conj().T))) > herm_tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(float(np.real(np.trace(m))) - 1.0) > trace_tol:
-            raise ValueError("trace differs from 1 beyond tolerance")
-
-
-def von_neumann_entropy(
-    rho: np.ndarray | DensityMatrix,
-    herm_tol: float = 1e-12,
-    clamp: float = 1e-10,
-    method: str = "jacobi",
-) -> float:
-    """S(rho) = -Tr rho log rho = sum eta(mu_i) over the spectrum.
-
-    Eigenvalues in [-clamp, 0) are clamped to 0 (roundoff); anything below
-    -clamp raises PositivityError.  method="jacobi" is the package route;
-    method="lapack" exists so callers can compare against numpy directly.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if float(np.max(np.abs(m - m.conj().T))) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if method == "jacobi":
-        evals = eigvalsh_jacobi(m)
-    elif method == "lapack":
-        evals = np.linalg.eigvalsh(m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    low = float(np.min(evals))
-    if low < -clamp:
-        raise PositivityError(f"eigenvalue {low:.3e} below -{clamp:.0e}")
-    evals = np.clip(evals, 0.0, None)
-    return float(np.sum(eta(evals)))
-
-
-@dataclass
-class WeightedPureEnsemble:
-    """Nonnegative weights on unit vectors; total need not be 1.
-
-    vectors holds one unit vector per row.  The represented functional is
-    x -> sum_k weights[k] <v_k, x v_k> (plus nothing else); its norm is the
-    weight total.
-    """
-
-    weights: np.ndarray
-    vectors: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.weights.ndim != 1 or self.vectors.ndim != 2:
-            raise ValueError("weights must be 1-d and vectors 2-d (one per row)")
-        if len(self.weights) != self.vectors.shape[0]:
-            raise ValueError("one weight per vector required")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-12:
-            raise ValueError("ensemble vectors must be unit vectors (tolerance 1e-12)")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def assemble_density(ens: WeightedPureEnsemble) -> DensityMatrix:
-    """Normalized density matrix sum_k (w_k / total) |v_k><v_k|.
-
-    Oriented so Tr(rho X) = (1/total) sum_k w_k <v_k, X v_k>.
-    """
-    total = ens.total
-    if total <= 0.0:
-        raise ValueError("ensemble total weight must be positive")
-    rho = (ens.vectors.T * (ens.weights / total)) @ ens.vectors.conj()
-    rho = 0.5 * (rho + rho.conj().T)   # kill roundoff skew
-    return DensityMatrix(matrix=rho)
-
-
-def ensemble_entropy_bound(ens: WeightedPureEnsemble) -> float:
-    """Upper bound on the entropy of the normalized ensemble state:
-
-        S(rho / 1) <= log(total) - (1/total) sum_k w_k log w_k,
-
-    from concavity of eta applied to the pure-state decomposition.  Zero
-    weights contribute nothing.
-    """
-    total = ens.total
-    if total <= 0.0:
-        raise ValueError("ensemble total weight must be positive")
-    w = ens.weights[ens.weights > 0.0]
-    return math.log(total) - float(np.sum(w * np.log(w))) / total

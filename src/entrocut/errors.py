@@ -36,9 +36,5 @@ class DivergenceError(EntrocutError):
     """A series or bound cannot converge for the given exponents."""
 
 
-class PositivityError(EntrocutError):
-    """A matrix expected to be positive semidefinite has a genuinely negative eigenvalue."""
-
-
 class OracleLimitError(EntrocutError):
     """The truncated space exceeds the configured oracle dimension limit."""

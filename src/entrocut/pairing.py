@@ -14,19 +14,21 @@ pure states
 
 with weights |f_delta(l_n)|/2, where the sign of f_delta(l_n) decides whether
 the partner index is k or k+2 (mod 4).  The positive part evaluated at
-x (x) 1 is a weighted pure-state ensemble whose normalized density matrix is
-diagonalized exactly; its entropy is the oracle every cutoff bound is tested
-against.
+x (x) 1 is the tau state.  Its four phase vectors per slot sum to
+2(|e0><e0| + |e_n><e_n|), so the normalized state is diagonal in the level
+basis and its exact entropy has a closed form; that entropy is the oracle
+every cutoff bound is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyFunction, f_delta_int
-from .entropy import WeightedPureEnsemble, assemble_density, ensemble_entropy_bound, von_neumann_entropy
+from .energy import EnergyFunction, f_delta_batch, f_delta_int
+from .entropy import eta
 from .errors import OracleLimitError
 from .spectra import SpectrumModel, extend_model
 
@@ -52,7 +54,7 @@ def build_truncated_space(model: SpectrumModel, energy_cut: int, dim_limit: int 
     """All spectrum slots with eigenvalue <= energy_cut.
 
     Raises OracleLimitError when the total dimension exceeds dim_limit
-    (exact diagonalization is the point of this space).
+    (the identity checks work with dense operators on this space).
     """
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
@@ -251,37 +253,6 @@ def theta_product_identity_check(
     return worst
 
 
-def tau_ensemble(space: TruncatedSpace, ef: EnergyFunction, delta: float) -> WeightedPureEnsemble:
-    """State functional tau_{delta,E} = theta_plus(. (x) 1) as a pure ensemble.
-
-    Vacuum with weight 1, plus the four phase vectors of every excited slot
-    with weight |f(delta l_n)|/2 each; the weight total is the functional's
-    norm c_{delta,E} = sum_{N<=E} 2 d_N |f(delta N)|.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    _require_quadrature_range(ef, delta, space.energy_cut)
-    d = space.dim
-    weights: list[float] = [1.0]
-    vectors: list[np.ndarray] = []
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    vectors.append(e0)
-    for n in range(1, d):
-        fd = f_delta_int(ef, delta, int(space.labels[n]))[0]
-        w = abs(fd) / 2.0
-        if w == 0.0 or w < WEIGHT_FLOOR:
-            continue
-        for k in range(4):
-            weights.append(w)
-            vectors.append(pure_state_vector(space, k, n))
-    return WeightedPureEnsemble(
-        weights=np.asarray(weights),
-        vectors=np.vstack(vectors),
-        label=f"tau[{space.model_label}, delta={delta:g}, E={space.energy_cut}]",
-    )
-
-
 @dataclass(frozen=True)
 class OracleComparison:
     """Exact entropy of the normalized tau state vs its ensemble bound."""
@@ -303,21 +274,34 @@ def oracle_vs_bounds(
     delta: float,
     slack_tol: float = 1e-9,
 ) -> OracleComparison:
-    """Diagonalize the normalized tau state exactly and compare with the bound.
+    """Exact entropy of the normalized tau state compared with its ensemble bound.
 
+    tau_{delta,E} = theta_plus(. (x) 1) puts weight 1 on the vacuum and
+    |f(delta l_n)|/2 on each of the four phase vectors of every excited slot.
+    With S = sum_{1<=N<=E} d_N |f(delta N)| its norm is c = 1 + 2S, and the
+    normalized state is diagonal: (1 + S)/c on the vacuum and |f(delta N)|/c
+    on each of the d_N slots of level N.  So
+
+        exact = eta((1 + S)/c) + sum_N d_N eta(|f(delta N)|/c),
+        bound = log c + S_{delta,E}/c,  S_{delta,E} = sum_N 4 d_N eta(|f(delta N)|/2),
+
+    the bound being concavity of eta over the pure-state decomposition.
     E = 0 degenerates to the pure vacuum: entropy 0, bound 0.
     """
-    ens = tau_ensemble(space, ef, delta)
-    rho = assemble_density(ens)
-    exact = von_neumann_entropy(rho)
-    bound = ensemble_entropy_bound(ens)
+    _require_quadrature_range(ef, delta, space.energy_cut)
+    dims = np.asarray(space.dims_by_level[1:], dtype=float)
+    absf = np.abs(f_delta_batch(ef, delta, space.energy_cut)[0][1:])
+    s = float(np.sum(dims * absf))
+    c = 1.0 + 2.0 * s
+    exact = eta((1.0 + s) / c) + float(np.sum(dims * eta(absf / c)))
+    bound = math.log(c) + float(np.sum(4.0 * dims * eta(absf / 2.0))) / c
     slack = bound - exact
     return OracleComparison(
         model_label=space.model_label,
         delta=delta,
         energy_cut=space.energy_cut,
-        dim=space.dim,
-        c_deltaE=ens.total,
+        dim=sum(space.dims_by_level),
+        c_deltaE=c,
         exact_entropy=exact,
         entropy_bound=bound,
         slack=slack,

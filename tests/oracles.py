@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's algorithms: partition
 counts come from exhaustive generation and a coin-change table instead of
-the pentagonal recurrence, entropies from LAPACK instead of the in-package
-Jacobi loop, and the Bessel antiderivative from 40-digit piecewise
-quadrature instead of the Struve identity or the tabulated spline.
+the pentagonal recurrence, the oracle entropy from a dense tau density
+diagonalized by LAPACK instead of the package's closed form over the level
+basis, and the Bessel antiderivative from 40-digit piecewise quadrature
+instead of the Struve identity or the tabulated spline.
 """
 
 from __future__ import annotations
@@ -68,14 +69,34 @@ def entropy_eigvalsh(matrix: np.ndarray) -> float:
 
 
 def density_from_weights(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Normalized sum_k (w_k / total) |v_k><v_k| by explicit outer products."""
+    """Normalized sum_k (w_k / total) |v_k><v_k|, one vector per row.
+
+    The outer products are summed by one matrix product over k.
+    """
     weights = np.asarray(weights, dtype=float)
     vectors = np.asarray(vectors, dtype=complex)
-    total = float(np.sum(weights))
-    rho = np.zeros((vectors.shape[1], vectors.shape[1]), dtype=complex)
-    for w, v in zip(weights, vectors):
-        rho += (w / total) * np.outer(v, v.conj())
-    return rho
+    return (vectors.T * (weights / float(np.sum(weights)))) @ vectors.conj()
+
+
+def tau_density(dims_by_level: tuple[int, ...], absf: np.ndarray) -> np.ndarray:
+    """The normalized tau state as a dense matrix on the truncated space.
+
+    Slot 0 is the vacuum, with weight 1.  Every later slot n, at level N,
+    contributes the four vectors (e_0 + i^k e_n)/sqrt(2), k = 0..3, each with
+    weight absf[N]/2 = |f(delta N)|/2; nothing assumes the sum is diagonal.
+    """
+    levels = [n for n, d in enumerate(dims_by_level) for _ in range(d)]
+    dim = len(levels)
+    weights = [1.0]
+    vectors = [np.eye(1, dim, dtype=complex)[0]]
+    for slot in range(1, dim):
+        for k in range(4):
+            v = np.zeros(dim, dtype=complex)
+            v[0] = 1.0
+            v[slot] = 1j ** k
+            vectors.append(v / math.sqrt(2.0))
+            weights.append(absf[levels[slot]] / 2.0)
+    return density_from_weights(np.array(weights), np.array(vectors))
 
 
 @lru_cache(maxsize=None)

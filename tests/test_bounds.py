@@ -155,6 +155,8 @@ def test_trace_partition_tail_covers_remainder(u1_3000, u1_fit):
 def test_trace_partition_diverges_at_tiny_beta(u1_3000, u1_fit):
     with pytest.raises(DivergenceError):
         trace_partition(u1_3000, 1e-4, 3000, fit=u1_fit)
+    with pytest.raises(DivergenceError):
+        trace_partition(u1_3000, 1e-300, 3000, fit=u1_fit)   # turning point beyond any float
 
 
 def test_trace_constants_half_kappa_closed_form():
@@ -167,6 +169,16 @@ def test_trace_constants_half_kappa_closed_form():
     assert tc.a == pytest.approx(10.0 * tc.series_sum + math.exp(2.0), rel=1e-12)
     assert tc.b == 1.0 and tc.c == 2.0
     assert tc.bound(2.0) == pytest.approx(tc.a * math.exp(0.25), rel=1e-12)
+
+
+def test_trace_caps_beyond_float_range_raise_divergence():
+    tc = trace_bound_constants(0.6, 10.0)
+    for beta in (0.05, 1e-300):              # at 1e-300, beta^{-c} alone overflows
+        with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
+            tc.bound(beta)
+        with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
+            nu_p_damping_cap(tc, 0.5, beta)
+    assert math.isfinite(tc.bound(0.3))
 
 
 def test_trace_constants_reject_bad_input():

@@ -207,6 +207,24 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_missing_config_file_exits_two(capsys, tmp_path):
+    gone = tmp_path / "gone.cfg"
+    with pytest.raises(ConfigError):
+        parse_config_file(str(gone))
+    code, out, err = _run(capsys, ["bounds", "--config", str(gone)])
+    assert code == 2
+    assert out == "" and err.startswith("entrocut: ") and "gone.cfg" in err
+
+
+def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
+    # kappa = 0.6 gives c = 2.5: at beta = 0.05 the bound is e^1799
+    code, out, err = _run(capsys, ["trace", "--model", "u1", "--kappa", "0.6",
+                                   "--beta", "0.05"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("entrocut: divergence:") and "beta = 0.05" in err
+
+
 def test_cli_rejects_unknown_flag_value(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["model", "--kind", "su2"])

@@ -3,23 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import oracles
-from entrocut import (
-    DensityMatrix,
-    PositivityError,
-    WeightedPureEnsemble,
-    assemble_density,
-    eigvalsh_jacobi,
-    ensemble_entropy_bound,
-    eta,
-    eta_bound_constant,
-    von_neumann_entropy,
-)
-
-
-def _random_hermitian(rng, n: int) -> np.ndarray:
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (m + m.conj().T)
+from entrocut import eta, eta_bound_constant
 
 
 def test_eta_values():
@@ -40,116 +24,3 @@ def test_eta_bound_constant_closed_form():
     assert abs(t0 - math.exp(-2.0)) <= 1e-15
     with pytest.raises(ValueError):
         eta_bound_constant(1.0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 12, 30, 40])
-def test_jacobi_matches_lapack(n):
-    rng = np.random.default_rng(100 + n)
-    a = _random_hermitian(rng, n)
-    mine = eigvalsh_jacobi(a)
-    ref = np.linalg.eigvalsh(a)
-    scale = float(np.linalg.norm(a))
-    assert float(np.max(np.abs(mine - ref))) <= 1e-12 * max(scale, 1.0)
-
-
-def test_jacobi_handles_degenerate_spectra():
-    # exact four-fold degeneracies, the worst case for rotation cycling
-    rng = np.random.default_rng(7)
-    evals = np.repeat([0.5, 0.125, 0.125 / 3.0], [4, 8, 12])
-    q, _ = np.linalg.qr(rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))
-    a = (q * evals) @ q.conj().T
-    mine = eigvalsh_jacobi(a)
-    assert float(np.max(np.abs(mine - np.sort(evals)))) <= 1e-12
-
-
-def test_jacobi_rejects_non_square():
-    with pytest.raises(ValueError):
-        eigvalsh_jacobi(np.zeros((2, 3)))
-
-
-def test_entropy_pure_and_mixed():
-    pure = np.zeros((4, 4))
-    pure[0, 0] = 1.0
-    assert von_neumann_entropy(pure) <= 1e-12
-    mixed = np.eye(5) / 5.0
-    assert abs(von_neumann_entropy(mixed) - math.log(5)) <= 1e-12
-
-
-def test_entropy_methods_agree():
-    rng = np.random.default_rng(11)
-    a = _random_hermitian(rng, 9)
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    sj = von_neumann_entropy(rho, method="jacobi")
-    sl = von_neumann_entropy(rho, method="lapack")
-    assert abs(sj - sl) <= 1e-11
-    assert abs(sj - oracles.entropy_eigvalsh(rho)) <= 1e-11
-
-
-def test_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(PositivityError):
-        von_neumann_entropy(np.diag([1.001, -0.001]))
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.eye(2) / 2.0, method="qr")
-
-
-def test_density_matrix_validate():
-    DensityMatrix(np.eye(3) / 3.0).validate()
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3)).validate()          # trace 3
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.2], [0.0, 0.5]])).validate()
-
-
-def test_ensemble_validation():
-    v = np.eye(3, dtype=complex)
-    WeightedPureEnsemble(np.array([1.0, 2.0, 0.5]), v)
-    with pytest.raises(ValueError):
-        WeightedPureEnsemble(np.array([1.0, -0.1, 0.5]), v)
-    with pytest.raises(ValueError):
-        WeightedPureEnsemble(np.array([1.0, 1.0, 1.0]), 2.0 * v)
-
-
-def test_assemble_density_matches_outer_product_oracle():
-    rng = np.random.default_rng(23)
-    vecs = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    w = rng.uniform(0.1, 2.0, size=6)
-    ens = WeightedPureEnsemble(w, vecs)
-    rho = assemble_density(ens)
-    rho.validate()
-    ref = oracles.density_from_weights(w, vecs)
-    assert float(np.max(np.abs(rho.matrix - ref))) <= 1e-14
-    # trace pairing reproduces the ensemble functional
-    x = _random_hermitian(rng, 4)
-    lhs = float(np.trace(rho.matrix @ x).real)
-    rhs = float(sum(wk * (vk.conj() @ x @ vk).real for wk, vk in zip(w, vecs)) / w.sum())
-    assert abs(lhs - rhs) <= 1e-13
-
-
-def test_ensemble_bound_dominates_exact_entropy():
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        d = int(rng.integers(2, 7))
-        k = int(rng.integers(1, 9))
-        vecs = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        w = rng.uniform(1e-4, 3.0, size=k)
-        ens = WeightedPureEnsemble(w, vecs)
-        exact = oracles.entropy_eigvalsh(assemble_density(ens).matrix)
-        assert ensemble_entropy_bound(ens) >= exact - 1e-9
-
-
-def test_ensemble_bound_tight_for_orthonormal_vectors():
-    w = np.array([3.0, 1.0, 0.5, 0.25])
-    ens = WeightedPureEnsemble(w, np.eye(4, dtype=complex))
-    exact = oracles.entropy_eigvalsh(assemble_density(ens).matrix)
-    assert abs(ensemble_entropy_bound(ens) - exact) <= 1e-12
-
-
-def test_ensemble_bound_ignores_zero_weights():
-    w = np.array([1.0, 0.0])
-    ens = WeightedPureEnsemble(w, np.eye(2, dtype=complex))
-    assert ensemble_entropy_bound(ens) == 0.0

@@ -8,14 +8,15 @@ from entrocut import (
     OracleLimitError,
     assemble_theta,
     build_truncated_space,
+    cutoff_bound,
+    model_dims,
     oracle_vs_bounds,
     polarization_check,
     pure_state_vector,
-    tau_ensemble,
     theta_eval,
     theta_product_identity_check,
 )
-from entrocut.energy import f_delta_int
+from entrocut.energy import f_delta_batch, f_delta_int
 from entrocut.pairing import theta_direct
 
 
@@ -75,8 +76,8 @@ def test_theta_on_identity_recovers_norm(space4, ef075):
     one = np.eye(space4.dim, dtype=complex)
     plus, _ = theta_eval(dec, one, one)
     # theta_plus(1 (x) 1) = vacuum + 4 |f|/2 per excited slot = c_{delta,E}
-    ens = tau_ensemble(space4, ef075, 0.7)
-    assert abs(plus.real - ens.total) <= 1e-12
+    oc = oracle_vs_bounds(space4, ef075, 0.7)
+    assert abs(plus.real - oc.c_deltaE) <= 1e-12
     assert abs(plus.imag) <= 1e-15
 
 
@@ -108,20 +109,20 @@ def test_theta_weights_and_sign_routing(space4, ef075):
 
 def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
     delta = 0.9
-    ens = tau_ensemble(space4, ef075, delta)
+    oc = oracle_vs_bounds(space4, ef075, delta)
     expect = 1.0
     for n in range(1, 5):
         expect += 2.0 * u1_small.dims[n] * abs(f_delta_int(ef075, delta, n)[0])
     # summation order differs (pairwise vs sequential), so allow an ulp
-    assert abs(ens.total - expect) <= 1e-13
-    assert ens.label == "tau[u1, delta=0.9, E=4]"
+    assert abs(oc.c_deltaE - expect) <= 1e-13
+    assert (oc.model_label, oc.delta, oc.energy_cut, oc.dim) == ("u1", 0.9, 4, 12)
 
 
 def test_quadrature_range_guard(space4, ef075):
     with pytest.raises(ValueError):
         assemble_theta(space4, ef075, 60.0)   # delta * E = 240 > 200
     with pytest.raises(ValueError):
-        tau_ensemble(space4, ef075, 60.0)
+        oracle_vs_bounds(space4, ef075, 60.0)
 
 
 def test_oracle_comparison_vacuum_degenerate(u1_small, ef075):
@@ -141,13 +142,38 @@ def test_oracle_comparison_pinned_values(u1_small, ef075):
     assert oc.slack > 0 and oc.ok
 
 
+def _dense_entropy(space, ef, delta):
+    absf = np.abs(f_delta_batch(ef, delta, space.energy_cut)[0])
+    return oracles.entropy_eigvalsh(oracles.tau_density(space.dims_by_level, absf))
+
+
 def test_oracle_entropy_against_lapack(u1_small, ef075):
-    from entrocut import assemble_density
     sp = build_truncated_space(u1_small, 6)
-    ens = tau_ensemble(sp, ef075, 1.0)
-    rho = assemble_density(ens).matrix
     oc = oracle_vs_bounds(sp, ef075, 1.0)
-    assert abs(oc.exact_entropy - oracles.entropy_eigvalsh(rho)) <= 1e-10
+    assert abs(oc.exact_entropy - _dense_entropy(sp, ef075, 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
+def test_closed_form_oracle_matches_dense_route(ef075, kind, power):
+    # every E whose truncated space fits the 400 oracle limit; delta = 0.5
+    # and 2.0 reach levels where f(delta N) < 0
+    model = model_dims(kind, 12, power=power)
+    signs = set()
+    for delta in (0.1, 0.5, 2.0):
+        for energy_cut in range(400):
+            try:
+                sp = build_truncated_space(model, energy_cut, dim_limit=400)
+            except OracleLimitError:
+                break
+            oc = oracle_vs_bounds(sp, ef075, delta)
+            dense = _dense_entropy(sp, ef075, delta)
+            assert abs(oc.exact_entropy - dense) <= 1e-13, (delta, energy_cut)
+            assert oc.ok and oc.entropy_bound - dense >= -1e-9
+            cap = cutoff_bound(model, ef075, delta, energy_cut)
+            assert oc.entropy_bound == pytest.approx(cap.cutoff_bound, rel=1e-12, abs=0.0)
+            assert oc.c_deltaE == pytest.approx(cap.c_deltaE, rel=1e-14, abs=0.0)
+        signs.update(np.sign(f_delta_batch(ef075, delta, energy_cut)[0]))
+    assert -1.0 in signs
 
 
 def test_oracle_grid_slack_positive(u1_small, ef075):

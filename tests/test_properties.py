@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 import oracles
 from entrocut import (
-    WeightedPureEnsemble,
-    assemble_density,
-    ensemble_entropy_bound,
     eta,
     eta_bound_constant,
     eval_f,
@@ -39,18 +36,6 @@ def test_eta_bound_touches_at_t0(p):
 @given(st.integers(0, 500))
 def test_partition_recurrence_agrees_with_coin_change(n):
     assert _P500[n] == _DP500[n]
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 9))
-@settings(max_examples=40)
-def test_ensemble_bound_dominates_entropy(seed, dim, k):
-    rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    w = rng.uniform(1e-6, 4.0, size=k)
-    ens = WeightedPureEnsemble(w, vecs)
-    exact = oracles.entropy_eigvalsh(assemble_density(ens).matrix)
-    assert ensemble_entropy_bound(ens) >= exact - 1e-9
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
