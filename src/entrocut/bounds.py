@@ -20,7 +20,7 @@ from scipy.special import gammaincc, logsumexp
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import DivergenceError
-from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model, log_dim
+from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model
 
 _INV_E = 1.0 / math.e
 _LOG_TINY = math.log(1e-300)
@@ -184,7 +184,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         if not finite_support and work.n_max < hi:
             work = extend_model(work, hi)
         up, log_up, flags = _log_f_upper_block(ef, delta, n, hi)
-        ld = np.array([log_dim(work, m) for m in range(n, hi + 1)])
+        ld = np.array(work.log_dims(n, hi))
         zero_dim = np.isneginf(ld)
         lt_c = np.where(zero_dim, -np.inf, math.log(2.0) + ld + log_up)
         eta_vals = _eta_upper(up / 2.0)
@@ -347,8 +347,7 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
     if model.kind != "custom" and model.n_max < n_trunc:
         model = extend_model(model, n_trunc)
     value = 0.0
-    for nn in range(min(n_trunc, model.n_max) + 1):
-        ld = log_dim(model, nn)
+    for nn, ld in enumerate(model.log_dims(0, min(n_trunc, model.n_max))):
         if ld == -np.inf:
             continue
         value += math.exp(ld - beta * nn)

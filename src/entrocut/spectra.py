@@ -13,14 +13,36 @@ nonnegative Hamiltonian with a unique ground state (d_0 = 1).  Built-in kinds:
 ``custom``
     read from a text file of "N d_N" lines.
 
-Partition numbers come from the Euler pentagonal-number recurrence in exact
-integer arithmetic; growth fits d_N <= C * exp(N^kappa) are certified by a
-direct scan of the requested range.
+Built-in tables are shared.  Each built-in (kind, power) has one exact
+table in this module, grown in place and never rebuilt: the pentagonal
+recurrence for the partition numbers p(N) continues from the last entry it
+holds, virasoro entries are differences of that column, and a tensor power
+is recomputed from the cached base column when it has to grow.  Next to
+each integer d_N the table keeps the float log d_N (-inf where d_N = 0),
+taken once per entry by math.log on the exact int, so no caller takes logs
+of huge integers one element at a time.  `model_dims` hands out a fresh
+copy of the integers (callers may mutate it) and a reference to the shared
+log column.  Custom (file) models are not cached.
+
+Tensor powers are one exact big-integer product (Kronecker substitution):
+the base column is packed into a single int with one wide slot per
+coefficient, raised to the m-th power modulo the slots beyond N, and
+unpacked.  The slots are wide enough that no coefficient carries into the
+next, so the result is exactly the truncated m-fold convolution.
+
+Thread rule: every growth of a shared table happens under one module lock,
+so concurrent callers see the tables as if they were grown one after the
+other.  Entries are only ever appended, and a model reads no entry past its
+own n_max, so reading a model needs no lock.
+
+Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
+requested range.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 from .errors import SpectrumFileError
@@ -28,17 +50,29 @@ from .errors import SpectrumFileError
 _BUILTIN_KINDS = ("u1", "virasoro")
 
 
-def partition_numbers(n_max: int) -> list[int]:
-    """Exact partition numbers p(0..n_max) via the pentagonal recurrence.
+def _log_or_neginf(d: int) -> float:
+    return math.log(d) if d > 0 else -math.inf
+
+
+@dataclass
+class _Table:
+    """Exact d_N for N = 0..len(dims)-1 and their logs, in step once grown."""
+
+    dims: list[int] = field(default_factory=lambda: [1])
+    logs: list[float] = field(default_factory=lambda: [0.0])
+
+
+# one table per built-in (kind, power); entries are appended, never changed
+_TABLES: dict[tuple[str, int], _Table] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _extend_partitions(p: list[int], n_max: int) -> None:
+    """Append p(len(p)), ..., p(n_max) to p by the pentagonal recurrence.
 
     p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
-    Exact ints throughout; p(n) overflows double for n >~ 76000 so callers
-    that need floats should go through math.log.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    p = [1] + [0] * n_max
-    for n in range(1, n_max + 1):
+    for n in range(len(p), n_max + 1):
         total = 0
         k = 1
         while True:
@@ -51,8 +85,43 @@ def partition_numbers(n_max: int) -> list[int]:
             if g2 <= n:
                 total += sign * p[n - g2]
             k += 1
-        p[n] = total
-    return p
+        p.append(total)
+
+
+def _grow(kind: str, power: int, n_max: int) -> _Table:
+    # caller holds _TABLES_LOCK
+    table = _TABLES.setdefault((kind, power), _Table())
+    have = len(table.dims)
+    if have <= n_max:
+        if power > 1:
+            base = _grow(kind, 1, n_max).dims[: n_max + 1]
+            table.dims.extend(_convolve_power(base, power)[have:])
+        elif kind == "virasoro":
+            p = _grow("u1", 1, n_max).dims
+            table.dims.extend(p[n] - p[n - 1] for n in range(have, n_max + 1))
+        else:
+            _extend_partitions(table.dims, n_max)
+    # logs catch up with whatever the integer column holds
+    table.logs.extend(_log_or_neginf(d) for d in table.dims[len(table.logs):])
+    return table
+
+
+def _table(kind: str, power: int, n_max: int) -> _Table:
+    """The shared table of a built-in (kind, power), holding at least N = 0..n_max."""
+    with _TABLES_LOCK:
+        return _grow(kind, power, n_max)
+
+
+def partition_numbers(n_max: int) -> list[int]:
+    """Exact partition numbers p(0..n_max) via the pentagonal recurrence.
+
+    Read from the shared u1 table, which the call grows as needed; the list
+    returned is a fresh copy.  Exact ints throughout; p(n) overflows double
+    for n >~ 76000 so callers that need floats should go through math.log.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return _table("u1", 1, n_max).dims[: n_max + 1]
 
 
 @dataclass
@@ -64,6 +133,9 @@ class SpectrumModel:
     power: int = 1                 # tensor power applied on top of `kind`
     source: str | None = None      # file path for custom models
     label: str = ""
+    # log d_N for N >= 0, possibly longer than dims: the shared column of a
+    # built-in table, or taken from dims on first use
+    _logs: list[float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dims:
@@ -89,24 +161,41 @@ class SpectrumModel:
             raise IndexError(f"model holds dims up to N={self.n_max}; extend it first")
         return self.dims[n]
 
+    def log_dims(self, lo: int, hi: int) -> list[float]:
+        """[log d_lo, ..., log d_hi] as floats, -inf where d_N = 0 (0 <= lo, hi <= n_max)."""
+        if lo < 0 or hi > self.n_max:
+            raise IndexError(f"log dims {lo}..{hi} outside the table 0..{self.n_max}")
+        if self._logs is None:
+            self._logs = [_log_or_neginf(d) for d in self.dims]
+        return self._logs[lo: hi + 1]
+
 
 def _convolve_power(base: list[int], m: int) -> list[int]:
-    # m-fold convolution truncated to len(base); exact ints.
-    out = base[:]
+    """m-fold convolution of base truncated to len(base), in exact ints.
+
+    Kronecker substitution: base is packed into one int, slot i holding
+    base[i].  A truncated m-fold coefficient is at most
+    len(base)^(m-1) max(base)^m, so a slot of
+    m (bitlen(max(base)) + bitlen(len(base))) bits, rounded up to whole
+    bytes, holds it without carrying into the next.
+    """
+    size = len(base)
+    slot = (m * (max(base).bit_length() + size.bit_length()) + 7) // 8
+    width = size * slot
+    packed = int.from_bytes(b"".join(d.to_bytes(slot, "little") for d in base), "little")
+    mask = (1 << (8 * width)) - 1
+    out = packed
     for _ in range(m - 1):
-        nxt = [0] * len(base)
-        for i, a in enumerate(out):
-            if a == 0:
-                continue
-            for j, b in enumerate(base[: len(base) - i]):
-                if b:
-                    nxt[i + j] += a * b
-        out = nxt
-    return out
+        out = (out * packed) & mask
+    raw = out.to_bytes(width, "little")
+    return [int.from_bytes(raw[i: i + slot], "little") for i in range(0, width, slot)]
 
 
 def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -> SpectrumModel:
     """Build a spectrum model of the given kind up to eigenvalue n_max.
+
+    Built-in kinds read (and grow) the shared table of (kind, power); the
+    model gets a fresh copy of its dims.
 
     Parameters
     ----------
@@ -119,19 +208,18 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
         raise ValueError("n_max must be >= 0")
     if power < 1:
         raise ValueError("power must be >= 1")
-    if kind == "u1":
-        dims = partition_numbers(n_max)
-    elif kind == "virasoro":
-        p = partition_numbers(n_max)
-        dims = [1] + [p[n] - p[n - 1] for n in range(1, n_max + 1)]
-    elif kind == "custom":
-        if path is None:
-            raise ValueError("custom models need a file path")
-        dims = parse_spectrum_file(path)
-        if n_max < len(dims) - 1:
-            dims = dims[: n_max + 1]
-    else:
+    if kind in _BUILTIN_KINDS:
+        table = _table(kind, power, n_max)
+        model = SpectrumModel(kind=kind, dims=table.dims[: n_max + 1], power=power)
+        model._logs = table.logs
+        return model
+    if kind != "custom":
         raise ValueError(f"unknown model kind {kind!r}")
+    if path is None:
+        raise ValueError("custom models need a file path")
+    dims = parse_spectrum_file(path)
+    if n_max < len(dims) - 1:
+        dims = dims[: n_max + 1]
     if power > 1:
         dims = _convolve_power(dims, power)
     return SpectrumModel(kind=kind, dims=dims, power=power, source=path)
@@ -216,11 +304,10 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
     hi = model.n_max if n_max is None else min(n_max, model.n_max)
     best = -math.inf
     best_n = 0
-    for n in range(hi + 1):
-        d = model.dims[n]
-        if d == 0:
+    for n, ld in enumerate(model.log_dims(0, hi)):
+        if ld == -math.inf:
             continue
-        h = math.log(d) - float(n) ** kappa
+        h = ld - float(n) ** kappa
         if h > best:
             best, best_n = h, n
     # interior maximizer = ratio turned over inside the range
@@ -240,17 +327,17 @@ def exponential_cap(model: SpectrumModel, n_max: int | None = None) -> float:
     """Smallest c with dims[N] <= c * e^N on the scanned range (kappa = 1 edge)."""
     hi = model.n_max if n_max is None else min(n_max, model.n_max)
     best = -math.inf
-    for n in range(hi + 1):
-        d = model.dims[n]
-        if d:
-            best = max(best, math.log(d) - float(n))
+    for n, ld in enumerate(model.log_dims(0, hi)):
+        if ld != -math.inf:
+            best = max(best, ld - float(n))
     return math.exp(best)
 
 
 def log_dim(model: SpectrumModel, n: int) -> float:
-    """log d_n as a float (-inf for d_n = 0); exact-int safe for huge dims."""
-    d = model.dim(n)
-    return math.log(d) if d > 0 else -math.inf
+    """log d_n as a float (-inf for d_n = 0), read from the model's log column."""
+    if model.dim(n) == 0:          # also rejects n < 0 and built-in n past the table
+        return -math.inf
+    return model.log_dims(n, n)[0]
 
 
 def partition_log_asymptotic(n: int) -> float:

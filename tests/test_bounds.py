@@ -11,11 +11,14 @@ from entrocut import (
     TailConfig,
     cutoff_bound,
     distance_regularized_bound,
+    fit_growth_constants,
     growth_scaling_report,
+    model_dims,
     nu_p_damping_bound,
     nu_p_damping_cap,
     quasinorm_property_check,
     schatten_p,
+    spectra,
     trace_bound_constants,
     trace_partition,
     verify_trace_bound,
@@ -277,3 +280,21 @@ def test_growth_scaling_rejects_empty_range(u1_small, ef075):
         growth_scaling_report(u1_small, ef075, [])
     with pytest.raises(ValueError):
         growth_scaling_report(u1_small, ef075, [0, 1])
+
+
+@pytest.mark.parametrize("kind", ["u1", "virasoro"])
+def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
+    fit = fit_growth_constants(model_dims(kind, 3000), 0.6)
+    spectra._TABLES.clear()           # the first run grows every table it reads
+
+    def run():
+        reps = [distance_regularized_bound(model_dims(kind, 12), ef075, delta, TailConfig(fit=fit))
+                for delta in (0.5, 0.8, 1.3, 2.0)]
+        traces = [trace_partition(model_dims(kind, 12), beta, 3000, fit=fit)
+                  for beta in (0.5, 1.0, 2.0)]
+        return reps, traces
+
+    cold = run()
+    # past the last block the series reads at delta 0.5 (it stops near N = 10400)
+    model_dims(kind, 20000)
+    assert run() == cold

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -13,6 +15,7 @@ from entrocut import (
     parse_spectrum_file,
     partition_log_asymptotic,
     partition_numbers,
+    spectra,
 )
 
 
@@ -153,3 +156,112 @@ def test_model_rejects_bad_input(tmp_path):
         model_dims("nosuch", 5)
     with pytest.raises(ValueError):
         model_dims("custom", 5)  # path required
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the shared spectrum tables, so the test grows them from nothing."""
+    with spectra._TABLES_LOCK:
+        spectra._TABLES.clear()
+
+
+@pytest.fixture(scope="module")
+def tables_2000():
+    p = oracles.partition_counts_table(2000)
+    return {
+        ("u1", 1): p,
+        ("virasoro", 1): oracles.partition_counts_table(2000, min_part=2),
+        ("u1", 2): oracles.convolve_exact(p, p, 2000),
+    }
+
+
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
+def test_table_grown_in_steps_equals_one_call(cold_tables, tables_2000, kind, power):
+    stepped = model_dims(kind, 12, power=power)
+    for n in (100, 2000):
+        stepped = extend_model(stepped, n)
+    spectra._TABLES.clear()
+    whole = model_dims(kind, 2000, power=power)
+    assert stepped.dims == whole.dims == tables_2000[(kind, power)]
+    assert stepped.log_dims(0, 2000) == whole.log_dims(0, 2000)
+
+
+def test_mutating_returned_lists_leaves_the_tables_alone():
+    model = model_dims("u1", 50)
+    model.dims[10] = 0
+    model.dims.append(5)
+    p = partition_numbers(60)
+    p[20] = -1
+    del p[30:]
+    assert model_dims("u1", 50).dims == oracles.partition_counts_table(50)
+    assert partition_numbers(60) == oracles.partition_counts_table(60)
+
+
+def test_log_column_is_math_log_bit_for_bit():
+    model = model_dims("u1", 5000)
+    assert [x.hex() for x in model.log_dims(0, 5000)] == \
+        [math.log(d).hex() for d in model.dims]
+
+
+def test_log_dims_stay_inside_the_model():
+    model = model_dims("u1", 5)
+    model_dims("u1", 40)                 # the shared column now runs past N = 5
+    with pytest.raises(IndexError):
+        model.log_dims(0, 6)
+    assert log_dim(model, 5) == math.log(7)
+
+
+def test_concurrent_growth_gives_exact_tables(cold_tables):
+    p = oracles.partition_counts_table(1500)
+    expected = {
+        ("u1", 1, 1500): p,
+        ("u1", 1, 700): p[:701],
+        ("virasoro", 1, 1200): oracles.partition_counts_table(1200, min_part=2),
+        ("u1", 2, 600): oracles.convolve_exact(p[:601], p[:601], 600),
+    }
+    barrier = threading.Barrier(len(expected))
+    seen = {}
+
+    def grow(kind, power, n_max):
+        barrier.wait(timeout=60)
+        try:
+            seen[kind, power, n_max] = model_dims(kind, n_max, power=power).dims
+        except Exception as exc:       # surfaced by the assertion below
+            seen[kind, power, n_max] = exc
+
+    threads = [threading.Thread(target=grow, args=key) for key in expected]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # switch threads often, so growths interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == expected
+
+
+def _power(base, m):
+    out = base
+    for _ in range(m - 1):
+        out = oracles.convolve_exact(out, base, len(base) - 1)
+    return out
+
+
+@pytest.mark.parametrize("kind,power", [("u1", 2), ("u1", 3), ("virasoro", 2), ("custom", 2)])
+def test_tensor_power_matches_convolution_to_300(tmp_path, kind, power):
+    path = None
+    if kind == "custom":
+        path = tmp_path / "s.txt"
+        path.write_text("0 1\n2 7\n5 1000000000000000000000000000000\n9 3\n300 2\n")
+        path = str(path)
+    base = model_dims(kind, 300, path=path).dims
+    assert len(base) == 301
+    assert model_dims(kind, 300, power=power, path=path).dims == _power(base, power)
+
+
+def test_u1_square_matches_convolution_to_3000():
+    base = partition_numbers(3000)
+    assert model_dims("u1", 3000, power=2).dims == oracles.convolve_exact(base, base, 3000)
