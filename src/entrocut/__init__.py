@@ -33,7 +33,6 @@ from .energy import (
     SyntheticPair,
     build_energy_function,
     eval_f,
-    eval_f_delta,
     eval_f_many,
     eval_f_reference,
     integral_j0,
@@ -84,7 +83,7 @@ __all__ = [
     "trace_bound_constants", "trace_partition", "verify_trace_bound",
     "RunConfig", "load_config", "parse_config_file",
     "EnergyFunction", "QuadratureConfig", "SyntheticPair",
-    "build_energy_function", "eval_f", "eval_f_delta", "eval_f_many",
+    "build_energy_function", "eval_f", "eval_f_many",
     "eval_f_reference", "integral_j0", "make_synthetic_pair",
     "verify_spectral_identity",
     "eta", "eta_bound_constant",

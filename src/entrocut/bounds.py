@@ -94,24 +94,6 @@ def _eta_upper(x: np.ndarray) -> np.ndarray:
     return np.where(x < _INV_E, eta(x), _INV_E)
 
 
-def _log_f_upper_block(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f_up, log f_up, envelope flags) for N = n_lo..n_hi.
-
-    f_up is a certified upper bound on |f(delta N)|: quadrature magnitude
-    plus the quadrature tolerance inside the certified range, the decay
-    envelope beyond, never above either.
-    """
-    vals, flags = f_delta_batch(ef, delta, n_hi)
-    vals = vals[n_lo:]
-    flags = flags[n_lo:]
-    ts = delta * np.arange(n_lo, n_hi + 1)
-    env = np.asarray(ef.envelope(ts), dtype=float)
-    up = np.where(flags, env, np.minimum(np.abs(vals) + ef.quad.abs_tol, env))
-    log_up = np.where(up > 0.0, np.log(np.maximum(up, 5e-324)), -np.inf)
-    return up, log_up, flags
-
-
 def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
                  n_start: int, tail: TailConfig) -> tuple[float, float]:
     """(log tail_C, log tail_S) for the streamed series past n_start.
@@ -125,7 +107,7 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
     for _ in range(tail.tail_blocks):
         ns = np.arange(n, n + tail.tail_chunk, dtype=float)
         ts = delta * ns
-        log_env = math.log(ef.envelope_K) - ef.envelope_c * ts ** ef.beta_prime
+        log_env = -ef.envelope_c * ts ** ef.beta_prime
         log_dims = fit.log_C + ns ** fit.kappa
         chunk_c = logsumexp(math.log(2.0) + log_dims + log_env)
         # eta(x) = x * (-log x) for x < 1/e; the envelope is microscopic here
@@ -183,7 +165,8 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         hi = min(n + block - 1, hard_cap)
         if not finite_support and work.n_max < hi:
             work = extend_model(work, hi)
-        up, log_up, flags = _log_f_upper_block(ef, delta, n, hi)
+        _, up, flags = f_delta_batch(ef, delta, n, hi)
+        log_up = np.where(up > 0.0, np.log(np.maximum(up, 5e-324)), -np.inf)
         ld = np.array(work.log_dims(n, hi))
         zero_dim = np.isneginf(ld)
         lt_c = np.where(zero_dim, -np.inf, math.log(2.0) + ld + log_up)
@@ -288,7 +271,7 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
     if model.kind != "custom" and model.n_max < energy_cut:
         model = extend_model(model, energy_cut)
     dims = np.array([model.dim(nn) for nn in range(energy_cut + 1)], dtype=float)
-    vals, flags = f_delta_batch(ef, delta, energy_cut)
+    vals, _, flags = f_delta_batch(ef, delta, 0, energy_cut)
     absf = np.abs(vals)
     c = float(np.sum(2.0 * dims * absf))
     s = float(np.sum(4.0 * dims[1:] * _eta_upper(absf[1:] / 2.0))) if energy_cut > 0 else 0.0

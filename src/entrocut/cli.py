@@ -11,6 +11,7 @@ failure, 2 usage or parse error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -21,9 +22,9 @@ from .energy import (
     EnergyFunction,
     QuadratureConfig,
     build_energy_function,
-    eval_f_many,
     make_synthetic_pair,
     verify_spectral_identity,
+    window,
 )
 from .errors import (
     ConfigError,
@@ -108,15 +109,13 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if not math.isfinite(args.t_max):
+        raise ConfigError(f"--t-max must be finite, got {args.t_max}")
     ef = _build_window(cfg)
     ts = np.linspace(0.0, args.t_max, args.points)
-    inside = ts <= ef.quad.t_cap
-    values = np.empty_like(ts)
-    if np.any(inside):
-        values[inside] = eval_f_many(ef, ts[inside])
-    values[~inside] = ef.envelope(ts[~inside])
+    values, _, flags = window(ef, ts)
     rows = [[float(t), float(v), bool(flag)]
-            for t, v, flag in zip(ts, values, ~inside)]
+            for t, v, flag in zip(ts, values, flags)]
     _emit(cfg.out, ["t", "f", "is_envelope"], rows)
     return EXIT_OK
 

@@ -7,6 +7,7 @@ Flags override file values; file values override defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -56,6 +57,8 @@ class RunConfig:
             raise ConfigError("oracle_limit must be >= 1")
         if self.n_max < 0 or self.power < 1 or self.fit_n_max < 1 or self.freq_cut < 1:
             raise ConfigError("n_max, power, fit_n_max, freq_cut out of range")
+        if not all(math.isfinite(v) for v in (*self.delta, *self.beta, self.quad_tol, self.t_cap)):
+            raise ConfigError("delta, beta, quad_tol and t_cap must be finite")
         if self.quad_tol <= 0.0 or self.t_cap <= 0.0:
             raise ConfigError("quad_tol and t_cap must be positive")
 

@@ -33,11 +33,18 @@ quadrature is kept as `eval_f_reference` and cross-checked in tests.
 Guaranteed facts, all verified against the construction: f is real and even,
 f(0) = 1/2, |f(t)| <= 1/2, and |f(t)| e^{|t|^alpha} stays bounded because the
 bump's Gevrey order gives decay exponent rho/(rho+1) = (1+alpha)/2 > alpha.
+The suprema the cutoff caps need are therefore closed forms: sup |f| = 1/2
+(|F| <= 1/2 and ghat >= 0 integrates to 1) and sup eta(|f|/2) = eta(1/4)
+(eta increases below 1/e), each plus abs_tol for the computed values.
 
-Beyond the certification range [0, T0] the evaluator returns a conservative
-envelope K e^{-c |t|^{beta'}} fitted on the scan grid and flags the value as
-an overestimate; every bound formula consumes |f|, so overestimates keep the
-inequalities valid.
+One evaluator, `window`, returns the signed value, a certified upper bound
+on |f| and an envelope flag, the regime decided on |t|.  Beyond the
+quadrature range [0, T0] it returns the envelope e^{-c |t|^{beta'}}, fitted
+on a grid over [0, T0] to overestimate |f| (a fit, not a proof), and flags
+it; every bound formula consumes |f|, so overestimates keep the inequalities
+valid.  The lattice form `f_delta_batch` (t = delta*N) keeps one growing
+array of quadrature values per delta; `eval_f` and `eval_f_many` are thin
+wrappers.
 """
 
 from __future__ import annotations
@@ -140,28 +147,33 @@ def _ghat_raw(tau: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
+# tau rule: Gauss-Legendre points per panel, and panels per oscillation of
+# the largest argument (panel width <= 2 pi / (_PANELS_PER_OSC * T0))
+_POINTS_PER_PANEL = 16
+_PANELS_PER_OSC = 4
+# the envelope fit samples |f| at this many points of [0, T0]
+_GRID_POINTS = 1601
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel Gauss-Legendre settings for the tau-integral."""
+    """Certification settings for the window."""
 
-    points_per_panel: int = 16
-    panels_per_osc: int = 4        # panel width <= 2*pi / (panels_per_osc * |t|)
     # doubled-density self-checks sit near 2e-15; 1e-12 keeps a wide margin
-    abs_tol: float = 1e-12         # certified absolute tolerance of eval_f on [0, T0]
+    abs_tol: float = 1e-12         # certified absolute tolerance of f on [0, T0]
     t_cap: float = 200.0           # T0: quadrature range; envelope beyond
-    grid_points: int = 1601        # certification grid resolution on [0, T0]
 
 
 @dataclass
 class EnergyFunction:
-    """Window f for one alpha, with certified supremum and envelope data.
+    """Window f for one alpha: tau rule, suprema and decay envelope.
 
-    Fields are filled by build_energy_function.  The memo cache maps
-    (delta, N) to the signed value at t = delta*N with its envelope flag.
-    A cached value does not depend on which call filled it (a single-point
-    `f_delta_int` or a batch `f_delta_batch`), since the window is reduced
-    point by point in a fixed order.  Inserts are plain dict writes (atomic
-    under the GIL), so concurrent readers see an as-if-sequential table.
+    Fields are filled by build_energy_function.  The suprema are theorems
+    of the construction, not samples: |f| <= f(0) = 1/2 and, since eta
+    increases below 1/e, sup eta(|f|/2) = eta(1/4) = log(4)/4; each carries
+    abs_tol, the distance of a computed value from f.  `cache` maps delta
+    to one array of the quadrature values f(delta*N), N = 0, 1, ..., that
+    `f_delta_batch` grows on demand.
     """
 
     alpha: float
@@ -170,25 +182,30 @@ class EnergyFunction:
     quad: QuadratureConfig
     nodes: np.ndarray              # tau quadrature nodes
     coeffs: np.ndarray             # weight * ghat(node) / normalization
-    sup_f: float                   # certified sup_t |f(t)| (grid max + tol)
-    sup_eta: float                 # certified sup_t eta(|f(t)|/2)
-    sup_abs_flog: float            # certified sup_t |f(t) log |f(t)||  (literal reading)
-    weighted_sup: float            # max over grid of |f(t)| e^{|t|^alpha}
-    envelope_K: float
     envelope_c: float
     cache: dict = field(default_factory=dict)
 
+    @property
+    def sup_f(self) -> float:
+        """Certified sup_t |f(t)|."""
+        return 0.5 + self.quad.abs_tol
+
+    @property
+    def sup_eta(self) -> float:
+        """Certified sup_t eta(|f(t)|/2)."""
+        return math.log(4.0) / 4.0 + self.quad.abs_tol
+
     def envelope(self, t: float | np.ndarray) -> np.ndarray | float:
-        """Conservative decay envelope K e^{-c |t|^{beta'}}."""
+        """Fitted decay envelope e^{-c |t|^{beta'}}."""
         at = np.abs(np.asarray(t, dtype=float))
-        return self.envelope_K * np.exp(-self.envelope_c * at ** self.beta_prime)
+        return np.exp(-self.envelope_c * at ** self.beta_prime)
 
 
-def _tau_rule(t_cap: float, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    # enough panels that the largest argument sweeps <= 2pi/panels_per_osc of
+def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarray, np.ndarray]:
+    # enough panels that the largest argument sweeps <= 2pi/osc_panels of
     # phase per panel; a floor of 24 panels resolves the bump itself
-    n_panels = max(24, int(math.ceil(abs(t_cap) * quad.panels_per_osc / (2.0 * math.pi))) + 1)
-    xg, wg = leggauss(quad.points_per_panel)
+    n_panels = max(24, int(math.ceil(abs(t_cap) * osc_panels / (2.0 * math.pi))) + 1)
+    xg, wg = leggauss(_POINTS_PER_PANEL)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
@@ -220,10 +237,9 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
     """Construct the window for one decay target alpha in (0, 1).
 
     Runs a panel-refinement self-check (doubled panel density must agree
-    within quad.abs_tol on a probe grid) and certifies on [0, T0]: the
-    suprema of |f|, eta(|f|/2) and |f log |f||, the weighted sup
-    |f| e^{|t|^alpha}, and an envelope K e^{-c t^{beta'}} dominating every
-    sampled |f| + tol.  Raises ConstructionError if the self-check fails.
+    within quad.abs_tol on a probe grid) and fits an envelope
+    e^{-c t^{beta'}} dominating |f| + tol on a grid over [0, T0].  Raises
+    ConstructionError if the self-check fails.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -231,45 +247,27 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
     rho = (1.0 + alpha) / (1.0 - alpha)
     beta_prime = 0.5 * (1.0 + alpha)
 
-    nodes, weights = _tau_rule(quad.t_cap, quad)
-    coeffs = weights * _ghat_raw(nodes, rho)
-    norm = float(coeffs.sum())
-    if not (norm > 0.0):
-        raise ConstructionError("bump normalization integral vanished")
-    coeffs /= norm
+    def rule(osc_panels: int) -> tuple[np.ndarray, np.ndarray]:
+        nodes, weights = _tau_rule(quad.t_cap, osc_panels)
+        coeffs = weights * _ghat_raw(nodes, rho)
+        norm = float(coeffs.sum())
+        if not (norm > 0.0):
+            raise ConstructionError("bump normalization integral vanished")
+        return nodes, coeffs / norm
 
+    nodes, coeffs = rule(_PANELS_PER_OSC)
     # self-check: doubled panel density on a probe grid
-    fine = QuadratureConfig(
-        points_per_panel=quad.points_per_panel,
-        panels_per_osc=2 * quad.panels_per_osc,
-        abs_tol=quad.abs_tol,
-        t_cap=quad.t_cap,
-        grid_points=quad.grid_points,
-    )
-    fnodes, fweights = _tau_rule(quad.t_cap, fine)
-    fcoeffs = fweights * _ghat_raw(fnodes, rho)
-    fcoeffs /= float(fcoeffs.sum())
+    fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
     probe = np.linspace(0.0, quad.t_cap, 41)
     resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs) - _f_on_rule(probe, fnodes, fcoeffs))))
     if resid > quad.abs_tol:
         raise ConstructionError("tau quadrature did not converge at the configured density", resid)
 
-    grid = np.linspace(0.0, quad.t_cap, quad.grid_points)
-    fg = _f_on_rule(grid, nodes, coeffs)
-    absf = np.abs(fg)
-    tol = quad.abs_tol
-
-    sup_f = float(np.max(absf)) + tol
-    half = np.clip(absf / 2.0, 1e-300, None)
-    sup_eta = float(np.max(-half * np.log(half))) + tol
-    fl = np.clip(absf, 1e-300, None)
-    sup_abs_flog = float(np.max(np.abs(fl * np.log(fl)))) + tol
-    weighted_sup = float(np.max(absf * np.exp(grid ** alpha)))
-
-    # envelope: K e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
+    # envelope: e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
     # 0.75 safety factor guards the extrapolation beyond T0
-    pos = grid > 0.0
-    ratios = -np.log(np.minimum(absf[pos] + tol, 0.5)) / grid[pos] ** beta_prime
+    grid = np.linspace(0.0, quad.t_cap, _GRID_POINTS)[1:]
+    absf = np.abs(_f_on_rule(grid, nodes, coeffs))
+    ratios = -np.log(np.minimum(absf + quad.abs_tol, 0.5)) / grid ** beta_prime
     env_c = 0.75 * float(np.min(ratios))
     if env_c <= 0.0:
         raise ConstructionError("envelope fit produced a nonpositive decay constant")
@@ -281,31 +279,61 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
         quad=quad,
         nodes=nodes,
         coeffs=coeffs,
-        sup_f=sup_f,
-        sup_eta=sup_eta,
-        sup_abs_flog=sup_abs_flog,
-        weighted_sup=weighted_sup,
-        envelope_K=1.0,
         envelope_c=env_c,
     )
 
 
-def eval_f_flagged(ef: EnergyFunction, t: float) -> tuple[float, bool]:
-    """f(t) with an envelope flag.
+def window(ef: EnergyFunction, ts, quad_vals: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window at each t: (signed value, certified upper bound on |f|,
+    envelope flag), the regime decided on |t|.
 
-    |t| <= T0: quadrature value, flag False.  |t| > T0: the conservative
-    envelope magnitude, flag True (an overestimate of |f|; the sign is not
-    resolved out there, which every upper-bound consumer tolerates).
+    |t| <= T0: the quadrature value, bounded by min(|f| + abs_tol, envelope).
+    |t| > T0: the fitted envelope as both value and bound, flagged; it is
+    meant to overestimate |f| and leaves the sign unresolved, which every
+    upper-bound consumer tolerates.  `quad_vals`, when the caller holds them,
+    are the quadrature values of the |t| <= T0 entries, in order.
     """
-    at = abs(float(t))
-    if at <= ef.quad.t_cap:
-        return float(_f_on_rule(np.array([at]), ef.nodes, ef.coeffs)[0]), False
-    return float(ef.envelope(at)), True
+    at = np.abs(np.asarray(ts, dtype=float))
+    flags = at > ef.quad.t_cap
+    env = ef.envelope(at)
+    vals = env.copy()
+    vals[~flags] = _f_on_rule(at[~flags], ef.nodes, ef.coeffs) if quad_vals is None else quad_vals
+    up = np.where(flags, env, np.minimum(np.abs(vals) + ef.quad.abs_tol, env))
+    return vals, up, flags
+
+
+_NO_VALUES = np.zeros(0)
+
+
+def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`window` on the lattice t = delta*N, N = n_lo..n_hi, through the memo.
+
+    The quadrature values for one delta live in one array in `ef.cache`,
+    f(delta*N) for N = 0, 1, ..., grown to the largest N asked for in the
+    quadrature range.  A value does not depend on the call that computed
+    it, so the memo needs no lock: two calls racing to grow it store arrays
+    that agree on their common prefix, and the loser's points are recomputed,
+    to the same bits, when next asked for.
+    """
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    if n_lo < 0:
+        raise ValueError("n_lo must be >= 0")
+    ts = delta * np.arange(n_lo, n_hi + 1)
+    n_quad = int(np.count_nonzero(ts <= ef.quad.t_cap))   # a prefix: delta*N grows with N
+    memo = ef.cache.get(delta, _NO_VALUES)
+    if n_quad and len(memo) < n_lo + n_quad:
+        fresh = delta * np.arange(len(memo), n_lo + n_quad)
+        memo = np.concatenate((memo, _f_on_rule(fresh, ef.nodes, ef.coeffs)))
+        ef.cache[delta] = memo
+    return window(ef, ts, memo[n_lo : n_lo + n_quad])
 
 
 def eval_f(ef: EnergyFunction, t: float) -> float:
-    """f(t); see eval_f_flagged for the envelope regime beyond T0."""
-    return eval_f_flagged(ef, t)[0]
+    """f(t), the envelope beyond T0; see `window`."""
+    return float(window(ef, [t])[0][0])
 
 
 def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
@@ -314,60 +342,6 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
     if np.any(np.abs(ts) > ef.quad.t_cap):
         raise ValueError(f"arguments exceed the quadrature range [0, {ef.quad.t_cap}]")
     return _f_on_rule(ts, ef.nodes, ef.coeffs)
-
-
-def eval_f_delta(ef: EnergyFunction, delta: float, t: float) -> float:
-    """f_delta(t) = f(delta * t)."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    return eval_f(ef, delta * t)
-
-
-def f_delta_int(ef: EnergyFunction, delta: float, n: int) -> tuple[float, bool]:
-    """Memoized signed window value at t = delta*n with envelope flag."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    key = (float(delta), int(n))
-    hit = ef.cache.get(key)
-    if hit is None:
-        hit = eval_f_flagged(ef, delta * n)
-        ef.cache[key] = hit
-    return hit
-
-
-def f_delta_batch(ef: EnergyFunction, delta: float, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed/overestimate window values at delta*N for N = 0..n_hi.
-
-    Returns (values, is_envelope).  Quadrature-range entries are signed exact
-    values; beyond T0 the positive envelope magnitude is substituted and
-    flagged.  Fills the (delta, N) memo cache as a side effect.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    ns = np.arange(n_hi + 1)
-    ts = delta * ns
-    inside = ts <= ef.quad.t_cap
-    vals = np.empty(n_hi + 1)
-    missing = [n for n in ns[inside] if (float(delta), int(n)) not in ef.cache]
-    if missing:
-        computed = _f_on_rule(delta * np.asarray(missing, dtype=float), ef.nodes, ef.coeffs)
-        for n, v in zip(missing, computed):
-            ef.cache[(float(delta), int(n))] = (float(v), False)
-    for n in ns[inside]:
-        vals[n] = ef.cache[(float(delta), int(n))][0]
-    vals[~inside] = ef.envelope(ts[~inside])
-    return vals, ~inside
-
-
-def abs_upper(ef: EnergyFunction, t: float) -> tuple[float, bool]:
-    """Certified upper bound on |f(t)|: min(|quadrature|+tol, envelope) on
-    [0, T0], the envelope beyond.  Flag marks envelope use."""
-    at = abs(float(t))
-    env = float(ef.envelope(at))
-    if at <= ef.quad.t_cap:
-        v = abs(float(_f_on_rule(np.array([at]), ef.nodes, ef.coeffs)[0])) + ef.quad.abs_tol
-        return (min(v, env), False)
-    return (env, True)
 
 
 def eval_f_reference(ef: EnergyFunction, t: float, u_cut: float = 300.0) -> float:
@@ -381,14 +355,7 @@ def eval_f_reference(ef: EnergyFunction, t: float, u_cut: float = 300.0) -> floa
     at = abs(float(t))
     if at >= u_cut:
         raise ValueError("reference route needs |t| < u_cut")
-    rule_cfg = QuadratureConfig(
-        points_per_panel=ef.quad.points_per_panel,
-        panels_per_osc=ef.quad.panels_per_osc,
-        abs_tol=ef.quad.abs_tol,
-        t_cap=u_cut,
-        grid_points=ef.quad.grid_points,
-    )
-    nodes, weights = _tau_rule(u_cut, rule_cfg)
+    nodes, weights = _tau_rule(u_cut)
     gh = _ghat_raw(nodes, ef.rho)
     coeffs = weights * gh / float(weights @ gh)
 

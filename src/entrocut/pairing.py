@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyFunction, f_delta_batch, f_delta_int
+from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import OracleLimitError
 from .spectra import SpectrumModel, extend_model
@@ -156,9 +156,8 @@ def assemble_theta(space: TruncatedSpace, ef: EnergyFunction, delta: float) -> T
     e0 = np.zeros(d, dtype=complex)
     e0[0] = 1.0
 
-    window: dict[int, float] = {}
-    for label in sorted(set(int(v) for v in space.labels)):
-        window[label] = f_delta_int(ef, delta, label)[0]
+    vals = f_delta_batch(ef, delta, 0, space.energy_cut)[0]
+    window = {label: float(vals[label]) for label in sorted(set(int(v) for v in space.labels))}
 
     p_w: list[float] = [1.0]
     p_l: list[np.ndarray] = [e0]
@@ -290,7 +289,7 @@ def oracle_vs_bounds(
     """
     _require_quadrature_range(ef, delta, space.energy_cut)
     dims = np.asarray(space.dims_by_level[1:], dtype=float)
-    absf = np.abs(f_delta_batch(ef, delta, space.energy_cut)[0][1:])
+    absf = np.abs(f_delta_batch(ef, delta, 1, space.energy_cut)[0])
     s = float(np.sum(dims * absf))
     c = 1.0 + 2.0 * s
     exact = eta((1.0 + s) / c) + float(np.sum(dims * eta(absf / c)))

@@ -157,6 +157,18 @@ def window_highprec(alpha: float, t: float, dps: int = 22) -> float:
         return float(val / norm)
 
 
+def weighted_sup(ef, grid_points: int = 1601) -> float:
+    """max |f(t)| e^{|t|^alpha} over a uniform grid of [0, T0].
+
+    The decay claim says this stays bounded; it is sampled, so tests compare
+    it across grid refinements rather than trust one grid.
+    """
+    from entrocut import eval_f_many
+
+    grid = np.linspace(0.0, ef.quad.t_cap, grid_points)
+    return float(np.max(np.abs(eval_f_many(ef, grid)) * np.exp(grid ** ef.alpha)))
+
+
 def trace_direct(dims: list[int], beta: float) -> float:
     """sum_N d_N e^{-beta N} by compensated float summation."""
     return math.fsum(d * math.exp(-beta * n) for n, d in enumerate(dims))

@@ -23,7 +23,7 @@ from entrocut import (
     trace_partition,
     verify_trace_bound,
 )
-from entrocut.energy import abs_upper
+from entrocut.energy import window
 from entrocut.entropy import eta
 
 
@@ -36,7 +36,7 @@ def test_distance_bound_custom_matches_scalar_loop(ef075):
     rep = distance_regularized_bound(model, ef075, 0.8)
     c = s = 0.0
     for n, d in enumerate(model.dims):
-        up, _ = abs_upper(ef075, 0.8 * n)
+        up = float(window(ef075, [0.8 * n])[1][0])
         c += 2.0 * d * up
         if n > 0:
             s += 4.0 * d * eta(up / 2.0)

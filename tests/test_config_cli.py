@@ -57,6 +57,13 @@ def test_load_config_precedence(tmp_path):
         ("p", [2.0]),
         ("power", 0),
         ("t_cap", -3.0),
+        ("delta", [math.nan]),
+        ("delta", [0.5, math.inf]),
+        ("beta", [math.inf]),
+        ("beta", [math.nan]),
+        ("quad_tol", math.nan),
+        ("t_cap", math.inf),
+        ("t_cap", math.nan),
     ],
 )
 def test_run_config_validate_rejects(field, value):
@@ -214,6 +221,21 @@ def test_cli_missing_config_file_exits_two(capsys, tmp_path):
     code, out, err = _run(capsys, ["bounds", "--config", str(gone)])
     assert code == 2
     assert out == "" and err.startswith("entrocut: ") and "gone.cfg" in err
+
+
+def test_cli_energy_function_non_finite_t_max_exits_two(capsys):
+    for t_max in ("nan", "inf", "-inf"):
+        code, out, err = _run(capsys, ["energy-function", f"--t-max={t_max}"])
+        assert code == 2
+        assert out == "" and err.startswith("entrocut: ") and "Traceback" not in err
+
+
+def test_cli_config_infinite_t_cap_exits_two(capsys, tmp_path):
+    path = tmp_path / "inf.cfg"
+    path.write_text("t_cap = inf\n")
+    code, out, err = _run(capsys, ["energy-function", "--config", str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("entrocut: ") and "Traceback" not in err
 
 
 def test_cli_trace_bound_beyond_float_range_exits_three(capsys):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,14 +12,13 @@ from entrocut import (
     QuadratureConfig,
     build_energy_function,
     eval_f,
-    eval_f_delta,
     eval_f_many,
     eval_f_reference,
     integral_j0,
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from entrocut.energy import _ij0_spline, abs_upper, eval_f_flagged, f_delta_batch, f_delta_int
+from entrocut.energy import _ij0_spline, f_delta_batch, window
 
 
 def test_ij0_table_matches_highprec_quadrature():
@@ -62,7 +64,7 @@ def test_certified_suprema(ef075):
     assert abs(ef075.sup_f - 0.5) <= 1e-9
     # eta increases up to 1/e and |f|/2 <= 1/4 < 1/e, so the sup sits at t = 0
     assert abs(ef075.sup_eta - (-0.25 * math.log(0.25))) <= 1e-9
-    assert math.isfinite(ef075.weighted_sup)
+    assert math.isfinite(oracles.weighted_sup(ef075))
 
 
 def test_envelope_dominates_grid(ef075):
@@ -73,11 +75,13 @@ def test_envelope_dominates_grid(ef075):
 
 
 def test_eval_beyond_range_flags_envelope(ef075):
-    val, flagged = eval_f_flagged(ef075, 250.0)
-    assert flagged
-    assert val == ef075.envelope(250.0)
-    up, up_flagged = abs_upper(ef075, 250.0)
-    assert up_flagged and up == val
+    # the regime is decided on |t|, so -250 is envelope too
+    vals, up, flags = window(ef075, [250.0, -250.0, 150.0])
+    assert flags.tolist() == [True, True, False]
+    assert vals[0] == vals[1] == ef075.envelope(np.array([250.0]))[0]
+    assert up[0] == vals[0] and up[1] == vals[1]
+    assert up[2] == min(abs(vals[2]) + ef075.quad.abs_tol, ef075.envelope(np.array([150.0]))[0])
+    assert eval_f(ef075, 250.0) == vals[0]
 
 
 def test_eval_f_many_rejects_out_of_range(ef075):
@@ -86,13 +90,16 @@ def test_eval_f_many_rejects_out_of_range(ef075):
 
 
 def test_delta_scaling_and_memo(ef075):
-    v1, fl1 = f_delta_int(ef075, 0.5, 7)
-    v2, _ = f_delta_int(ef075, 0.5, 7)
+    (v1,), _, (fl1,) = f_delta_batch(ef075, 0.5, 7, 7)
+    (v2,), _, _ = f_delta_batch(ef075, 0.5, 7, 7)
     assert v1 == v2 and not fl1
-    assert v1 == eval_f_delta(ef075, 0.5, 7.0)
-    vals, flags = f_delta_batch(ef075, 0.5, 16)
+    assert v1 == eval_f(ef075, 0.5 * 7.0)
+    vals, up, flags = f_delta_batch(ef075, 0.5, 0, 16)
     assert vals[7] == v1 and not flags.any()
     assert vals[0] == eval_f(ef075, 0.0)
+    assert np.array_equal(up, np.minimum(np.abs(vals) + ef075.quad.abs_tol,
+                                         ef075.envelope(0.5 * np.arange(17))))
+    assert len(ef075.cache[0.5]) >= 17
 
 
 @pytest.fixture(scope="module", params=[0.55, 0.75, 0.85])
@@ -119,19 +126,75 @@ def test_long_grid_matches_pointwise_bit_for_bit(ef075):
 def test_window_half_at_zero_exactly(ef_by_alpha):
     assert float(eval_f_many(ef_by_alpha, np.array([0.0]))[0]) == 0.5
     for delta, n_hi in ((0.5, 3), (0.1, 40), (1.0, 250)):
-        assert f_delta_batch(ef_by_alpha, delta, n_hi)[0][0] == 0.5
+        assert f_delta_batch(ef_by_alpha, delta, 0, n_hi)[0][0] == 0.5
 
 
 def test_certified_sup_is_half_plus_tolerance(ef_by_alpha):
     assert ef_by_alpha.sup_f == 0.5 + ef_by_alpha.quad.abs_tol
 
 
+def _fresh(ef):
+    """The same window with an empty memo."""
+    return dataclasses.replace(ef, cache={})
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 def test_memo_independent_of_call_order():
     # two fresh windows, so no other test has filled either memo
     single_first = build_energy_function(0.75)
     batch_first = build_energy_function(0.75)
-    f_delta_batch(batch_first, 0.5, 10)
-    assert f_delta_int(batch_first, 0.5, 3) == f_delta_int(single_first, 0.5, 3)
+    f_delta_batch(batch_first, 0.5, 0, 10)
+    assert _same_bits(f_delta_batch(batch_first, 0.5, 3, 3),
+                      f_delta_batch(single_first, 0.5, 3, 3))
+
+
+def test_memo_range_asked_first(ef075):
+    # N = 350..450 at delta = 0.5 crosses T0 = 200 at N = 400
+    serial = f_delta_batch(_fresh(ef075), 0.5, 0, 450)
+    ef = _fresh(ef075)
+    part = f_delta_batch(ef, 0.5, 350, 450)
+    assert part[2][:51].sum() == 0 and part[2][51:].all()
+    assert _same_bits(part, [a[350:] for a in serial])
+    assert len(ef.cache[0.5]) == 401               # quadrature range only
+    assert _same_bits(f_delta_batch(ef, 0.5, 0, 450), serial)
+
+
+def test_memo_prefix_grown_in_steps(ef075):
+    serial = f_delta_batch(_fresh(ef075), 0.7, 0, 400)
+    ef = _fresh(ef075)
+    for lo, hi in ((0, 5), (3, 40), (41, 41), (30, 200), (100, 400), (0, 400)):
+        assert _same_bits(f_delta_batch(ef, 0.7, lo, hi), [a[lo:hi + 1] for a in serial])
+
+
+def test_memo_grown_by_four_threads(ef075):
+    serial = f_delta_batch(_fresh(ef075), 0.3, 0, 700)
+    ef = _fresh(ef075)
+    results = {}
+
+    def grow(k):
+        for hi in range(k * 7, 701, 23):
+            results[k, hi] = f_delta_batch(ef, 0.3, hi // 3, hi)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == sum(len(range(k * 7, 701, 23)) for k in range(4))
+    for (_, hi), got in results.items():
+        assert _same_bits(got, [a[hi // 3:hi + 1] for a in serial])
+    memo = ef.cache[0.3]
+    assert memo.tobytes() == serial[0][:len(memo)].tobytes()
+    assert _same_bits(f_delta_batch(ef, 0.3, 0, 700), serial)
 
 
 def test_build_rejects_bad_alpha():
@@ -142,7 +205,7 @@ def test_build_rejects_bad_alpha():
 
 
 def test_build_fails_on_unreachable_tolerance():
-    quad = QuadratureConfig(abs_tol=1e-18, t_cap=50.0, grid_points=401)
+    quad = QuadratureConfig(abs_tol=1e-18, t_cap=50.0)
     with pytest.raises(ConstructionError):
         build_energy_function(0.75, quad)
 

@@ -16,7 +16,7 @@ from entrocut import (
     theta_eval,
     theta_product_identity_check,
 )
-from entrocut.energy import f_delta_batch, f_delta_int
+from entrocut.energy import eval_f, f_delta_batch
 from entrocut.pairing import theta_direct
 
 
@@ -112,7 +112,7 @@ def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
     oc = oracle_vs_bounds(space4, ef075, delta)
     expect = 1.0
     for n in range(1, 5):
-        expect += 2.0 * u1_small.dims[n] * abs(f_delta_int(ef075, delta, n)[0])
+        expect += 2.0 * u1_small.dims[n] * abs(eval_f(ef075, delta * n))
     # summation order differs (pairwise vs sequential), so allow an ulp
     assert abs(oc.c_deltaE - expect) <= 1e-13
     assert (oc.model_label, oc.delta, oc.energy_cut, oc.dim) == ("u1", 0.9, 4, 12)
@@ -143,7 +143,7 @@ def test_oracle_comparison_pinned_values(u1_small, ef075):
 
 
 def _dense_entropy(space, ef, delta):
-    absf = np.abs(f_delta_batch(ef, delta, space.energy_cut)[0])
+    absf = np.abs(f_delta_batch(ef, delta, 0, space.energy_cut)[0])
     return oracles.entropy_eigvalsh(oracles.tau_density(space.dims_by_level, absf))
 
 
@@ -172,7 +172,7 @@ def test_closed_form_oracle_matches_dense_route(ef075, kind, power):
             cap = cutoff_bound(model, ef075, delta, energy_cut)
             assert oc.entropy_bound == pytest.approx(cap.cutoff_bound, rel=1e-12, abs=0.0)
             assert oc.c_deltaE == pytest.approx(cap.c_deltaE, rel=1e-14, abs=0.0)
-        signs.update(np.sign(f_delta_batch(ef075, delta, energy_cut)[0]))
+        signs.update(np.sign(f_delta_batch(ef075, delta, 0, energy_cut)[0]))
     assert -1.0 in signs
 
 
