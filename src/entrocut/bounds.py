@@ -20,7 +20,7 @@ from scipy.special import gammaincc, logsumexp
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import DivergenceError
-from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model
+from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model, grown_log_dims
 
 _INV_E = 1.0 / math.e
 _LOG_TINY = math.log(1e-300)
@@ -159,15 +159,12 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     block = 512
     n = 0
     hard_cap = model.n_max if finite_support else tail.n_cap
-    work = model
     lt_c = np.zeros(0)
     while n <= hard_cap and n_stop is None:
         hi = min(n + block - 1, hard_cap)
-        if not finite_support and work.n_max < hi:
-            work = extend_model(work, hi)
         _, up, flags = f_delta_batch(ef, delta, n, hi)
         log_up = np.where(up > 0.0, np.log(np.maximum(up, 5e-324)), -np.inf)
-        ld = np.array(work.log_dims(n, hi))
+        ld = np.array(grown_log_dims(model, n, hi))
         zero_dim = np.isneginf(ld)
         lt_c = np.where(zero_dim, -np.inf, math.log(2.0) + ld + log_up)
         eta_vals = _eta_upper(up / 2.0)

@@ -26,9 +26,14 @@ feeding the window (the IJ0 table steps, the bump normalization and the sum
 over i above) is reduced in an order the package fixes, numpy's pairwise sum
 along one contiguous row, never a BLAS matrix-vector product, so a value does
 not depend on how many other points it is evaluated alongside, on thread
-count or on the BLAS build.  IJ0 comes from the Struve-function identity
-IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)); the direct nested
-quadrature is kept as `eval_f_reference` and cross-checked in tests.
+count or on the BLAS build.  IJ0 is read from one table per window,
+sized from T0: a cubic Hermite interpolant on knots 0.002 apart, read by
+direct index with the same bits as scipy's CubicHermiteSpline, and
+certified on build against the Struve-function identity
+IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)).  It is taken only
+on the bump's support, the tau nodes whose coefficient is not exactly 0.0,
+in blocks small enough to stay in cache.  The direct nested quadrature is
+kept as `eval_f_reference` and cross-checked in tests.
 
 Guaranteed facts, all verified against the construction: f is real and even,
 f(0) = 1/2, |f(t)| <= 1/2, and |f(t)| e^{|t|^alpha} stays bounded because the
@@ -55,7 +60,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline
 from scipy.special import j0, j1, struve
 
 from .errors import ConstructionError
@@ -74,20 +78,63 @@ def integral_j0(x: np.ndarray | float) -> np.ndarray:
 
 _TABLE_STEP = 0.002
 _TABLE_TOL = 2e-13
+# the longest table built; a window with a larger T0 takes IJ0 from the
+# Struve route, whose cost is then the caller's problem
+_TABLE_MAX = 4000.0
+
+
+class _HermiteTable:
+    """Cubic Hermite interpolant on uniform knots, read by direct index.
+
+    The same bits as scipy's CubicHermiteSpline(xs, ys, dydx): the four
+    coefficient columns come from its formulas in its operation order, and a
+    value is taken the way its PPoly evaluates one, in the interval i with
+    xs[i] <= x < xs[i+1] (the top knot in the last interval), at s = x - xs[i],
+    as ((c3 + c2 s) + c1 s^2) + c0 (s^2 s).  On uniform knots floor(x n / top)
+    is within one of i, so one comparison with each neighbouring knot replaces
+    the binary search.  Arguments must lie in [0, top].
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, dydx: np.ndarray) -> None:
+        dx = np.diff(xs)
+        slope = np.diff(ys) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.xs, self.ys = xs, ys
+        self.c0 = t / dx
+        self.c1 = (slope - dydx[:-1]) / dx - t
+        self.c2 = dydx[:-1]
+        self.c3 = ys[:-1]
+        self.last = len(xs) - 2
+        self.scale = (len(xs) - 1) / float(xs[-1])
+
+    def __call__(self, x: np.ndarray | float) -> np.ndarray:
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).ravel()
+        xs = self.xs
+        i = np.minimum((x * self.scale).astype(np.intp), self.last)
+        i -= x < xs.take(i)
+        i += (x >= xs.take(i + 1)) & (i < self.last)
+        s = x - xs.take(i)
+        s2 = s * s
+        val = ((self.c3.take(i) + self.c2.take(i) * s) + self.c1.take(i) * s2) \
+            + self.c0.take(i) * (s2 * s)
+        return val.reshape(shape)
 
 
 @lru_cache(maxsize=4)
-def _ij0_spline(upper: float) -> CubicHermiteSpline:
+def _ij0_spline(upper: float) -> _HermiteTable:
     """Fast evaluator of Int_0^x J0 on [0, upper], certified on build.
 
-    scipy's Struve functions cost microseconds per point, which makes the
-    certification grid (millions of arguments) the dominant build cost.
+    scipy's Struve functions cost microseconds per point, too slow for the
+    millions of arguments a window build and a distance series need.
     Tabulating instead: step integrals of J0 by 8-point Gauss-Legendre
     (error per step far below eps at step 0.002), accumulated in extended
-    precision, then a cubic Hermite spline with the exact derivative
-    IJ0' = J0.  The table is checked against the independent Struve-identity
-    route before use; probe points include interval midpoints, where the
-    Hermite error peaks.
+    precision, then a cubic Hermite interpolant with the exact derivative
+    IJ0' = J0, read by direct index (`_HermiteTable`).  The knots are
+    k * 0.002 for every length, so a shorter table is the prefix of a longer
+    one, bit for bit.  The table is checked against the independent
+    Struve-identity route before use; probe points include interval
+    midpoints, where the Hermite error peaks.
     """
     n_steps = int(math.ceil(upper / _TABLE_STEP))
     xs = np.linspace(0.0, n_steps * _TABLE_STEP, n_steps + 1)
@@ -95,13 +142,13 @@ def _ij0_spline(upper: float) -> CubicHermiteSpline:
     mids = xs[:-1, None] + 0.5 * _TABLE_STEP * (1.0 + gx[None, :])
     steps = (0.5 * _TABLE_STEP) * _weighted_row_sums(j0(mids), gw)
     ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
-    spline = CubicHermiteSpline(xs, ys, j0(xs))
+    table = _HermiteTable(xs, ys, j0(xs))
     top = float(xs[-1])
     probe = np.concatenate([
         np.linspace(0.0, top, 2001),
         (np.arange(2000) + 0.5) * (top / 2000.0),   # lands on table midpoints
     ])
-    diff = np.abs(spline(probe) - integral_j0(probe))
+    diff = np.abs(table(probe) - integral_j0(probe))
     # scipy's Struve functions lose ~1e-12 near their method switch around
     # x ~ 25.5 (the table route is clean there, checked to 7e-16 against
     # 40-digit quadrature), so that window gets a looser comparison
@@ -114,17 +161,14 @@ def _ij0_spline(upper: float) -> CubicHermiteSpline:
             f"{max(err_out, err_in):.3e} (tolerances {_TABLE_TOL:.1e} outside "
             f"x in (20, 30), 3e-12 inside)"
         )
-    return spline
+    return table
 
 
-def _ij0_fast(ax: np.ndarray) -> np.ndarray:
-    """Table-backed Int_0^x J0 for a nonnegative array; direct route fallback."""
-    hi = float(np.max(ax)) if ax.size else 0.0
-    if hi > 4000.0:
-        # no table for extreme arguments; cost there is the caller's problem
-        return integral_j0(ax)
-    upper = 100.0 * math.ceil(max(hi, 1.0) / 100.0)
-    return _ij0_spline(upper)(ax)
+def _ij0_upto(t_cap: float):
+    """Int_0^x J0 for 0 <= x <= t_cap: one table per T0, 100 * ceil(T0 / 100)
+    long, or the Struve route past the longest table."""
+    upper = 100.0 * math.ceil(max(t_cap, 1.0) / 100.0)
+    return _ij0_spline(upper) if upper <= _TABLE_MAX else integral_j0
 
 
 def _weighted_row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -153,6 +197,8 @@ _POINTS_PER_PANEL = 16
 _PANELS_PER_OSC = 4
 # the envelope fit samples |f| at this many points of [0, T0]
 _GRID_POINTS = 1601
+# elements per evaluation block of _f_on_rule (512 KB of doubles)
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,22 +260,33 @@ def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarr
     return nodes, weights
 
 
-def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule.
+def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray, t_cap: float
+               ) -> np.ndarray:
+    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= t_cap.
 
-    Vectorized and chunked to bound memory.  The sum over i is reduced per
-    point in a fixed order (`_weighted_row_sums`), so each value is the same
-    bit for bit whatever else is evaluated in the call, and f(0) = 1/2
+    IJ0 is taken only on the bump's support: exp underflows towards both
+    ends of (0, 1), so the coefficients there are exactly 0.0 (454 of 2064
+    at alpha = 0.75).  The values fill the support columns of a zero-filled
+    block of full width, so the fixed-order row sum (`_weighted_row_sums`)
+    reduces the same row, bit for bit, as it would with every column
+    computed.  A block holds about _BLOCK_ELEMS elements, so its temporaries
+    stay in cache; each row is reduced on its own, so each value is the
+    same bit for bit whatever else is evaluated in the call, and f(0) = 1/2
     exactly because IJ0(0) = 0.
     """
     ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
-    chunk = max(1, int(4_000_000 // max(len(nodes), 1)))
-    for lo in range(0, len(ts), chunk):
-        block = ts[lo : lo + chunk]
-        x = block[:, None] * nodes[None, :]
-        ij = _ij0_fast(x.ravel()).reshape(x.shape)
-        out[lo : lo + chunk] = 0.5 - 0.5 * _weighted_row_sums(ij, coeffs)
+    ij0 = _ij0_upto(t_cap)
+    support = np.flatnonzero(coeffs)
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    tau = nodes[lo:hi]
+    rows = max(1, _BLOCK_ELEMS // len(nodes))
+    block = np.zeros((min(rows, len(ts)), len(nodes)))
+    for start in range(0, len(ts), rows):
+        t = ts[start : start + rows]
+        m = block[: len(t)]
+        m[:, lo:hi] = ij0(t[:, None] * tau)
+        out[start : start + rows] = 0.5 - 0.5 * _weighted_row_sums(m, coeffs)
     return out
 
 
@@ -259,14 +316,15 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
     # self-check: doubled panel density on a probe grid
     fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
     probe = np.linspace(0.0, quad.t_cap, 41)
-    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs) - _f_on_rule(probe, fnodes, fcoeffs))))
+    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs, quad.t_cap)
+                              - _f_on_rule(probe, fnodes, fcoeffs, quad.t_cap))))
     if resid > quad.abs_tol:
         raise ConstructionError("tau quadrature did not converge at the configured density", resid)
 
     # envelope: e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
     # 0.75 safety factor guards the extrapolation beyond T0
     grid = np.linspace(0.0, quad.t_cap, _GRID_POINTS)[1:]
-    absf = np.abs(_f_on_rule(grid, nodes, coeffs))
+    absf = np.abs(_f_on_rule(grid, nodes, coeffs, quad.t_cap))
     ratios = -np.log(np.minimum(absf + quad.abs_tol, 0.5)) / grid ** beta_prime
     env_c = 0.75 * float(np.min(ratios))
     if env_c <= 0.0:
@@ -298,7 +356,8 @@ def window(ef: EnergyFunction, ts, quad_vals: np.ndarray | None = None
     flags = at > ef.quad.t_cap
     env = ef.envelope(at)
     vals = env.copy()
-    vals[~flags] = _f_on_rule(at[~flags], ef.nodes, ef.coeffs) if quad_vals is None else quad_vals
+    vals[~flags] = (_f_on_rule(at[~flags], ef.nodes, ef.coeffs, ef.quad.t_cap)
+                    if quad_vals is None else quad_vals)
     up = np.where(flags, env, np.minimum(np.abs(vals) + ef.quad.abs_tol, env))
     return vals, up, flags
 
@@ -326,7 +385,7 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
     memo = ef.cache.get(delta, _NO_VALUES)
     if n_quad and len(memo) < n_lo + n_quad:
         fresh = delta * np.arange(len(memo), n_lo + n_quad)
-        memo = np.concatenate((memo, _f_on_rule(fresh, ef.nodes, ef.coeffs)))
+        memo = np.concatenate((memo, _f_on_rule(fresh, ef.nodes, ef.coeffs, ef.quad.t_cap)))
         ef.cache[delta] = memo
     return window(ef, ts, memo[n_lo : n_lo + n_quad])
 
@@ -341,7 +400,7 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(np.abs(ts) > ef.quad.t_cap):
         raise ValueError(f"arguments exceed the quadrature range [0, {ef.quad.t_cap}]")
-    return _f_on_rule(ts, ef.nodes, ef.coeffs)
+    return _f_on_rule(ts, ef.nodes, ef.coeffs, ef.quad.t_cap)
 
 
 def eval_f_reference(ef: EnergyFunction, t: float, u_cut: float = 300.0) -> float:

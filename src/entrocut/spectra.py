@@ -236,6 +236,19 @@ def extend_model(model: SpectrumModel, n_max: int) -> SpectrumModel:
     return model_dims(model.kind, n_max, power=model.power, path=model.source)
 
 
+def grown_log_dims(model: SpectrumModel, lo: int, hi: int) -> list[float]:
+    """`model.log_dims(lo, hi)`, with hi allowed past n_max for a built-in.
+
+    Past n_max the values come from the shared table of the model's
+    (kind, power), grown as needed, as if read from `extend_model(model, hi)`
+    but without building that model: no copy of the integers and no rescan
+    of them.
+    """
+    if hi <= model.n_max or model.kind == "custom":
+        return model.log_dims(lo, hi)
+    return _table(model.kind, model.power, hi).logs[lo: hi + 1]
+
+
 def parse_spectrum_file(path: str) -> list[int]:
     """Parse "N d_N" lines into a dense multiplicity list.
 

@@ -5,7 +5,9 @@ counts come from exhaustive generation and a coin-change table instead of
 the pentagonal recurrence, the oracle entropy from a dense tau density
 diagonalized by LAPACK instead of the package's closed form over the level
 basis, and the Bessel antiderivative from 40-digit piecewise quadrature
-instead of the Struve identity or the tabulated spline.
+instead of the Struve identity or the tabulated spline.  The tabulated
+spline itself is pinned, bit for bit, by scipy's CubicHermiteSpline through
+the same knots, evaluated at every tau node of the rule.
 """
 
 from __future__ import annotations
@@ -155,6 +157,30 @@ def window_highprec(alpha: float, t: float, dps: int = 22) -> float:
 
         val = mp.quad(integrand, [0, mp.mpf(1) / 2, 1])
         return float(val / norm)
+
+
+def ij0_scipy_spline(table):
+    """scipy's CubicHermiteSpline through the knots and values of a package
+    integral-of-J0 table, with the exact derivative J0 at the knots.
+
+    Interval search and polynomial evaluation are scipy's (PPoly), so this
+    pins the package's direct-index reading of the same interpolant.
+    """
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.special import j0
+
+    return CubicHermiteSpline(table.xs, table.ys, j0(table.xs))
+
+
+def f_on_rule_full_width(ts, nodes: np.ndarray, coeffs: np.ndarray, spline) -> np.ndarray:
+    """1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) with `spline` as IJ0 at every node.
+
+    Zero coefficients included, one row per t in one block, and the row
+    reduced by numpy's pairwise sum, the order the package fixes.
+    """
+    x = np.abs(np.asarray(ts, dtype=float))[:, None] * nodes[None, :]
+    ij = spline(x.ravel()).reshape(x.shape)
+    return 0.5 - 0.5 * (ij * coeffs).sum(axis=-1)
 
 
 def weighted_sup(ef, grid_points: int = 1601) -> float:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -18,7 +20,8 @@ from entrocut import (
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from entrocut.energy import _ij0_spline, f_delta_batch, window
+from entrocut import energy
+from entrocut.energy import _f_on_rule, _ij0_spline, _ij0_upto, f_delta_batch, window
 
 
 def test_ij0_table_matches_highprec_quadrature():
@@ -27,6 +30,60 @@ def test_ij0_table_matches_highprec_quadrature():
     pts = [0.3, 1.0, 7.7, 25.3, 25.5, 25.9, 26.3, 77.7, 123.4, 199.5]
     worst = max(abs(float(sp(x)) - oracles.ij0_highprec(x)) for x in pts)
     assert worst <= 5e-14
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_ij0_table_matches_scipy_hermite_bit_for_bit():
+    table = _ij0_spline(200.0)
+    spline = oracles.ij0_scipy_spline(table)
+    xs = table.xs
+    top = xs[-1]
+    pts = np.concatenate([
+        [0.0, top],
+        xs,                                         # every knot
+        np.nextafter(xs[1:], -np.inf),              # one ulp below each knot
+        np.nextafter(xs[:-1], np.inf),              # one ulp above each knot
+        0.5 * (xs[1:] + xs[:-1]),                   # midpoints
+        np.random.default_rng(3).uniform(0.0, top, 200_000),
+    ])
+    assert _bits(table(pts)) == _bits(spline(pts))
+    assert float(table(top)) == float(spline(top))
+
+
+def test_shorter_ij0_table_is_prefix_of_longer():
+    short, long = _ij0_spline(100.0), _ij0_spline(300.0)
+    n = len(short.xs)
+    assert _bits(short.xs) == _bits(long.xs[:n])
+    assert _bits(short.ys) == _bits(long.ys[:n])
+    for name in ("c0", "c1", "c2", "c3"):
+        assert _bits(getattr(short, name)) == _bits(getattr(long, name)[: n - 1]), name
+    pts = np.concatenate([short.xs, np.random.default_rng(4).uniform(0.0, 100.0, 50_000)])
+    assert _bits(short(pts)) == _bits(long(pts))
+
+
+@pytest.mark.parametrize("t_cap", [200.0, 50.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
+def test_window_matches_full_width_scipy_route(alpha, t_cap):
+    # alpha = 0.3 leaves almost every coefficient nonzero, 0.95 zeroes most
+    ef = build_energy_function(alpha, QuadratureConfig(t_cap=t_cap))
+    assert np.count_nonzero(ef.coeffs == 0.0) > 0
+    ts = np.concatenate([np.linspace(0.0, t_cap, 301),
+                         np.random.default_rng(5).uniform(0.0, t_cap, 100)])
+    spline = oracles.ij0_scipy_spline(_ij0_upto(t_cap))
+    want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, spline)
+    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs, t_cap)) == _bits(want)
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    src = os.path.dirname(os.path.dirname(energy.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, entrocut.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_struve_route_matches_highprec_outside_blip():
@@ -116,9 +173,10 @@ def test_grid_values_match_pointwise_bit_for_bit(ef075, n_points):
 
 
 def test_long_grid_matches_pointwise_bit_for_bit(ef075):
-    # longer than one evaluation chunk (4e6 // len(nodes) = 1937 rows on the
-    # default rule), so the comparison crosses a chunk boundary
+    # longer than one evaluation block, so the comparison crosses block boundaries
+    rows = energy._BLOCK_ELEMS // len(ef075.nodes)
     ts = np.linspace(0.0, 200.0, 2500)
+    assert 1 <= rows < len(ts)
     grid = eval_f_many(ef075, ts)
     assert [float(v) for v in grid] == [eval_f(ef075, t) for t in ts]
 

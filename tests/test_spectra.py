@@ -211,6 +211,18 @@ def test_log_dims_stay_inside_the_model():
     assert log_dim(model, 5) == math.log(7)
 
 
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
+def test_grown_log_dims_reads_the_extended_model(kind, power):
+    model = model_dims(kind, 12, power=power)
+    ext = extend_model(model, 900)
+    assert spectra.grown_log_dims(model, 0, 12) == model.log_dims(0, 12)
+    assert spectra.grown_log_dims(model, 300, 900) == ext.log_dims(300, 900)
+    assert model.n_max == 12
+    # models built by hand keep their checks
+    with pytest.raises(ValueError):
+        spectra.SpectrumModel(kind=kind, dims=[1, -2], power=power)
+
+
 def test_concurrent_growth_gives_exact_tables(cold_tables):
     p = oracles.partition_counts_table(1500)
     expected = {
