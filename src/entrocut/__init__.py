@@ -34,7 +34,6 @@ from .energy import (
     build_energy_function,
     eval_f,
     eval_f_many,
-    eval_f_reference,
     integral_j0,
     make_synthetic_pair,
     verify_spectral_identity,
@@ -84,8 +83,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config_file",
     "EnergyFunction", "QuadratureConfig", "SyntheticPair",
     "build_energy_function", "eval_f", "eval_f_many",
-    "eval_f_reference", "integral_j0", "make_synthetic_pair",
-    "verify_spectral_identity",
+    "integral_j0", "make_synthetic_pair", "verify_spectral_identity",
     "eta", "eta_bound_constant",
     "ConfigError", "ConstructionError", "DivergenceError", "EntrocutError",
     "OracleLimitError", "SpectrumFileError",

@@ -20,27 +20,27 @@ from scipy.special import gammaincc, logsumexp
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import DivergenceError
-from .spectra import GrowthFit, SpectrumModel, exponential_cap, extend_model, grown_log_dims
+from .spectra import GrowthFit, SpectrumModel, exponential_cap
 
 _INV_E = 1.0 / math.e
 _LOG_TINY = math.log(1e-300)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
+# series truncation: streaming stops after _CONSECUTIVE successive terms fall
+# below _REL_EPS times the running sum; the analytic tail scans at most
+# _TAIL_BLOCKS chunks of _TAIL_CHUNK terms
+_REL_EPS = 1e-18
+_CONSECUTIVE = 10
+_TAIL_CHUNK = 4096
+_TAIL_BLOCKS = 64
+
 
 @dataclass(frozen=True)
 class TailConfig:
-    """Series truncation policy.
+    """Series truncation policy: n_cap bounds the streamed range, and fit
+    (required for built-in spectra) certifies the analytic tail."""
 
-    Streaming stops after `consecutive` successive terms fall below
-    rel_eps times the running sum; n_cap bounds the streamed range and
-    tail_blocks * tail_chunk the analytic tail scan.
-    """
-
-    rel_eps: float = 1e-18
-    consecutive: int = 10
     n_cap: int = 20000
-    tail_chunk: int = 4096
-    tail_blocks: int = 64
     fit: GrowthFit | None = None
 
 
@@ -95,7 +95,7 @@ def _eta_upper(x: np.ndarray) -> np.ndarray:
 
 
 def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
-                 n_start: int, tail: TailConfig) -> tuple[float, float]:
+                 n_start: int) -> tuple[float, float]:
     """(log tail_C, log tail_S) for the streamed series past n_start.
 
     Uses dims <= C e^{N^kappa} and the certified decay envelope; terms are
@@ -104,8 +104,8 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
     n = n_start
     total_c = -np.inf
     total_s = -np.inf
-    for _ in range(tail.tail_blocks):
-        ns = np.arange(n, n + tail.tail_chunk, dtype=float)
+    for _ in range(_TAIL_BLOCKS):
+        ns = np.arange(n, n + _TAIL_CHUNK, dtype=float)
         ts = delta * ns
         log_env = -ef.envelope_c * ts ** ef.beta_prime
         log_dims = fit.log_C + ns ** fit.kappa
@@ -117,12 +117,12 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
         chunk_s = logsumexp(math.log(4.0) + log_dims + log_eta)
         total_c = np.logaddexp(total_c, chunk_c)
         total_s = np.logaddexp(total_s, chunk_s)
-        if chunk_c < total_c + math.log(tail.rel_eps) and \
-                chunk_s < total_s + math.log(tail.rel_eps):
+        if chunk_c < total_c + math.log(_REL_EPS) and \
+                chunk_s < total_s + math.log(_REL_EPS):
             return float(total_c), float(total_s)
-        n += tail.tail_chunk
+        n += _TAIL_CHUNK
     raise DivergenceError(
-        f"analytic tail did not close within {tail.tail_blocks * tail.tail_chunk} terms; "
+        f"analytic tail did not close within {_TAIL_BLOCKS * _TAIL_CHUNK} terms; "
         f"fitted kappa = {fit.kappa:g} is too close to the decay exponent alpha = {ef.alpha:g}"
     )
 
@@ -164,7 +164,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         hi = min(n + block - 1, hard_cap)
         _, up, flags = f_delta_batch(ef, delta, n, hi)
         log_up = np.where(up > 0.0, np.log(np.maximum(up, 5e-324)), -np.inf)
-        ld = np.array(grown_log_dims(model, n, hi))
+        ld = np.array(model.log_dims(n, hi))
         zero_dim = np.isneginf(ld)
         lt_c = np.where(zero_dim, -np.inf, math.log(2.0) + ld + log_up)
         eta_vals = _eta_upper(up / 2.0)
@@ -174,12 +174,12 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
             lt_s[0] = -np.inf        # vacuum level never contributes to S
         run_c = np.logaddexp.accumulate(np.concatenate(([log_c], lt_c)))[1:]
         run_s = np.logaddexp.accumulate(np.concatenate(([log_s], lt_s)))[1:]
-        thresh = math.log(tail.rel_eps) + run_c
+        thresh = math.log(_REL_EPS) + run_c
         small = (lt_c < thresh) & ((lt_s < thresh) | np.isneginf(lt_s))
         stop_i = None
         for i in range(len(small)):
             consec = consec + 1 if small[i] else 0
-            if consec >= tail.consecutive and not finite_support:
+            if consec >= _CONSECUTIVE and not finite_support:
                 stop_i = i
                 break
         if stop_i is not None:
@@ -212,7 +212,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     tail_log_c = -np.inf
     tail_log_s = -np.inf
     if not finite_support:
-        tail_log_c, tail_log_s = _series_tail(ef, delta, fit, n_stop + 1, tail)
+        tail_log_c, tail_log_s = _series_tail(ef, delta, fit, n_stop + 1)
         envelope_used = True
 
     log_c_total = float(np.logaddexp(log_c, tail_log_c))
@@ -241,12 +241,11 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     return report
 
 
-def _cutoff_caps(model: SpectrumModel, ef: EnergyFunction, energy_cut: int) -> tuple[float, float]:
-    """(C_E, S_E): delta-free caps from the certified window suprema."""
-    if model.kind != "custom" and model.n_max < energy_cut:
-        model = extend_model(model, energy_cut)
-    total = sum(model.dim(nn) for nn in range(energy_cut + 1))
-    excited = total - model.dim(0)
+def _cutoff_caps(ef: EnergyFunction, dims: list[int]) -> tuple[float, float]:
+    """(C_E, S_E) for dims = [d_0, ..., d_E]: delta-free caps from the
+    certified window suprema."""
+    total = sum(dims)
+    excited = total - dims[0]
     c_e = 2.0 * ef.sup_f * float(total)
     s_e = 4.0 * ef.sup_eta * float(excited)
     return c_e, s_e
@@ -265,14 +264,13 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
         raise ValueError("delta must be positive")
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
-    if model.kind != "custom" and model.n_max < energy_cut:
-        model = extend_model(model, energy_cut)
-    dims = np.array([model.dim(nn) for nn in range(energy_cut + 1)], dtype=float)
+    dims_int = model.dims_upto(energy_cut)
+    dims = np.array(dims_int, dtype=float)
     vals, _, flags = f_delta_batch(ef, delta, 0, energy_cut)
     absf = np.abs(vals)
     c = float(np.sum(2.0 * dims * absf))
     s = float(np.sum(4.0 * dims[1:] * _eta_upper(absf[1:] / 2.0))) if energy_cut > 0 else 0.0
-    c_e, s_e = _cutoff_caps(model, ef, energy_cut)
+    c_e, s_e = _cutoff_caps(ef, dims_int)
     he = c_e * math.log(c_e) + s_e
     report = BoundReport(
         model_label=model.label,
@@ -324,10 +322,8 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
     if n_trunc < 0:
         raise ValueError("n_trunc must be >= 0")
     tail = tail or TailConfig()
-    if model.kind != "custom" and model.n_max < n_trunc:
-        model = extend_model(model, n_trunc)
     value = 0.0
-    for nn, ld in enumerate(model.log_dims(0, min(n_trunc, model.n_max))):
+    for nn, ld in enumerate(model.log_dims(0, n_trunc)):
         if ld == -np.inf:
             continue
         value += math.exp(ld - beta * nn)
@@ -621,9 +617,8 @@ def growth_scaling_report(model: SpectrumModel, ef: EnergyFunction,
     if not es or es[0] < 1:
         raise ValueError("e_range must contain energies >= 1")
     top = es[-1]
-    if model.kind != "custom" and model.n_max < top:
-        model = extend_model(model, top)
     cap_c = exponential_cap(model, top)
+    dims = model.dims_upto(top)
     geom = math.e / (math.e - 1.0)
     a_const = 2.0 * ef.sup_f * cap_c * geom
     b_const = 4.0 * ef.sup_eta * cap_c * geom
@@ -631,7 +626,7 @@ def growth_scaling_report(model: SpectrumModel, ef: EnergyFunction,
     rows = []
     max_ratio = 0.0
     for e in es:
-        c_e, s_e = _cutoff_caps(model, ef, e)
+        c_e, s_e = _cutoff_caps(ef, dims[: e + 1])
         he = c_e * math.log(c_e) + s_e
         ratio = he / (e * math.exp(e))
         max_ratio = max(max_ratio, ratio)

@@ -40,7 +40,7 @@ from .pairing import (
     polarization_check,
     theta_product_identity_check,
 )
-from .spectra import SpectrumModel, extend_model, fit_growth_constants, model_dims
+from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -93,17 +93,10 @@ def _build_window(cfg: RunConfig) -> EnergyFunction:
     return build_energy_function(cfg.alpha, quad)
 
 
-def _growth_fit(cfg: RunConfig, model: SpectrumModel):
-    scan = extend_model(model, cfg.fit_n_max)
-    return fit_growth_constants(scan, cfg.kappa, n_max=cfg.fit_n_max)
-
-
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     n_hi = model.n_max if (cfg.model == "custom" and args.n_max is None) else cfg.n_max
-    if cfg.model != "custom" and model.n_max < n_hi:
-        model = extend_model(model, n_hi)
-    rows = [[n, model.dim(n)] for n in range(n_hi + 1)]
+    rows = [[n, d] for n, d in enumerate(model.dims_upto(n_hi))]
     _emit(cfg.out, ["N", "d_N"], rows)
     return EXIT_OK
 
@@ -138,15 +131,11 @@ def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float, energy_c
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     ef = _build_window(cfg)
-    fit = _growth_fit(cfg, model)
-    if fit.kappa >= cfg.alpha:
+    if cfg.kappa >= cfg.alpha:
         raise DivergenceError(
             f"distance-regularized series diverges: fitted growth exponent "
-            f"kappa = {fit.kappa:g} is not below the window decay exponent alpha = {cfg.alpha:g}"
+            f"kappa = {cfg.kappa:g} is not below the window decay exponent alpha = {cfg.alpha:g}"
         )
-    top_e = max(cfg.E)
-    if model.kind != "custom" and model.n_max < top_e:
-        model = extend_model(model, top_e)
     space_cache: dict = {}
     rows = []
     for delta in cfg.delta:
@@ -170,8 +159,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    fit = _growth_fit(cfg, model)
-    ver = verify_trace_bound(extend_model(model, fit.certified_range[1]), fit, cfg.beta)
+    fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
+    ver = verify_trace_bound(model, fit, cfg.beta)
     rows = [[model.label, fit.kappa, fit.C, r.beta,
              r.trace_value + r.tail_bound, r.bound, r.ratio, r.ok]
             for r in ver.rows]
@@ -185,7 +174,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
     rng = np.random.default_rng(seed)
 
     if "polarization" in suites:
-        space = build_truncated_space(extend_model(model, 3), 3, dim_limit=cfg.oracle_limit)
+        space = build_truncated_space(model, 3, dim_limit=cfg.oracle_limit)
         worst = 0.0
         trials = 25
         for _ in range(trials):
@@ -198,7 +187,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                      worst, worst <= 1e-10])
 
     if "product" in suites:
-        space = build_truncated_space(extend_model(model, 4), 4, dim_limit=cfg.oracle_limit)
+        space = build_truncated_space(model, 4, dim_limit=cfg.oracle_limit)
         for delta in cfg.delta:
             worst = theta_product_identity_check(space, ef, delta, n_trials=10, seed=seed)
             rows.append(["product", f"seed={seed} delta={delta:g} E=4",
@@ -227,7 +216,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                              oc.slack, oc.ok])
 
     if "trace" in suites:
-        ver = verify_trace_bound(extend_model(model, fit.certified_range[1]), fit, cfg.beta)
+        ver = verify_trace_bound(model, fit, cfg.beta)
         for r in ver.rows:
             rows.append(["trace", f"beta={r.beta:g}", r.ratio, r.ok])
 
@@ -243,11 +232,8 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     suites = VERIFY_SUITES if not args.only else tuple(args.only)
     model = _build_model(cfg)
-    top_need = max([3, 4] + cfg.E)
-    if model.kind != "custom" and model.n_max < top_need:
-        model = extend_model(model, top_need)
     ef = _build_window(cfg)
-    fit = _growth_fit(cfg, model)
+    fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
     rows: list[list] = []
     for seed in cfg.seed:
         rows.extend(_verify_rows_for_seed(cfg, seed, model, ef, fit, suites))

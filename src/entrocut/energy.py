@@ -32,8 +32,8 @@ direct index with the same bits as scipy's CubicHermiteSpline, and
 certified on build against the Struve-function identity
 IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)).  It is taken only
 on the bump's support, the tau nodes whose coefficient is not exactly 0.0,
-in blocks small enough to stay in cache.  The direct nested quadrature is
-kept as `eval_f_reference` and cross-checked in tests.
+in blocks small enough to stay in cache.  Tests cross-check it against the
+direct nested s x tau quadrature of the definition.
 
 Guaranteed facts, all verified against the construction: f is real and even,
 f(0) = 1/2, |f(t)| <= 1/2, and |f(t)| e^{|t|^alpha} stays bounded because the
@@ -401,40 +401,6 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
     if np.any(np.abs(ts) > ef.quad.t_cap):
         raise ValueError(f"arguments exceed the quadrature range [0, {ef.quad.t_cap}]")
     return _f_on_rule(ts, ef.nodes, ef.coeffs, ef.quad.t_cap)
-
-
-def eval_f_reference(ef: EnergyFunction, t: float, u_cut: float = 300.0) -> float:
-    """Nested double quadrature for f(t): the literal s x tau layout.
-
-    Slow reference route used by tests to cross-check the closed-form inner
-    integral.  The s-integral runs to s* = arccos(|t|/u_cut); the remaining
-    wedge contributes at most (pi/2 - s*) * sup_{u >= u_cut} |g(u)|, far
-    below double precision for the default cut.
-    """
-    at = abs(float(t))
-    if at >= u_cut:
-        raise ValueError("reference route needs |t| < u_cut")
-    nodes, weights = _tau_rule(u_cut)
-    gh = _ghat_raw(nodes, ef.rho)
-    coeffs = weights * gh / float(weights @ gh)
-
-    def re_g(u: np.ndarray) -> np.ndarray:
-        return np.cos(u[:, None] * nodes[None, :]) @ coeffs
-
-    if at == 0.0:
-        s_break = np.linspace(0.0, 0.5 * np.pi, 60)
-    else:
-        u_break = np.append(np.arange(at, u_cut, 2.0), u_cut)
-        s_break = np.arccos(np.clip(at / u_break, -1.0, 1.0))
-    xg, wg = leggauss(16)
-    total = 0.0
-    for i in range(len(s_break) - 1):
-        mid = 0.5 * (s_break[i] + s_break[i + 1])
-        half = 0.5 * (s_break[i + 1] - s_break[i])
-        ss = mid + half * xg
-        u = at / np.cos(ss) if at > 0.0 else np.zeros_like(ss)
-        total += half * float(wg @ re_g(u))
-    return total / np.pi
 
 
 # ---------------------------------------------------------------------------

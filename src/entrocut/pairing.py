@@ -30,7 +30,7 @@ import numpy as np
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import OracleLimitError
-from .spectra import SpectrumModel, extend_model
+from .spectra import SpectrumModel
 
 # weights below this are dropped from decompositions (and counted)
 WEIGHT_FLOOR = 1e-300
@@ -58,8 +58,7 @@ def build_truncated_space(model: SpectrumModel, energy_cut: int, dim_limit: int 
     """
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
-    model = extend_model(model, energy_cut)
-    dims = tuple(model.dim(n) for n in range(energy_cut + 1))
+    dims = tuple(model.dims_upto(energy_cut))
     total = sum(dims)
     if total > dim_limit:
         raise OracleLimitError(

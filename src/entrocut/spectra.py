@@ -30,10 +30,16 @@ coefficient, raised to the m-th power modulo the slots beyond N, and
 unpacked.  The slots are wide enough that no coefficient carries into the
 next, so the result is exactly the truncated m-fold convolution.
 
+A model answers for every N >= 0.  Up to its n_max it reads its own dims,
+so a model built by hand keeps its data.  Past n_max a built-in reads the
+shared table of its (kind, power), grown to the top of the requested range
+in one call, and a custom model reads 0 (log -inf): its support ends with
+its file.  So no caller has to extend a model before reading it.
+
 Thread rule: every growth of a shared table happens under one module lock,
 so concurrent callers see the tables as if they were grown one after the
-other.  Entries are only ever appended, and a model reads no entry past its
-own n_max, so reading a model needs no lock.
+other.  A read past a model's n_max goes through that lock; entries are only
+ever appended, so a read up to n_max needs none.
 
 Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
 requested range.
@@ -126,7 +132,8 @@ def partition_numbers(n_max: int) -> list[int]:
 
 @dataclass
 class SpectrumModel:
-    """Multiplicity sequence dims[N] for N = 0..n_max with dims[0] == 1."""
+    """Multiplicity sequence d_N, tabulated in dims for N = 0..n_max (dims[0] == 1)
+    and read for every N >= 0 through `dim`, `dims_upto` and `log_dims`."""
 
     kind: str                      # "u1" | "virasoro" | "custom"
     dims: list[int]
@@ -138,6 +145,8 @@ class SpectrumModel:
     _logs: list[float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in _BUILTIN_KINDS + ("custom",):
+            raise ValueError(f"unknown model kind {self.kind!r}")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         if self.dims[0] != 1:
@@ -151,23 +160,38 @@ class SpectrumModel:
     def n_max(self) -> int:
         return len(self.dims) - 1
 
+    def _past(self, lo: int, hi: int, logs: bool) -> list:
+        """Entries lo..hi (all past n_max) of d_N, or of log d_N: zero past a
+        custom file, else read from the shared table grown to hi in one call."""
+        if self.kind == "custom":
+            return [-math.inf if logs else 0] * (hi - lo + 1)
+        table = _table(self.kind, self.power, hi)
+        return (table.logs if logs else table.dims)[lo: hi + 1]
+
     def dim(self, n: int) -> int:
-        """d_n, treating indices beyond the stored range of a custom model as 0."""
+        """d_n for any n >= 0."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n >= len(self.dims):
-            if self.kind == "custom":
-                return 0
-            raise IndexError(f"model holds dims up to N={self.n_max}; extend it first")
-        return self.dims[n]
+        return self.dims[n] if n <= self.n_max else self._past(n, n, logs=False)[0]
+
+    def dims_upto(self, hi: int) -> list[int]:
+        """[d_0, ..., d_hi] as a fresh list, for any hi >= 0."""
+        if hi < 0:
+            raise ValueError("hi must be >= 0")
+        if hi <= self.n_max:
+            return self.dims[: hi + 1]
+        return self.dims + self._past(self.n_max + 1, hi, logs=False)
 
     def log_dims(self, lo: int, hi: int) -> list[float]:
-        """[log d_lo, ..., log d_hi] as floats, -inf where d_N = 0 (0 <= lo, hi <= n_max)."""
-        if lo < 0 or hi > self.n_max:
-            raise IndexError(f"log dims {lo}..{hi} outside the table 0..{self.n_max}")
+        """[log d_lo, ..., log d_hi] as floats, -inf where d_N = 0, for any 0 <= lo."""
+        if lo < 0:
+            raise ValueError("lo must be >= 0")
         if self._logs is None:
             self._logs = [_log_or_neginf(d) for d in self.dims]
-        return self._logs[lo: hi + 1]
+        own = self._logs[lo: min(hi, self.n_max) + 1]
+        if hi <= self.n_max:
+            return own
+        return own + self._past(max(lo, self.n_max + 1), hi, logs=True)
 
 
 def _convolve_power(base: list[int], m: int) -> list[int]:
@@ -226,27 +250,15 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
 
 
 def extend_model(model: SpectrumModel, n_max: int) -> SpectrumModel:
-    """Return a model of the same kind tabulated at least up to n_max.
+    """Return a model of the same kind whose `dims` list runs at least to n_max.
 
-    Custom models are finitely supported and are returned unchanged (their
-    `dim` accessor yields 0 beyond the file range).
+    Reading a model needs no extension (its accessors answer for every N);
+    this is for callers that want the longer list itself.  Custom models are
+    finitely supported and are returned unchanged.
     """
     if model.n_max >= n_max or model.kind == "custom":
         return model
     return model_dims(model.kind, n_max, power=model.power, path=model.source)
-
-
-def grown_log_dims(model: SpectrumModel, lo: int, hi: int) -> list[float]:
-    """`model.log_dims(lo, hi)`, with hi allowed past n_max for a built-in.
-
-    Past n_max the values come from the shared table of the model's
-    (kind, power), grown as needed, as if read from `extend_model(model, hi)`
-    but without building that model: no copy of the integers and no rescan
-    of them.
-    """
-    if hi <= model.n_max or model.kind == "custom":
-        return model.log_dims(lo, hi)
-    return _table(model.kind, model.power, hi).logs[lo: hi + 1]
 
 
 def parse_spectrum_file(path: str) -> list[int]:
@@ -310,11 +322,21 @@ class GrowthFit:
     model_label: str = ""
 
 
+def _scan_top(model: SpectrumModel, n_max: int | None) -> int:
+    """n_max (the model's own by default), clipped to the file for a custom model."""
+    if n_max is None or (model.kind == "custom" and n_max > model.n_max):
+        return model.n_max
+    return n_max
+
+
 def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None = None) -> GrowthFit:
-    """Smallest C with dims[N] <= C e^{N^kappa} for all N in the scanned range."""
+    """Smallest C with dims[N] <= C e^{N^kappa} for all N in 0..n_max.
+
+    n_max defaults to the model's own; a custom model's scan ends with its file.
+    """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    hi = model.n_max if n_max is None else min(n_max, model.n_max)
+    hi = _scan_top(model, n_max)
     best = -math.inf
     best_n = 0
     for n, ld in enumerate(model.log_dims(0, hi)):
@@ -338,7 +360,7 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
 
 def exponential_cap(model: SpectrumModel, n_max: int | None = None) -> float:
     """Smallest c with dims[N] <= c * e^N on the scanned range (kappa = 1 edge)."""
-    hi = model.n_max if n_max is None else min(n_max, model.n_max)
+    hi = _scan_top(model, n_max)
     best = -math.inf
     for n, ld in enumerate(model.log_dims(0, hi)):
         if ld != -math.inf:
@@ -348,8 +370,8 @@ def exponential_cap(model: SpectrumModel, n_max: int | None = None) -> float:
 
 def log_dim(model: SpectrumModel, n: int) -> float:
     """log d_n as a float (-inf for d_n = 0), read from the model's log column."""
-    if model.dim(n) == 0:          # also rejects n < 0 and built-in n past the table
-        return -math.inf
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return model.log_dims(n, n)[0]
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from entrocut import build_energy_function, fit_growth_constants, model_dims
+from entrocut import build_energy_function, fit_growth_constants, model_dims, spectra
 
 settings.register_profile(
     "det",
@@ -31,3 +31,10 @@ def u1_3000():
 @pytest.fixture(scope="session")
 def u1_fit(u1_3000):
     return fit_growth_constants(u1_3000, 0.6)
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the shared spectrum tables, so the test grows them from nothing."""
+    with spectra._TABLES_LOCK:
+        spectra._TABLES.clear()

@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's algorithms: partition
 counts come from exhaustive generation and a coin-change table instead of
 the pentagonal recurrence, the oracle entropy from a dense tau density
 diagonalized by LAPACK instead of the package's closed form over the level
-basis, and the Bessel antiderivative from 40-digit piecewise quadrature
-instead of the Struve identity or the tabulated spline.  The tabulated
+basis, the Bessel antiderivative from 40-digit piecewise quadrature
+instead of the Struve identity or the tabulated spline, and the window from
+the literal nested s x tau quadrature of its definition instead of the
+closed-form inner integral.  The tabulated
 spline itself is pinned, bit for bit, by scipy's CubicHermiteSpline through
 the same knots, evaluated at every tau node of the rule.
 """
@@ -181,6 +183,45 @@ def f_on_rule_full_width(ts, nodes: np.ndarray, coeffs: np.ndarray, spline) -> n
     x = np.abs(np.asarray(ts, dtype=float))[:, None] * nodes[None, :]
     ij = spline(x.ravel()).reshape(x.shape)
     return 0.5 - 0.5 * (ij * coeffs).sum(axis=-1)
+
+
+def eval_f_reference(ef, t: float, u_cut: float = 300.0) -> float:
+    """Nested double quadrature for f(t): the literal s x tau layout.
+
+    Slow reference route that cross-checks the package's closed-form inner
+    integral; it shares only the bump and its tau rule with the package.
+    The s-integral runs to s* = arccos(|t|/u_cut); the remaining wedge
+    contributes at most (pi/2 - s*) * sup_{u >= u_cut} |g(u)|, far below
+    double precision for the default cut.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    from entrocut.energy import _ghat_raw, _tau_rule
+
+    at = abs(float(t))
+    if at >= u_cut:
+        raise ValueError("reference route needs |t| < u_cut")
+    nodes, weights = _tau_rule(u_cut)
+    gh = _ghat_raw(nodes, ef.rho)
+    coeffs = weights * gh / float(weights @ gh)
+
+    def re_g(u: np.ndarray) -> np.ndarray:
+        return np.cos(u[:, None] * nodes[None, :]) @ coeffs
+
+    if at == 0.0:
+        s_break = np.linspace(0.0, 0.5 * np.pi, 60)
+    else:
+        u_break = np.append(np.arange(at, u_cut, 2.0), u_cut)
+        s_break = np.arccos(np.clip(at / u_break, -1.0, 1.0))
+    xg, wg = leggauss(16)
+    total = 0.0
+    for i in range(len(s_break) - 1):
+        mid = 0.5 * (s_break[i] + s_break[i + 1])
+        half = 0.5 * (s_break[i + 1] - s_break[i])
+        ss = mid + half * xg
+        u = at / np.cos(ss) if at > 0.0 else np.zeros_like(ss)
+        total += half * float(wg @ re_g(u))
+    return total / np.pi
 
 
 def weighted_sup(ef, grid_points: int = 1601) -> float:

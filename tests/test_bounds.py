@@ -133,6 +133,22 @@ def test_cutoff_bound_rejects_bad_input(u1_small, ef075):
         cutoff_bound(u1_small, ef075, 1.0, -1)
 
 
+def test_cutoff_bound_grows_a_power_table_once(cold_tables, ef075, monkeypatch):
+    # every level past n_max comes from one growth of the u1^2 table, not one per level
+    model = model_dims("u1", 12, power=2)
+    calls = []
+    real = spectra._convolve_power
+
+    def counted(base, m):
+        calls.append(m)
+        return real(base, m)
+
+    monkeypatch.setattr(spectra, "_convolve_power", counted)
+    rep = cutoff_bound(model, ef075, 0.5, 300)
+    assert calls == [2]
+    assert rep.C_E == 2.0 * ef075.sup_f * float(sum(model_dims("u1", 300, power=2).dims))
+
+
 def test_bound_report_validate_rejects_chain_violations():
     with pytest.raises(DivergenceError):
         BoundReport(model_label="m", alpha=0.75, c_deltaE=5.0, C_E=4.0).validate()

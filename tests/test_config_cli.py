@@ -3,7 +3,7 @@ import math
 import pytest
 
 import entrocut.cli as cli
-from entrocut import ConfigError, RunConfig, load_config, parse_config_file
+from entrocut import ConfigError, RunConfig, load_config, parse_config_file, spectra
 from entrocut.bounds import QuasinormReport
 
 
@@ -116,6 +116,13 @@ def test_cli_bounds_rows_and_chain(capsys):
     # identical E, different delta -> byte-identical C_E, S_E
     e2 = [r for r in rows if r[3] == "2"]
     assert e2[0][6:9] == e2[1][6:9]
+
+
+def test_cli_bounds_grows_no_table_past_the_model(capsys, cold_tables):
+    # bounds gates on the configured kappa; it fits no growth, so it scans no table to fit_n_max
+    code, _, _ = _run(capsys, ["bounds", "--power", "2", "--E", "0,2"])
+    assert code == 0
+    assert len(spectra._TABLES[("u1", 2)].dims) <= 13
 
 
 def test_cli_energy_function_envelope_flag(capsys):

@@ -71,8 +71,19 @@ def test_custom_dim_beyond_range_is_zero(tmp_path):
 
 def test_builtin_dim_beyond_range_raises():
     m = model_dims("u1", 5)
-    with pytest.raises(IndexError):
-        m.dim(6)
+    assert m.dim(6) == 11                # past n_max a built-in reads its table
+    with pytest.raises(ValueError):
+        m.dim(-1)
+
+
+def test_custom_model_reads_zero_past_its_file(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("0 1\n3 5\n")
+    m = model_dims("custom", 10, path=str(path))
+    assert m.dim(4) == 0 and m.dim(1000) == 0
+    assert m.dims_upto(6) == [1, 0, 0, 5, 0, 0, 0]
+    assert m.log_dims(2, 5) == [-math.inf, math.log(5), -math.inf, -math.inf]
+    assert m.n_max == 3
 
 
 def test_spectrum_file_comments_blanks_and_gaps(tmp_path):
@@ -158,13 +169,6 @@ def test_model_rejects_bad_input(tmp_path):
         model_dims("custom", 5)  # path required
 
 
-@pytest.fixture
-def cold_tables():
-    """Empty the shared spectrum tables, so the test grows them from nothing."""
-    with spectra._TABLES_LOCK:
-        spectra._TABLES.clear()
-
-
 @pytest.fixture(scope="module")
 def tables_2000():
     p = oracles.partition_counts_table(2000)
@@ -204,19 +208,23 @@ def test_log_column_is_math_log_bit_for_bit():
 
 
 def test_log_dims_stay_inside_the_model():
+    # a read past n_max leaves the model as it was built
     model = model_dims("u1", 5)
-    model_dims("u1", 40)                 # the shared column now runs past N = 5
-    with pytest.raises(IndexError):
-        model.log_dims(0, 6)
+    wide = model_dims("u1", 40)
+    assert [x.hex() for x in model.log_dims(0, 40)] == [x.hex() for x in wide.log_dims(0, 40)]
+    assert model.n_max == 5 and model.dims == [1, 1, 2, 3, 5, 7]
     assert log_dim(model, 5) == math.log(7)
+    hand = spectra.SpectrumModel(kind="u1", dims=[1, 0, 0])   # its own data up to n_max
+    assert hand.log_dims(1, 4) == [-math.inf, -math.inf, math.log(3), math.log(5)]
 
 
 @pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
 def test_grown_log_dims_reads_the_extended_model(kind, power):
     model = model_dims(kind, 12, power=power)
     ext = extend_model(model, 900)
-    assert spectra.grown_log_dims(model, 0, 12) == model.log_dims(0, 12)
-    assert spectra.grown_log_dims(model, 300, 900) == ext.log_dims(300, 900)
+    assert model.log_dims(0, 12) == ext.log_dims(0, 12)
+    assert model.log_dims(300, 900) == ext.log_dims(300, 900)
+    assert model.log_dims(5, 20) == ext.log_dims(5, 20)
     assert model.n_max == 12
     # models built by hand keep their checks
     with pytest.raises(ValueError):
