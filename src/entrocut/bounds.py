@@ -33,6 +33,8 @@ _REL_EPS = 1e-18
 _CONSECUTIVE = 10
 _TAIL_CHUNK = 4096
 _TAIL_BLOCKS = 64
+# a report's chain c_{delta,E} <= C_E, S_{delta,E} <= S_E holds to this slack
+_CHAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,21 +70,20 @@ class BoundReport:
     n_max_used: int | None = None
     tail_estimate: float | None = None
     envelope_used: bool = False
-    note: str = ""
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         for name in ("C_delta", "S_delta", "H_delta_bound", "c_deltaE", "S_deltaE",
                      "cutoff_bound", "C_E", "S_E", "HE_bound", "tail_estimate"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise DivergenceError(f"{name} is not finite in report for {self.model_label}")
         if self.c_deltaE is not None and self.C_E is not None \
-                and self.c_deltaE > self.C_E + tol:
+                and self.c_deltaE > self.C_E + _CHAIN_TOL:
             raise DivergenceError(
                 f"c_deltaE = {self.c_deltaE!r} exceeds C_E = {self.C_E!r}"
             )
         if self.S_deltaE is not None and self.S_E is not None \
-                and self.S_deltaE > self.S_E + tol:
+                and self.S_deltaE > self.S_E + _CHAIN_TOL:
             raise DivergenceError(
                 f"S_deltaE = {self.S_deltaE!r} exceeds S_E = {self.S_E!r}"
             )
@@ -308,8 +309,7 @@ def _a_exp(a: float, exponent: float, what: str) -> float:
 
 
 def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
-                    fit: GrowthFit | None = None,
-                    tail: TailConfig | None = None) -> tuple[float, float]:
+                    fit: GrowthFit | None = None) -> tuple[float, float]:
     """(partial sum of d_N e^{-beta N} to n_trunc, certified tail bound).
 
     The tail uses d_N <= C e^{N^kappa} and closes the sum with a geometric
@@ -321,7 +321,6 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
         raise ValueError("beta must be positive")
     if n_trunc < 0:
         raise ValueError("n_trunc must be >= 0")
-    tail = tail or TailConfig()
     value = 0.0
     for nn, ld in enumerate(model.log_dims(0, n_trunc)):
         if ld == -np.inf:
@@ -335,10 +334,10 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
     kappa, log_c_fit = fit.kappa, fit.log_C
     # terms C e^{N^kappa - beta N} decrease once kappa N^{kappa-1} < beta
     n_turn = _pow_or_inf(kappa / beta, 1.0 / (1.0 - kappa))
-    if n_turn > tail.n_cap:
+    if n_turn > TailConfig.n_cap:
         raise DivergenceError(
             f"trace tail for beta = {beta:g} does not start decreasing before "
-            f"N = {tail.n_cap} under the kappa = {kappa:g} growth fit"
+            f"N = {TailConfig.n_cap} under the kappa = {kappa:g} growth fit"
         )
     n0 = max(n_trunc + 1, int(math.ceil(n_turn)) + 1)
     bridge = 0.0
@@ -360,8 +359,8 @@ class TraceBoundConstants:
     """Explicit constants for Tr(e^{-beta L0}) <= a exp(b beta^{-c}).
 
     b1 caps the exponent supremum sup_N (N^kappa - beta N) as
-    b1 * beta^{-c1}; a collects the convergent series sum_N e^{-N^kappa}
-    (decaying-exponent convention, flagged in `note`) against a2 with
+    b1 * beta^{-c1}; a collects the series sum_N e^{-N^kappa}, summed with
+    decaying exponents so that it converges, against a2 with
     log a2 = 1 + b1^{(c2-c1+1)/(c2-c1)}.
     """
 
@@ -377,12 +376,6 @@ class TraceBoundConstants:
     b: float
     c: float
     series_sum: float
-    note: str
-
-    def A(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return (2.0 / beta) ** (1.0 / (1.0 - self.kappa))
 
     def bound(self, beta: float) -> float:
         if beta <= 0.0:
@@ -391,7 +384,7 @@ class TraceBoundConstants:
                       f"trace bound at beta = {beta:g}")
 
 
-def _sum_exp_neg_power(kappa: float, rel_eps: float = 1e-18) -> float:
+def _sum_exp_neg_power(kappa: float) -> float:
     """sum_{N>=0} e^{-N^kappa}, closed with an incomplete-gamma integral tail."""
     m = 200_000
     ns = np.arange(m, dtype=float)
@@ -431,7 +424,6 @@ def trace_bound_constants(kappa: float, C_growth: float) -> TraceBoundConstants:
         b=1.0,
         c=c2,
         series_sum=series,
-        note="series constant summed with decaying exponents (convergent convention)",
     )
 
 
@@ -519,6 +511,12 @@ def schatten_p(matrix: np.ndarray, p: float) -> float:
     return float(np.sum(sigma ** p))
 
 
+# quasinorm battery pass marks: relative homogeneity error, and the slack
+# allowed in each inequality
+_HOM_TOL = 1e-12
+_INEQ_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class QuasinormReport:
     p: float
@@ -531,8 +529,7 @@ class QuasinormReport:
 
 
 def quasinorm_property_check(p: float, n_instances: int = 50, dim_max: int = 8,
-                             seed: int = 0, hom_tol: float = 1e-12,
-                             ineq_tol: float = 1e-9) -> QuasinormReport:
+                             seed: int = 0) -> QuasinormReport:
     """Seeded property battery for the p-sum:
 
     homogeneity  schatten_p(lam T) = |lam|^p schatten_p(T)     (relative)
@@ -575,8 +572,8 @@ def quasinorm_property_check(p: float, n_instances: int = 50, dim_max: int = 8,
         lhs_f = schatten_p(sum(family), p) ** (1.0 / p)
         rhs_f = n_fam ** ((1.0 - p) / p) * sum(schatten_p(tk, p) ** (1.0 / p) for tk in family)
         worst_family = max(worst_family, lhs_f - rhs_f)
-    ok = (worst_hom <= hom_tol and worst_sub <= ineq_tol
-          and worst_ideal <= ineq_tol and worst_family <= ineq_tol)
+    ok = (worst_hom <= _HOM_TOL and worst_sub <= _INEQ_TOL
+          and worst_ideal <= _INEQ_TOL and worst_family <= _INEQ_TOL)
     return QuasinormReport(
         p=p,
         instances=n_instances,

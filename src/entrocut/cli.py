@@ -3,6 +3,12 @@
 Subcommands: `model` (multiplicity tables), `energy-function` (window
 samples), `bounds` (cutoff-bound sweep with oracle columns), `trace`
 (partition-trace bound checks), `verify` (the numerical identity suites).
+The parser is built from one table, `_COMMANDS`: each subcommand offers
+`--config`, `--out` and a flag for each setting it reads, spelled after its
+`RunConfig` field (`_` as `-`) and typed by the field's annotation.  The
+special cases are `model --kind` (that subcommand's spelling of `--model`),
+the repeatable `verify --seed`, and `--t-max`, `--points` and `--only`,
+which are not settings.
 Output is deterministic CSV: LF line endings, repr() floats, '.' decimals,
 empty strings for absent optionals.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error, 3 numeric divergence.
@@ -17,7 +23,7 @@ import sys
 import numpy as np
 
 from .bounds import cutoff_bound, quasinorm_property_check, verify_trace_bound
-from .config import RunConfig, load_config
+from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
 from .energy import (
     EnergyFunction,
     QuadratureConfig,
@@ -72,20 +78,13 @@ def _emit(out_path: str | None, header: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(s) for s in raw.split(",") if s.strip()]
-
-
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(s) for s in raw.split(",") if s.strip()]
-
-
-def _build_model(cfg: RunConfig, n_max: int | None = None) -> SpectrumModel:
+def _build_model(cfg: RunConfig) -> SpectrumModel:
+    """The configured spectrum: a custom file's whole support, or a built-in
+    tabulated to N = 12 (its accessors answer for every N past that)."""
     if cfg.model == "custom":
         # a huge bound keeps the file's full support; dims beyond it read 0
-        return model_dims("custom", n_max if n_max is not None else 2**31 - 1,
-                          power=cfg.power, path=cfg.file)
-    return model_dims(cfg.model, n_max if n_max is not None else cfg.n_max, power=cfg.power)
+        return model_dims("custom", 2**31 - 1, power=cfg.power, path=cfg.file)
+    return model_dims(cfg.model, 12, power=cfg.power)
 
 
 def _build_window(cfg: RunConfig) -> EnergyFunction:
@@ -95,7 +94,7 @@ def _build_window(cfg: RunConfig) -> EnergyFunction:
 
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    n_hi = model.n_max if (cfg.model == "custom" and args.n_max is None) else cfg.n_max
+    n_hi = model.n_max if cfg.n_max is None else cfg.n_max
     rows = [[n, d] for n, d in enumerate(model.dims_upto(n_hi))]
     _emit(cfg.out, ["N", "d_N"], rows)
     return EXIT_OK
@@ -232,8 +231,10 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     suites = VERIFY_SUITES if not args.only else tuple(args.only)
     model = _build_model(cfg)
-    ef = _build_window(cfg)
-    fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
+    # the window and the growth fit are built only for the suites that read them
+    ef = _build_window(cfg) if {"product", "spectral", "concavity"} & set(suites) else None
+    fit = (fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
+           if "trace" in suites else None)
     rows: list[list] = []
     for seed in cfg.seed:
         rows.extend(_verify_rows_for_seed(cfg, seed, model, ef, fit, suites))
@@ -241,92 +242,50 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if all(bool(r[3]) for r in rows) else EXIT_VERIFY
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value configuration file")
-    common.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    common.add_argument("--seed", metavar="N", type=int, action="append",
-                        help="seed for randomized suites (repeatable)")
+# subcommand -> (handler, help, flags besides --config and --out).  A handler
+# reads every flag it is offered.  A flag named after a RunConfig field takes
+# the field's type from the schema; _FLAG_OPTIONS holds the rest.
+_COMMANDS = {
+    "model": (cmd_model, "emit the multiplicity table N,d_N",
+              ("kind", "n_max", "file", "power")),
+    "energy-function": (cmd_energy_function, "sample the window function",
+                        ("alpha", "t_max", "points")),
+    "bounds": (cmd_bounds, "cutoff bounds with oracle columns",
+               ("model", "file", "power", "alpha", "delta", "E", "kappa", "oracle_limit")),
+    "trace": (cmd_trace, "partition trace against the explicit bound",
+              ("model", "file", "power", "kappa", "beta", "fit_n_max")),
+    "verify": (cmd_verify, "run the numerical identity suites",
+               ("seed", "only", "model", "file", "alpha", "delta", "E", "beta", "p",
+                "kappa", "oracle_limit", "freq_cut")),
+}
 
+_FLAG_OPTIONS = {
+    "config": {"metavar": "PATH", "help": "key = value configuration file"},
+    "out": {"metavar": "PATH", "help": "write CSV here instead of stdout"},
+    "seed": {"metavar": "N", "type": int, "action": "append",
+             "help": "seed for randomized suites (repeatable)"},
+    "model": {"choices": MODEL_KINDS},
+    "kind": {"dest": "model", "choices": MODEL_KINDS},
+    "t_max": {"type": float, "default": 50.0},
+    "points": {"type": int, "default": 501},
+    "only": {"choices": VERIFY_SUITES, "action": "append",
+             "help": "restrict to one suite; repeatable"},
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrocut",
         description="Entropy and nuclearity bounds for chiral spectra.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p_model = sub.add_parser("model", parents=[common],
-                             help="emit the multiplicity table N,d_N")
-    p_model.add_argument("--kind", choices=("u1", "virasoro", "custom"))
-    p_model.add_argument("--n-max", dest="n_max", type=int)
-    p_model.add_argument("--file")
-    p_model.add_argument("--power", type=int)
-
-    p_energy = sub.add_parser("energy-function", parents=[common],
-                              help="sample the window function")
-    p_energy.add_argument("--alpha", type=float)
-    p_energy.add_argument("--t-max", dest="t_max", type=float, default=50.0)
-    p_energy.add_argument("--points", type=int, default=501)
-
-    p_bounds = sub.add_parser("bounds", parents=[common],
-                              help="cutoff bounds with oracle columns")
-    p_bounds.add_argument("--model", choices=("u1", "virasoro", "custom"))
-    p_bounds.add_argument("--file")
-    p_bounds.add_argument("--power", type=int)
-    p_bounds.add_argument("--n-max", dest="n_max", type=int)
-    p_bounds.add_argument("--alpha", type=float)
-    p_bounds.add_argument("--delta", type=_parse_float_list)
-    p_bounds.add_argument("--E", dest="E", type=_parse_int_list)
-    p_bounds.add_argument("--kappa", type=float)
-    p_bounds.add_argument("--fit-n-max", dest="fit_n_max", type=int)
-    p_bounds.add_argument("--oracle-limit", dest="oracle_limit", type=int)
-
-    p_trace = sub.add_parser("trace", parents=[common],
-                             help="partition trace against the explicit bound")
-    p_trace.add_argument("--model", choices=("u1", "virasoro", "custom"))
-    p_trace.add_argument("--file")
-    p_trace.add_argument("--power", type=int)
-    p_trace.add_argument("--kappa", type=float)
-    p_trace.add_argument("--beta", type=_parse_float_list)
-    p_trace.add_argument("--fit-n-max", dest="fit_n_max", type=int)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the numerical identity suites")
-    p_verify.add_argument("--only", choices=VERIFY_SUITES, action="append",
-                          help="restrict to one suite; repeatable")
-    p_verify.add_argument("--model", choices=("u1", "virasoro", "custom"))
-    p_verify.add_argument("--file")
-    p_verify.add_argument("--alpha", type=float)
-    p_verify.add_argument("--delta", type=_parse_float_list)
-    p_verify.add_argument("--E", dest="E", type=_parse_int_list)
-    p_verify.add_argument("--beta", type=_parse_float_list)
-    p_verify.add_argument("--p", dest="p", type=_parse_float_list)
-    p_verify.add_argument("--kappa", type=float)
-    p_verify.add_argument("--oracle-limit", dest="oracle_limit", type=int)
-    p_verify.add_argument("--freq-cut", dest="freq_cut", type=int)
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        for name in ("config", "out", *flags):
+            options = {"dest": name, "type": FIELD_PARSERS.get(name),
+                       **_FLAG_OPTIONS.get(name, {})}
+            p_cmd.add_argument("--" + name.replace("_", "-"), **options)
     return parser
-
-
-_HANDLERS = {
-    "model": cmd_model,
-    "energy-function": cmd_energy_function,
-    "bounds": cmd_bounds,
-    "trace": cmd_trace,
-    "verify": cmd_verify,
-}
-
-_OVERRIDE_FIELDS = ("model", "file", "power", "n_max", "alpha", "delta", "E",
-                    "beta", "p", "kappa", "seed", "out", "oracle_limit",
-                    "fit_n_max", "freq_cut")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    values = {}
-    for name in _OVERRIDE_FIELDS:
-        if hasattr(args, name):
-            values[name] = getattr(args, name)
-    if getattr(args, "kind", None) is not None:
-        values["model"] = args.kind
-    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,8 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = load_config(args.config, _overrides(args))
-        return _HANDLERS[args.command](cfg, args)
+        settings = {k: v for k, v in vars(args).items() if k in FIELD_PARSERS}
+        cfg = load_config(args.config, settings)
+        return _COMMANDS[args.command][0](cfg, args)
     except DivergenceError as exc:
         print(f"entrocut: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGE

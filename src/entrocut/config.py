@@ -1,5 +1,7 @@
 """Run configuration: typed defaults, config-file parsing, flag overrides.
 
+`RunConfig` is the one place a setting's name and type are written: the
+config-file keys and the command-line flags are read off its annotations.
 The file format is deliberately tiny: UTF-8 lines of `key = value`,
 '#' starts a comment, blank lines ignored, lists comma-separated.
 Flags override file values; file values override defaults.
@@ -8,9 +10,13 @@ Flags override file values; file values override defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
+
+
+MODEL_KINDS = ("u1", "virasoro", "custom")
 
 
 @dataclass
@@ -18,7 +24,7 @@ class RunConfig:
     model: str = "u1"
     file: str | None = None        # custom spectrum path
     power: int = 1
-    n_max: int = 12
+    n_max: int | None = None       # model rows; None: the whole custom file, or N <= 12
     alpha: float = 0.75
     delta: list[float] = field(default_factory=lambda: [0.5, 1.0])
     E: list[int] = field(default_factory=lambda: [0, 2, 4, 6])
@@ -34,7 +40,7 @@ class RunConfig:
     freq_cut: int = 128
 
     def validate(self) -> None:
-        if self.model not in ("u1", "virasoro", "custom"):
+        if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
         if self.model == "custom" and not self.file:
             raise ConfigError("custom model requires a spectrum file")
@@ -55,7 +61,8 @@ class RunConfig:
             raise ConfigError("p values must lie in (0, 1]")
         if self.oracle_limit < 1:
             raise ConfigError("oracle_limit must be >= 1")
-        if self.n_max < 0 or self.power < 1 or self.fit_n_max < 1 or self.freq_cut < 1:
+        if ((self.n_max is not None and self.n_max < 0) or self.power < 1
+                or self.fit_n_max < 1 or self.freq_cut < 1):
             raise ConfigError("n_max, power, fit_n_max, freq_cut out of range")
         if not all(math.isfinite(v) for v in (*self.delta, *self.beta, self.quad_tol, self.t_cap)):
             raise ConfigError("delta, beta, quad_tol and t_cap must be finite")
@@ -63,43 +70,31 @@ class RunConfig:
             raise ConfigError("quad_tol and t_cap must be positive")
 
 
-_LIST_TYPES = {
-    "delta": float,
-    "E": int,
-    "beta": float,
-    "p": float,
-    "seed": int,
-}
-_SCALAR_TYPES = {
-    "model": str,
-    "file": str,
-    "power": int,
-    "n_max": int,
-    "alpha": float,
-    "kappa": float,
-    "out": str,
-    "oracle_limit": int,
-    "quad_tol": float,
-    "t_cap": float,
-    "fit_n_max": int,
-    "freq_cut": int,
-}
+def _value_parser(hint) -> typing.Callable[[str], object]:
+    """The str -> value conversion for one annotation: `list[X]` reads a
+    comma list of X, `X | None` reads X."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+
+        def parse_list(raw: str) -> list:
+            return [item(s) for s in (s.strip() for s in raw.split(",")) if s]
+
+        # argparse names the type in its error message
+        parse_list.__name__ = f"{item.__name__} list"
+        return parse_list
+    scalars = [a for a in typing.get_args(hint) if a is not type(None)]
+    return scalars[0] if scalars else hint
 
 
-def _convert(key: str, raw: str, line_no: int):
-    try:
-        if key in _LIST_TYPES:
-            items = [s.strip() for s in raw.split(",")]
-            return [_LIST_TYPES[key](s) for s in items if s]
-        return _SCALAR_TYPES[key](raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: bad value for {key!r}: {raw!r}") from exc
+# field name -> parser of its text form, for config-file values and flags
+FIELD_PARSERS: dict[str, typing.Callable[[str], object]] = {
+    name: _value_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines into a typed dict; unknown keys and an
     unreadable file raise ConfigError."""
-    known = set(_LIST_TYPES) | set(_SCALAR_TYPES)
     values: dict = {}
     try:
         fh = open(path, encoding="utf-8")
@@ -113,9 +108,12 @@ def parse_config_file(path: str) -> dict:
             if "=" not in body:
                 raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
             key, raw = (s.strip() for s in body.split("=", 1))
-            if key not in known:
+            if key not in FIELD_PARSERS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            values[key] = _convert(key, raw, line_no)
+            try:
+                values[key] = FIELD_PARSERS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: bad value for {key!r}: {raw!r}") from exc
     return values
 
 
@@ -125,11 +123,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         for key, value in parse_config_file(path).items():
             setattr(cfg, key, value)
-    valid_names = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in valid_names:
+        if key not in FIELD_PARSERS:
             raise ConfigError(f"unknown config field {key!r}")
         setattr(cfg, key, value)
     cfg.validate()

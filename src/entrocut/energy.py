@@ -407,6 +407,12 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
 # synthetic boundary pairs and the window's defining sum rule
 # ---------------------------------------------------------------------------
 
+# FFT samples of a pair's difference G; freq_cut is too small when one of the
+# 12 highest kept coefficients exceeds _PAIR_TAIL_TOL
+_PAIR_SAMPLES = 8192
+_PAIR_TAIL_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class SyntheticPair:
     """Coefficient pair (a_N, b_N), N = 0..freq_cut, built so that
@@ -438,8 +444,6 @@ def make_synthetic_pair(
     delta: float,
     freq_cut: int = 128,
     seed: int = 0,
-    n_samples: int = 8192,
-    tail_tol: float = 1e-4,
 ) -> SyntheticPair:
     """Seeded pair whose difference is a smooth 2pi-periodic G supported in
     delta <= |t| <= pi.
@@ -447,20 +451,20 @@ def make_synthetic_pair(
     G is a sum of 2-4 scaled C-infinity bumps placed in the middle of the
     support band (centers at 0.38-0.62 of the span, widths 0.65-0.85 of the
     available room) so its Fourier coefficients die well before freq_cut.
-    Coefficients are taken by FFT on n_samples points (spectrally accurate
+    Coefficients are taken by FFT on _PAIR_SAMPLES points (spectrally accurate
     for smooth G).  Raises ConstructionError when the discarded tail mass
-    exceeds tail_tol, i.e. freq_cut is too small for the requested delta.
+    exceeds _PAIR_TAIL_TOL, i.e. freq_cut is too small for the requested delta.
     """
     if not (0.0 < delta < math.pi):
         raise ValueError("delta must lie in (0, pi)")
     if freq_cut < 8:
         raise ValueError("freq_cut must be >= 8")
     rng = np.random.default_rng(seed)
-    t = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    t = 2.0 * np.pi * np.arange(_PAIR_SAMPLES) / _PAIR_SAMPLES
     ts = np.where(t > np.pi, t - 2.0 * np.pi, t)
 
     span = math.pi - delta
-    g_vals = np.zeros(n_samples)
+    g_vals = np.zeros(_PAIR_SAMPLES)
     n_bumps = int(rng.integers(2, 5))
     for _ in range(n_bumps):
         side = 1.0 if rng.random() < 0.5 else -1.0
@@ -469,9 +473,9 @@ def make_synthetic_pair(
         amp = rng.normal()
         g_vals += amp * _smooth_bump((ts - side * center) / width)
 
-    ghat = np.fft.fft(g_vals) / n_samples     # ghat[k] = (2pi)^-1 Int G e^{-ikt}
+    ghat = np.fft.fft(g_vals) / _PAIR_SAMPLES   # ghat[k] = (2pi)^-1 Int G e^{-ikt}
     tail_mass = float(np.max(np.abs(ghat[freq_cut - 11 : freq_cut + 1])))
-    if tail_mass > tail_tol:
+    if tail_mass > _PAIR_TAIL_TOL:
         raise ConstructionError(
             f"freq_cut={freq_cut} too small for delta={delta}", tail_mass
         )

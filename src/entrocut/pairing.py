@@ -34,6 +34,8 @@ from .spectra import SpectrumModel
 
 # weights below this are dropped from decompositions (and counted)
 WEIGHT_FLOOR = 1e-300
+# the oracle passes when its entropy bound falls short of the exact value by at most this
+_SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,6 @@ def oracle_vs_bounds(
     space: TruncatedSpace,
     ef: EnergyFunction,
     delta: float,
-    slack_tol: float = 1e-9,
 ) -> OracleComparison:
     """Exact entropy of the normalized tau state compared with its ensemble bound.
 
@@ -303,5 +304,5 @@ def oracle_vs_bounds(
         exact_entropy=exact,
         entropy_bound=bound,
         slack=slack,
-        ok=slack >= -slack_tol,
+        ok=slack >= -_SLACK_TOL,
     )

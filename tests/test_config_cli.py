@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -20,6 +21,30 @@ def test_config_file_parses_lists_scalars_comments(tmp_path):
         "alpha": 0.6, "delta": [0.1, 0.4], "E": [0, 2], "seed": [1, 9],
         "model": "virasoro", "quad_tol": 1e-11,
     }
+
+
+def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
+        "delta = 1, 0.5\nE = 0, 4\nbeta = 2\np = 1, 0.3\nkappa = 0.5\nseed = 3\n"
+        "out = o.csv\noracle_limit = 50\nquad_tol = 1e-10\nt_cap = 100\n"
+        "fit_n_max = 800\nfreq_cut = 64\n"
+    )
+    got = parse_config_file(str(path))
+    want = {
+        "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
+        "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "p": [1.0, 0.3], "kappa": 0.5,
+        "seed": [3], "out": "o.csv", "oracle_limit": 50, "quad_tol": 1e-10, "t_cap": 100.0,
+        "fit_n_max": 800, "freq_cut": 64,
+    }
+    assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert got == want
+    # == lets 1 stand for 1.0: compare the types too, item by item for lists
+    kinds = {k: (type(v), [type(x) for x in v] if isinstance(v, list) else None)
+             for k, v in got.items()}
+    assert kinds == {k: (type(v), [type(x) for x in v] if isinstance(v, list) else None)
+                     for k, v in want.items()}
 
 
 def test_config_file_unknown_key_names_line(tmp_path):
@@ -89,6 +114,11 @@ def test_cli_model_table(capsys):
     code, out, _ = _run(capsys, ["model", "--kind", "u1", "--n-max", "3"])
     assert code == 0
     assert out == "N,d_N\n0,1\n1,1\n2,2\n3,3\n"
+    # no n_max: a built-in prints N = 0..12
+    code, out, _ = _run(capsys, ["model"])
+    assert code == 0
+    assert out.split("\n")[1:-1] == [f"{n},{d}" for n, d in enumerate(
+        [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77])]
 
 
 def test_cli_model_custom_round_trip(capsys, tmp_path):
@@ -97,6 +127,13 @@ def test_cli_model_custom_round_trip(capsys, tmp_path):
     code, out, _ = _run(capsys, ["model", "--kind", "custom", "--file", str(src)])
     assert code == 0
     assert out == "N,d_N\n0,1\n1,2\n2,4\n"
+    # n_max cuts the table alike from a flag and from a config file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_max = 1\n")
+    for extra in (["--n-max", "1"], ["--config", str(cfg)]):
+        code, out, _ = _run(capsys, ["model", "--kind", "custom", "--file", str(src), *extra])
+        assert code == 0
+        assert out == "N,d_N\n0,1\n1,2\n"
 
 
 def test_cli_bounds_rows_and_chain(capsys):
@@ -163,6 +200,28 @@ def test_cli_verify_multi_seed_blocks(capsys):
     assert code == 0
     lines = out.strip().split("\n")[1:]
     assert [l.split(",")[1] for l in lines] == ["seed=2 delta=0.5 E=4", "seed=5 delta=0.5 E=4"]
+
+
+@pytest.mark.parametrize("suite,windows,fits", [
+    ("polarization", 0, 0),
+    ("quasinorm", 0, 0),
+    ("trace", 0, 1),
+    ("product", 1, 0),
+])
+def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite, windows, fits):
+    calls = {"window": 0, "fit": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
+    monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
+    code, _, _ = _run(capsys, ["verify", "--only", suite, "--delta", "0.5", "--p", "0.5"])
+    assert code == 0
+    assert calls == {"window": windows, "fit": fits}
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
@@ -255,10 +314,16 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
 
 
 def test_cli_rejects_unknown_flag_value(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["model", "--kind", "su2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in (["model", "--kind", "su2"],
+                 # flags a subcommand does not read are not offered
+                 ["bounds", "--n-max", "3"], ["bounds", "--fit-n-max", "5"],
+                 ["model", "--seed", "1"], ["energy-function", "--seed", "1"],
+                 ["bounds", "--seed", "1"], ["trace", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err, argv
 
 
 def test_cli_verify_concavity_skips_oversized_cuts(capsys):
