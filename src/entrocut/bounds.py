@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, logsumexp
 
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
@@ -95,6 +94,18 @@ def _eta_upper(x: np.ndarray) -> np.ndarray:
     return np.where(x < _INV_E, eta(x), _INV_E)
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) for a finite 1-D array, with the bits of
+    scipy.special.logsumexp: the maxima are taken out of the shifted sum, in
+    place, so the pairwise sum reduces the same row, and log1p(s/m) + log(m)
+    + max for m maxima."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
 def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
                  n_start: int) -> tuple[float, float]:
     """(log tail_C, log tail_S) for the streamed series past n_start.
@@ -110,12 +121,12 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
         ts = delta * ns
         log_env = -ef.envelope_c * ts ** ef.beta_prime
         log_dims = fit.log_C + ns ** fit.kappa
-        chunk_c = logsumexp(math.log(2.0) + log_dims + log_env)
+        chunk_c = _logsumexp(math.log(2.0) + log_dims + log_env)
         # eta(x) = x * (-log x) for x < 1/e; the envelope is microscopic here
         x_log = log_env - math.log(2.0)
         neg_log_x = -x_log
         log_eta = np.where(neg_log_x > 1.0, x_log + np.log(np.maximum(neg_log_x, 1.0)), -1.0)
-        chunk_s = logsumexp(math.log(4.0) + log_dims + log_eta)
+        chunk_s = _logsumexp(math.log(4.0) + log_dims + log_eta)
         total_c = np.logaddexp(total_c, chunk_c)
         total_s = np.logaddexp(total_s, chunk_s)
         if chunk_c < total_c + math.log(_REL_EPS) and \
@@ -384,16 +395,33 @@ class TraceBoundConstants:
                       f"trace bound at beta = {beta:g}")
 
 
+# a nonnegative term below e^-40 of a sum (2^-54 is e^-37.4) is under half
+# its ulp and leaves it unchanged; the margin covers the rounding of the logs
+_LOG_NEGLIGIBLE = -40.0
+
+
 def _sum_exp_neg_power(kappa: float) -> float:
-    """sum_{N>=0} e^{-N^kappa}, closed with an incomplete-gamma integral tail."""
+    """sum_{N>=0} e^{-N^kappa}, closed with an incomplete-gamma integral tail.
+
+    Integral comparison for the decreasing remainder:
+    sum_{N>=M} e^{-N^kappa} <= int_{M-1}^inf e^{-x^kappa} dx
+    = Gamma(1/kappa, (M-1)^kappa) / kappa.  With s = 1/kappa > 1 and
+    x = (M-1)^kappa > s - 1, Gamma(s, x) <= x^{s-1} e^{-x} x / (x - s + 1);
+    when that majorant is negligible against the partial sum (kappa >= 0.32)
+    the tail cannot change its bits and is not evaluated.
+    """
     m = 200_000
     ns = np.arange(m, dtype=float)
     partial = float(np.sum(np.exp(-ns ** kappa)))
-    # integral comparison for the decreasing remainder:
-    # sum_{N>=M} e^{-N^kappa} <= int_{M-1}^inf e^{-x^kappa} dx
-    #                          = Gamma(1/kappa, (M-1)^kappa) / kappa
     s = 1.0 / kappa
-    tail = float(math.gamma(s) * gammaincc(s, (m - 1.0) ** kappa) / kappa)
+    x = (m - 1.0) ** kappa
+    if x > s - 1.0:
+        log_tail = s * math.log(x) - x - math.log(x - s + 1.0) - math.log(kappa)
+        if log_tail < math.log(partial) + _LOG_NEGLIGIBLE:
+            return partial
+    from scipy.special import gammaincc
+
+    tail = float(math.gamma(s) * gammaincc(s, x) / kappa)
     return partial + tail
 
 

@@ -13,6 +13,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from .energy import FREQ_CUT_MIN
 from .errors import ConfigError
 
 
@@ -59,11 +60,11 @@ class RunConfig:
             raise ConfigError("beta values must be positive")
         if any(not 0.0 < q <= 1.0 for q in self.p):
             raise ConfigError("p values must lie in (0, 1]")
-        if self.oracle_limit < 1:
-            raise ConfigError("oracle_limit must be >= 1")
-        if ((self.n_max is not None and self.n_max < 0) or self.power < 1
-                or self.fit_n_max < 1 or self.freq_cut < 1):
-            raise ConfigError("n_max, power, fit_n_max, freq_cut out of range")
+        for name, floor in (("oracle_limit", 1), ("n_max", 0), ("power", 1),
+                            ("fit_n_max", 1), ("freq_cut", FREQ_CUT_MIN)):
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
         if not all(math.isfinite(v) for v in (*self.delta, *self.beta, self.quad_tol, self.t_cap)):
             raise ConfigError("delta, beta, quad_tol and t_cap must be finite")
         if self.quad_tol <= 0.0 or self.t_cap <= 0.0:

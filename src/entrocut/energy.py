@@ -28,11 +28,15 @@ along one contiguous row, never a BLAS matrix-vector product, so a value does
 not depend on how many other points it is evaluated alongside, on thread
 count or on the BLAS build.  IJ0 is read from one table per window,
 sized from T0: a cubic Hermite interpolant on knots 0.002 apart, read by
-direct index with the same bits as scipy's CubicHermiteSpline, and
-certified on build against the Struve-function identity
-IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)).  It is taken only
-on the bump's support, the tau nodes whose coefficient is not exactly 0.0,
-in blocks small enough to stay in cache.  Tests cross-check it against the
+direct index with the same bits as scipy's CubicHermiteSpline.  For
+T0 <= 200 its knot values are a slice of the table shipped with the package
+(`ij0_table.npy`, checked against a sha256 on load), so no scipy import is
+needed and the values do not depend on the local scipy build; a longer table
+is built from scipy's J0 and certified on build against the Struve-function
+identity IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)), the check
+the tests run on the shipped file.  It is taken only on the bump's support,
+the tau nodes whose coefficient is not exactly 0.0, in blocks small enough
+to stay in cache.  Tests cross-check it against the
 direct nested s x tau quadrature of the definition.
 
 Guaranteed facts, all verified against the construction: f is real and even,
@@ -54,13 +58,15 @@ wrappers.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0, j1, struve
 
 from .errors import ConstructionError
 
@@ -72,15 +78,28 @@ def integral_j0(x: np.ndarray | float) -> np.ndarray:
     Accuracy checked against high-precision quadrature: <= ~2e-14 relative
     up to x = 1500.
     """
+    from scipy.special import j0, j1, struve
+
     x = np.asarray(x, dtype=float)
     return x * j0(x) + 0.5 * np.pi * x * (j1(x) * struve(0, x) - j0(x) * struve(1, x))
 
 
 _TABLE_STEP = 0.002
 _TABLE_TOL = 2e-13
+# scipy's Struve functions lose ~1e-12 near their method switch around
+# x ~ 25.5 (the table route is clean there, checked to 7e-16 against
+# 40-digit quadrature), so x in (20, 30) gets a looser comparison
+_TABLE_BLIP_TOL = 3e-12
 # the longest table built; a window with a larger T0 takes IJ0 from the
 # Struve route, whose cost is then the caller's problem
 _TABLE_MAX = 4000.0
+# the shipped table: rows ys and dydx = J0 on the knots k * 0.002 of
+# [0, 200], as written by
+#   np.save(path, np.stack((t.ys, t.dydx)))  with  t = _build_ij0(200.0)
+# after which _SHIPPED_SHA256 is set to the new file's sha256
+_SHIPPED_TOP = 200.0
+_SHIPPED_PATH = Path(__file__).with_name("ij0_table.npy")
+_SHIPPED_SHA256 = "5df6bbb2335e31e389210a7675013362865324fb24d00d7732ed398897130e24"
 
 
 class _HermiteTable:
@@ -99,7 +118,7 @@ class _HermiteTable:
         dx = np.diff(xs)
         slope = np.diff(ys) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.xs, self.ys = xs, ys
+        self.xs, self.ys, self.dydx = xs, ys, dydx
         self.c0 = t / dx
         self.c1 = (slope - dydx[:-1]) / dx - t
         self.c2 = dydx[:-1]
@@ -121,47 +140,83 @@ class _HermiteTable:
         return val.reshape(shape)
 
 
-@lru_cache(maxsize=4)
-def _ij0_spline(upper: float) -> _HermiteTable:
-    """Fast evaluator of Int_0^x J0 on [0, upper], certified on build.
-
-    scipy's Struve functions cost microseconds per point, too slow for the
-    millions of arguments a window build and a distance series need.
-    Tabulating instead: step integrals of J0 by 8-point Gauss-Legendre
-    (error per step far below eps at step 0.002), accumulated in extended
-    precision, then a cubic Hermite interpolant with the exact derivative
-    IJ0' = J0, read by direct index (`_HermiteTable`).  The knots are
-    k * 0.002 for every length, so a shorter table is the prefix of a longer
-    one, bit for bit.  The table is checked against the independent
-    Struve-identity route before use; probe points include interval
-    midpoints, where the Hermite error peaks.
-    """
+def _table_knots(upper: float) -> np.ndarray:
+    # k * 0.002 for every length, so a shorter table is the prefix of a
+    # longer one, bit for bit
     n_steps = int(math.ceil(upper / _TABLE_STEP))
-    xs = np.linspace(0.0, n_steps * _TABLE_STEP, n_steps + 1)
-    gx, gw = leggauss(8)
-    mids = xs[:-1, None] + 0.5 * _TABLE_STEP * (1.0 + gx[None, :])
-    steps = (0.5 * _TABLE_STEP) * _weighted_row_sums(j0(mids), gw)
-    ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
-    table = _HermiteTable(xs, ys, j0(xs))
-    top = float(xs[-1])
+    return np.linspace(0.0, n_steps * _TABLE_STEP, n_steps + 1)
+
+
+def _certify_ij0(table: _HermiteTable) -> tuple[float, float]:
+    """Largest gaps between the table and the Struve-identity route, outside
+    and inside the x in (20, 30) window; raises ConstructionError past
+    their tolerances.  Probe points include interval midpoints, where the
+    Hermite error peaks."""
+    top = float(table.xs[-1])
     probe = np.concatenate([
         np.linspace(0.0, top, 2001),
         (np.arange(2000) + 0.5) * (top / 2000.0),   # lands on table midpoints
     ])
     diff = np.abs(table(probe) - integral_j0(probe))
-    # scipy's Struve functions lose ~1e-12 near their method switch around
-    # x ~ 25.5 (the table route is clean there, checked to 7e-16 against
-    # 40-digit quadrature), so that window gets a looser comparison
     blip = (probe > 20.0) & (probe < 30.0)
     err_out = float(np.max(diff[~blip]))
     err_in = float(np.max(diff[blip]))
-    if err_out > _TABLE_TOL or err_in > 3e-12:
+    if err_out > _TABLE_TOL or err_in > _TABLE_BLIP_TOL:
         raise ConstructionError(
             f"integral-J0 table disagrees with the Struve route by "
             f"{max(err_out, err_in):.3e} (tolerances {_TABLE_TOL:.1e} outside "
-            f"x in (20, 30), 3e-12 inside)"
+            f"x in (20, 30), {_TABLE_BLIP_TOL:.0e} inside)"
         )
+    return err_out, err_in
+
+
+def _build_ij0(upper: float) -> _HermiteTable:
+    """The integral-of-J0 table on [0, upper] from scipy's J0, certified.
+
+    Step integrals of J0 by 8-point Gauss-Legendre (error per step far below
+    eps at step 0.002), accumulated in extended precision, then the Hermite
+    interpolant with the exact derivative IJ0' = J0.
+    """
+    from scipy.special import j0
+
+    xs = _table_knots(upper)
+    gx, gw = leggauss(8)
+    mids = xs[:-1, None] + 0.5 * _TABLE_STEP * (1.0 + gx[None, :])
+    steps = (0.5 * _TABLE_STEP) * _weighted_row_sums(j0(mids), gw)
+    ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
+    table = _HermiteTable(xs, ys, j0(xs))
+    _certify_ij0(table)
     return table
+
+
+@lru_cache(maxsize=1)
+def _load_ij0(path: Path = _SHIPPED_PATH) -> np.ndarray:
+    """The shipped (ys, dydx) rows, after checking the file's sha256."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConstructionError(f"cannot read the integral-J0 table {path}: {exc}") from None
+    if hashlib.sha256(raw).hexdigest() != _SHIPPED_SHA256:
+        raise ConstructionError(f"integral-J0 table {path} does not match its sha256")
+    return np.load(io.BytesIO(raw))
+
+
+@lru_cache(maxsize=4)
+def _ij0_spline(upper: float) -> _HermiteTable:
+    """Fast evaluator of Int_0^x J0 on [0, upper].
+
+    scipy's Struve functions cost microseconds per point, too slow for the
+    millions of arguments a window build and a distance series need, so
+    IJ0 is tabulated and read by direct index (`_HermiteTable`).  Up to
+    upper = 200 the knot values are a prefix of the shipped table, which the
+    tests certify against the Struve route with the tolerances a build uses;
+    a longer table is built and certified here (`_build_ij0`).
+    """
+    if upper > _SHIPPED_TOP:
+        return _build_ij0(upper)
+    xs = _table_knots(upper)
+    ys, dydx = _load_ij0()[:, : len(xs)]
+    return _HermiteTable(xs, ys, dydx)
 
 
 def _ij0_upto(t_cap: float):
@@ -408,9 +463,11 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # FFT samples of a pair's difference G; freq_cut is too small when one of the
-# 12 highest kept coefficients exceeds _PAIR_TAIL_TOL
+# 12 highest kept coefficients, N = freq_cut - 11 .. freq_cut, exceeds
+# _PAIR_TAIL_TOL, so FREQ_CUT_MIN is the smallest freq_cut that keeps 12
 _PAIR_SAMPLES = 8192
 _PAIR_TAIL_TOL = 1e-4
+FREQ_CUT_MIN = 11
 
 
 @dataclass(frozen=True)
@@ -452,13 +509,15 @@ def make_synthetic_pair(
     support band (centers at 0.38-0.62 of the span, widths 0.65-0.85 of the
     available room) so its Fourier coefficients die well before freq_cut.
     Coefficients are taken by FFT on _PAIR_SAMPLES points (spectrally accurate
-    for smooth G).  Raises ConstructionError when the discarded tail mass
-    exceeds _PAIR_TAIL_TOL, i.e. freq_cut is too small for the requested delta.
+    for smooth G).  Raises ValueError below FREQ_CUT_MIN, where fewer than the
+    12 coefficients the tail check reads are kept, and ConstructionError
+    when the discarded tail mass exceeds _PAIR_TAIL_TOL, i.e. freq_cut is too
+    small for the requested delta.
     """
     if not (0.0 < delta < math.pi):
         raise ValueError("delta must lie in (0, pi)")
-    if freq_cut < 8:
-        raise ValueError("freq_cut must be >= 8")
+    if freq_cut < FREQ_CUT_MIN:
+        raise ValueError(f"freq_cut must be >= {FREQ_CUT_MIN}, got {freq_cut}")
     rng = np.random.default_rng(seed)
     t = 2.0 * np.pi * np.arange(_PAIR_SAMPLES) / _PAIR_SAMPLES
     ts = np.where(t > np.pi, t - 2.0 * np.pi, t)
@@ -474,7 +533,7 @@ def make_synthetic_pair(
         g_vals += amp * _smooth_bump((ts - side * center) / width)
 
     ghat = np.fft.fft(g_vals) / _PAIR_SAMPLES   # ghat[k] = (2pi)^-1 Int G e^{-ikt}
-    tail_mass = float(np.max(np.abs(ghat[freq_cut - 11 : freq_cut + 1])))
+    tail_mass = float(np.max(np.abs(ghat[freq_cut - FREQ_CUT_MIN : freq_cut + 1])))
     if tail_mass > _PAIR_TAIL_TOL:
         raise ConstructionError(
             f"freq_cut={freq_cut} too small for delta={delta}", tail_mass

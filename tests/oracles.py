@@ -162,16 +162,15 @@ def window_highprec(alpha: float, t: float, dps: int = 22) -> float:
 
 
 def ij0_scipy_spline(table):
-    """scipy's CubicHermiteSpline through the knots and values of a package
-    integral-of-J0 table, with the exact derivative J0 at the knots.
+    """scipy's CubicHermiteSpline through the knots, values and derivatives
+    (J0 at the knots) of a package integral-of-J0 table.
 
     Interval search and polynomial evaluation are scipy's (PPoly), so this
     pins the package's direct-index reading of the same interpolant.
     """
     from scipy.interpolate import CubicHermiteSpline
-    from scipy.special import j0
 
-    return CubicHermiteSpline(table.xs, table.ys, j0(table.xs))
+    return CubicHermiteSpline(table.xs, table.ys, table.dydx)
 
 
 def f_on_rule_full_width(ts, nodes: np.ndarray, coeffs: np.ndarray, spline) -> np.ndarray:

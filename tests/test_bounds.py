@@ -23,6 +23,7 @@ from entrocut import (
     trace_partition,
     verify_trace_bound,
 )
+from entrocut import bounds
 from entrocut.energy import window
 from entrocut.entropy import eta
 
@@ -198,6 +199,51 @@ def test_trace_caps_beyond_float_range_raise_divergence():
         with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
             nu_p_damping_cap(tc, 0.5, beta)
     assert math.isfinite(tc.bound(0.3))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(11)
+    for k in range(600):
+        size = int(rng.choice([1, 2, 3, 17, 128, 4096, 5000]))
+        a = rng.normal(size=size) * rng.choice([0.1, 1.0, 40.0, 600.0]) \
+            + rng.uniform(-800.0, 800.0)
+        if k % 3 == 0:                      # ties at the maximum
+            a[rng.integers(0, size, size=1 + size // 4)] = a.max()
+        assert _bits(bounds._logsumexp(a)) == _bits(logsumexp(a)), (k, size)
+
+
+def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, monkeypatch):
+    from scipy.special import logsumexp
+    seen = []
+    logsumexp_np = bounds._logsumexp
+
+    def record(a):
+        seen.append(a.copy())
+        return logsumexp_np(a)
+
+    monkeypatch.setattr(bounds, "_logsumexp", record)
+    for delta in (1.0, 2.0):
+        distance_regularized_bound(u1_3000, ef075, delta, TailConfig(fit=u1_fit))
+    assert seen and all(len(a) == bounds._TAIL_CHUNK for a in seen)
+    for a in seen:
+        assert _bits(logsumexp_np(a)) == _bits(logsumexp(a))
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2, 0.3, 0.32, 0.45, 0.6, 0.9])
+def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
+    # the closed-form majorant skips the tail only where adding it could not
+    # change a bit: the result equals partial sum + scipy's tail
+    from scipy.special import gammaincc
+    m = 200_000
+    partial = float(np.sum(np.exp(-np.arange(m, dtype=float) ** kappa)))
+    s = 1.0 / kappa
+    want = partial + float(math.gamma(s) * gammaincc(s, (m - 1.0) ** kappa) / kappa)
+    assert _bits(bounds._sum_exp_neg_power(kappa)) == _bits(want)
 
 
 def test_trace_constants_reject_bad_input():

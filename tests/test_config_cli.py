@@ -334,3 +334,29 @@ def test_cli_verify_concavity_skips_oversized_cuts(capsys):
     # E = 40 exceeds the oracle dimension limit and is skipped, not failed
     assert [l.split(",")[1] for l in lines] == ["delta=0.5 E=2"]
     assert all(l.endswith(",1") for l in lines)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["model", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+    (["bounds", "--power", "0"], "power must be >= 1, got 0"),
+    (["trace", "--fit-n-max", "0"], "fit_n_max must be >= 1, got 0"),
+    (["verify", "--only", "spectral", "--freq-cut", "10"], "freq_cut must be >= 11, got 10"),
+    (["bounds", "--oracle-limit", "0"], "oracle_limit must be >= 1, got 0"),
+])
+def test_cli_range_check_names_its_field(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and err == f"entrocut: {message}\n"
+
+
+@pytest.mark.parametrize("freq_cut", ["8", "9", "10"])
+def test_cli_verify_spectral_refuses_freq_cut_below_eleven(capsys, tmp_path, freq_cut):
+    # 8-10 passed the old floor of 8 and ended in numpy's zero-size error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"freq_cut = {freq_cut}\n")
+    for argv in (["verify", "--only", "spectral", "--freq-cut", freq_cut],
+                 ["verify", "--only", "spectral", "--config", str(cfg)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "freq_cut" in err and "zero-size" not in err, argv
+        assert "Traceback" not in err, argv

@@ -76,13 +76,65 @@ def test_window_matches_full_width_scipy_route(alpha, t_cap):
     assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs, t_cap)) == _bits(want)
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import entrocut.cli
+assert "scipy" not in sys.modules, "import entrocut.cli"
+for argv in (["model"], ["energy-function"], ["bounds"], ["trace"], ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert entrocut.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+print("clean")
+"""
+
+
+def test_cli_runs_leave_scipy_out():
+    # the default runs read the shipped IJ0 table, a numpy logsumexp and the
+    # closed-form bound on the trace constants' tail: nothing imports scipy
     src = os.path.dirname(os.path.dirname(energy.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = "import sys, entrocut.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "clean"
+
+
+def test_shipped_ij0_table_passes_the_struve_certification():
+    for upper in (100.0, 200.0):
+        err_out, err_in = energy._certify_ij0(_ij0_spline(upper))
+        assert err_out <= energy._TABLE_TOL and err_in <= energy._TABLE_BLIP_TOL
+
+
+def test_shipped_ij0_table_matches_a_fresh_build():
+    shipped, built = _ij0_spline(200.0), energy._build_ij0(200.0)
+    assert _bits(shipped.xs) == _bits(built.xs)
+    # equal bit for bit where libm rounds J0 as the machine that wrote the file
+    assert np.max(np.abs(shipped.ys - built.ys)) <= 1e-15
+    assert np.max(np.abs(shipped.dydx - built.dydx)) <= 1e-15
+
+
+def test_shipped_ij0_slice_is_a_built_short_table():
+    short, long, built = _ij0_spline(100.0), _ij0_spline(200.0), energy._build_ij0(100.0)
+    n = len(built.xs)
+    for name in ("xs", "ys", "dydx"):
+        assert _bits(getattr(short, name)) == _bits(getattr(built, name)), name
+        assert _bits(getattr(short, name)) == _bits(getattr(long, name)[:n]), name
+    for name in ("c0", "c1", "c2", "c3"):
+        assert _bits(getattr(short, name)) == _bits(getattr(built, name)), name
+    assert short.scale == built.scale and short.last == built.last
+
+
+def test_corrupted_ij0_table_is_refused(tmp_path):
+    raw = bytearray(energy._SHIPPED_PATH.read_bytes())
+    raw[-8] ^= 1                                # one bit of the last dydx value
+    bad = tmp_path / "ij0_table.npy"
+    bad.write_bytes(bytes(raw))
+    load = energy._load_ij0.__wrapped__         # past the cache of the real file
+    with pytest.raises(ConstructionError, match="sha256"):
+        load(bad)
+    with pytest.raises(ConstructionError, match="cannot read"):
+        load(tmp_path / "gone.npy")
+    assert load(energy._SHIPPED_PATH).shape == (2, 100_001)
 
 
 def test_struve_route_matches_highprec_outside_blip():
@@ -279,6 +331,19 @@ def test_synthetic_pair_deterministic_and_certified():
 def test_synthetic_pair_rejects_small_freq_cut():
     with pytest.raises(ConstructionError):
         make_synthetic_pair(0.05, freq_cut=12, seed=0)
+
+
+@pytest.mark.parametrize("freq_cut", [1, 8, 9, 10])
+def test_synthetic_pair_refuses_freq_cut_below_its_tail_check(freq_cut):
+    # the tail check reads the 12 highest kept coefficients; fewer kept left
+    # numpy's "zero-size array" error in its place
+    with pytest.raises(ValueError, match=f"freq_cut must be >= 11, got {freq_cut}"):
+        make_synthetic_pair(0.5, freq_cut=freq_cut, seed=0)
+
+
+def test_synthetic_pair_smallest_freq_cut_reaches_the_tail_check():
+    with pytest.raises(ConstructionError, match="freq_cut=11 too small"):
+        make_synthetic_pair(0.5, freq_cut=11, seed=0)
 
 
 def test_spectral_identity_residual(ef075):
