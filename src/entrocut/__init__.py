@@ -34,7 +34,6 @@ from .energy import (
     build_energy_function,
     eval_f,
     eval_f_many,
-    integral_j0,
     make_synthetic_pair,
     verify_spectral_identity,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config_file",
     "EnergyFunction", "QuadratureConfig", "SyntheticPair",
     "build_energy_function", "eval_f", "eval_f_many",
-    "integral_j0", "make_synthetic_pair", "verify_spectral_identity",
+    "make_synthetic_pair", "verify_spectral_identity",
     "eta", "eta_bound_constant",
     "ConfigError", "ConstructionError", "DivergenceError", "EntrocutError",
     "OracleLimitError", "SpectrumFileError",

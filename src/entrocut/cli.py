@@ -26,7 +26,6 @@ from .bounds import cutoff_bound, quasinorm_property_check, verify_trace_bound
 from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
 from .energy import (
     EnergyFunction,
-    QuadratureConfig,
     build_energy_function,
     make_synthetic_pair,
     verify_spectral_identity,
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .pairing import (
     OracleComparison,
+    TruncatedSpace,
     build_truncated_space,
     oracle_vs_bounds,
     polarization_check,
@@ -87,11 +87,6 @@ def _build_model(cfg: RunConfig) -> SpectrumModel:
     return model_dims(cfg.model, 12, power=cfg.power)
 
 
-def _build_window(cfg: RunConfig) -> EnergyFunction:
-    quad = QuadratureConfig(abs_tol=cfg.quad_tol, t_cap=cfg.t_cap)
-    return build_energy_function(cfg.alpha, quad)
-
-
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     n_hi = model.n_max if cfg.n_max is None else cfg.n_max
@@ -103,7 +98,7 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not math.isfinite(args.t_max):
         raise ConfigError(f"--t-max must be finite, got {args.t_max}")
-    ef = _build_window(cfg)
+    ef = build_energy_function(cfg.alpha)
     ts = np.linspace(0.0, args.t_max, args.points)
     values, _, flags = window(ef, ts)
     rows = [[float(t), float(v), bool(flag)]
@@ -112,35 +107,30 @@ def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float, energy_cut: int,
-                limit: int, space_cache: dict) -> OracleComparison | None:
-    """The oracle at (delta, E), or None when the truncated space exceeds
-    the oracle limit or delta*E leaves the quadrature range.  Spaces are
-    cached by E across calls."""
+def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float,
+                energy_cut: int) -> OracleComparison | None:
+    """The oracle at (delta, E), or None when delta*E leaves the quadrature
+    range.  It reads only the level dimensions, so it needs no oracle limit."""
+    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
     try:
-        space = space_cache.get(energy_cut)
-        if space is None:
-            space = build_truncated_space(model, energy_cut, dim_limit=limit)
-            space_cache[energy_cut] = space
         return oracle_vs_bounds(space, ef, delta)
-    except (OracleLimitError, ValueError):
+    except ValueError:
         return None
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    ef = _build_window(cfg)
+    ef = build_energy_function(cfg.alpha)
     if cfg.kappa >= cfg.alpha:
         raise DivergenceError(
             f"distance-regularized series diverges: fitted growth exponent "
             f"kappa = {cfg.kappa:g} is not below the window decay exponent alpha = {cfg.alpha:g}"
         )
-    space_cache: dict = {}
     rows = []
     for delta in cfg.delta:
         for energy_cut in cfg.E:
             rep = cutoff_bound(model, ef, delta, energy_cut)
-            oc = _oracle_row(model, ef, delta, energy_cut, cfg.oracle_limit, space_cache)
+            oc = _oracle_row(model, ef, delta, energy_cut)
             if oc is None:
                 oracle_entropy, oracle_pass = "", ""
             else:
@@ -205,10 +195,9 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                          worst, worst <= 1e-5])
 
     if "concavity" in suites:
-        space_cache: dict = {}
         for delta in cfg.delta:
             for energy_cut in cfg.E:
-                oc = _oracle_row(model, ef, delta, energy_cut, cfg.oracle_limit, space_cache)
+                oc = _oracle_row(model, ef, delta, energy_cut)
                 if oc is None:
                     continue
                 rows.append(["concavity", f"delta={delta:g} E={energy_cut}",
@@ -232,7 +221,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     suites = VERIFY_SUITES if not args.only else tuple(args.only)
     model = _build_model(cfg)
     # the window and the growth fit are built only for the suites that read them
-    ef = _build_window(cfg) if {"product", "spectral", "concavity"} & set(suites) else None
+    ef = (build_energy_function(cfg.alpha)
+          if {"product", "spectral", "concavity"} & set(suites) else None)
     fit = (fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
            if "trace" in suites else None)
     rows: list[list] = []
@@ -251,7 +241,7 @@ _COMMANDS = {
     "energy-function": (cmd_energy_function, "sample the window function",
                         ("alpha", "t_max", "points")),
     "bounds": (cmd_bounds, "cutoff bounds with oracle columns",
-               ("model", "file", "power", "alpha", "delta", "E", "kappa", "oracle_limit")),
+               ("model", "file", "power", "alpha", "delta", "E", "kappa")),
     "trace": (cmd_trace, "partition trace against the explicit bound",
               ("model", "file", "power", "kappa", "beta", "fit_n_max")),
     "verify": (cmd_verify, "run the numerical identity suites",

@@ -35,8 +35,6 @@ class RunConfig:
     seed: list[int] = field(default_factory=lambda: [7])
     out: str | None = None
     oracle_limit: int = 400
-    quad_tol: float = 1e-12
-    t_cap: float = 200.0
     fit_n_max: int = 3000
     freq_cut: int = 128
 
@@ -65,10 +63,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
-        if not all(math.isfinite(v) for v in (*self.delta, *self.beta, self.quad_tol, self.t_cap)):
-            raise ConfigError("delta, beta, quad_tol and t_cap must be finite")
-        if self.quad_tol <= 0.0 or self.t_cap <= 0.0:
-            raise ConfigError("quad_tol and t_cap must be positive")
+        if not all(math.isfinite(v) for v in (*self.delta, *self.beta)):
+            raise ConfigError("delta and beta values must be finite")
 
 
 def _value_parser(hint) -> typing.Callable[[str], object]:

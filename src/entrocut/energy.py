@@ -26,25 +26,28 @@ feeding the window (the IJ0 table steps, the bump normalization and the sum
 over i above) is reduced in an order the package fixes, numpy's pairwise sum
 along one contiguous row, never a BLAS matrix-vector product, so a value does
 not depend on how many other points it is evaluated alongside, on thread
-count or on the BLAS build.  IJ0 is read from one table per window,
-sized from T0: a cubic Hermite interpolant on knots 0.002 apart, read by
-direct index with the same bits as scipy's CubicHermiteSpline.  For
-T0 <= 200 its knot values are a slice of the table shipped with the package
-(`ij0_table.npy`, checked against a sha256 on load), so no scipy import is
-needed and the values do not depend on the local scipy build; a longer table
-is built from scipy's J0 and certified on build against the Struve-function
-identity IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)), the check
-the tests run on the shipped file.  It is taken only on the bump's support,
-the tau nodes whose coefficient is not exactly 0.0, in blocks small enough
-to stay in cache.  Tests cross-check it against the
-direct nested s x tau quadrature of the definition.
+count or on the BLAS build.
+
+The quadrature range T0 = 200 and the certified tolerance ABS_TOL = 1e-12
+are fixed: the window is one function for each alpha, and the cutoff caps
+need only its closed-form suprema.  IJ0 is read from one table per process,
+the one shipped with the package (`ij0_table.npy`, checked against a sha256
+on load): a cubic Hermite interpolant on [0, T0] with knots 0.002 apart,
+read by direct index with the same bits as scipy's CubicHermiteSpline, so
+no scipy import is needed and the values do not depend on the local scipy
+build.  The tests certify the file against the Struve-function identity
+IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)) and rebuild it
+from scipy's J0.  IJ0 is taken only on the bump's support, the tau nodes
+whose coefficient is not exactly 0.0, in blocks small enough to stay in
+cache.  Tests cross-check the window against the direct nested s x tau
+quadrature of the definition.
 
 Guaranteed facts, all verified against the construction: f is real and even,
 f(0) = 1/2, |f(t)| <= 1/2, and |f(t)| e^{|t|^alpha} stays bounded because the
 bump's Gevrey order gives decay exponent rho/(rho+1) = (1+alpha)/2 > alpha.
 The suprema the cutoff caps need are therefore closed forms: sup |f| = 1/2
 (|F| <= 1/2 and ghat >= 0 integrates to 1) and sup eta(|f|/2) = eta(1/4)
-(eta increases below 1/e), each plus abs_tol for the computed values.
+(eta increases below 1/e), each plus ABS_TOL for the computed values.
 
 One evaluator, `window`, returns the signed value, a certified upper bound
 on |f| and an envelope flag, the regime decided on |t|.  Beyond the
@@ -64,6 +67,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -71,33 +75,17 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConstructionError
 
 
-def integral_j0(x: np.ndarray | float) -> np.ndarray:
-    """Int_0^x J0(y) dy for x >= 0, via the Struve identity.
+# The window's two numerical choices, the same for every alpha.  T0 is the
+# quadrature range: f is computed on [0, T0] and the envelope takes over
+# beyond; the shipped IJ0 table covers exactly [0, T0].  ABS_TOL is the
+# certified absolute tolerance of a computed f on [0, T0]: the doubled-density
+# self-check sits near 2e-15, so 1e-12 keeps a wide margin.
+T0 = 200.0
+ABS_TOL = 1e-12
 
-    scipy.special.itj0y0 returns garbage for x >~ 25, so it is not used.
-    Accuracy checked against high-precision quadrature: <= ~2e-14 relative
-    up to x = 1500.
-    """
-    from scipy.special import j0, j1, struve
-
-    x = np.asarray(x, dtype=float)
-    return x * j0(x) + 0.5 * np.pi * x * (j1(x) * struve(0, x) - j0(x) * struve(1, x))
-
-
-_TABLE_STEP = 0.002
-_TABLE_TOL = 2e-13
-# scipy's Struve functions lose ~1e-12 near their method switch around
-# x ~ 25.5 (the table route is clean there, checked to 7e-16 against
-# 40-digit quadrature), so x in (20, 30) gets a looser comparison
-_TABLE_BLIP_TOL = 3e-12
-# the longest table built; a window with a larger T0 takes IJ0 from the
-# Struve route, whose cost is then the caller's problem
-_TABLE_MAX = 4000.0
-# the shipped table: rows ys and dydx = J0 on the knots k * 0.002 of
-# [0, 200], as written by
-#   np.save(path, np.stack((t.ys, t.dydx)))  with  t = _build_ij0(200.0)
-# after which _SHIPPED_SHA256 is set to the new file's sha256
-_SHIPPED_TOP = 200.0
+# the shipped table: rows ys and dydx = J0 at the knots k * 0.002 of [0, T0];
+# tests/oracles.py holds its builder, its certification and the recipe that
+# rewrites it, after which _SHIPPED_SHA256 is set to the new file's sha256
 _SHIPPED_PATH = Path(__file__).with_name("ij0_table.npy")
 _SHIPPED_SHA256 = "5df6bbb2335e31e389210a7675013362865324fb24d00d7732ed398897130e24"
 
@@ -140,57 +128,7 @@ class _HermiteTable:
         return val.reshape(shape)
 
 
-def _table_knots(upper: float) -> np.ndarray:
-    # k * 0.002 for every length, so a shorter table is the prefix of a
-    # longer one, bit for bit
-    n_steps = int(math.ceil(upper / _TABLE_STEP))
-    return np.linspace(0.0, n_steps * _TABLE_STEP, n_steps + 1)
-
-
-def _certify_ij0(table: _HermiteTable) -> tuple[float, float]:
-    """Largest gaps between the table and the Struve-identity route, outside
-    and inside the x in (20, 30) window; raises ConstructionError past
-    their tolerances.  Probe points include interval midpoints, where the
-    Hermite error peaks."""
-    top = float(table.xs[-1])
-    probe = np.concatenate([
-        np.linspace(0.0, top, 2001),
-        (np.arange(2000) + 0.5) * (top / 2000.0),   # lands on table midpoints
-    ])
-    diff = np.abs(table(probe) - integral_j0(probe))
-    blip = (probe > 20.0) & (probe < 30.0)
-    err_out = float(np.max(diff[~blip]))
-    err_in = float(np.max(diff[blip]))
-    if err_out > _TABLE_TOL or err_in > _TABLE_BLIP_TOL:
-        raise ConstructionError(
-            f"integral-J0 table disagrees with the Struve route by "
-            f"{max(err_out, err_in):.3e} (tolerances {_TABLE_TOL:.1e} outside "
-            f"x in (20, 30), {_TABLE_BLIP_TOL:.0e} inside)"
-        )
-    return err_out, err_in
-
-
-def _build_ij0(upper: float) -> _HermiteTable:
-    """The integral-of-J0 table on [0, upper] from scipy's J0, certified.
-
-    Step integrals of J0 by 8-point Gauss-Legendre (error per step far below
-    eps at step 0.002), accumulated in extended precision, then the Hermite
-    interpolant with the exact derivative IJ0' = J0.
-    """
-    from scipy.special import j0
-
-    xs = _table_knots(upper)
-    gx, gw = leggauss(8)
-    mids = xs[:-1, None] + 0.5 * _TABLE_STEP * (1.0 + gx[None, :])
-    steps = (0.5 * _TABLE_STEP) * _weighted_row_sums(j0(mids), gw)
-    ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
-    table = _HermiteTable(xs, ys, j0(xs))
-    _certify_ij0(table)
-    return table
-
-
-@lru_cache(maxsize=1)
-def _load_ij0(path: Path = _SHIPPED_PATH) -> np.ndarray:
+def _load_ij0(path: Path) -> np.ndarray:
     """The shipped (ys, dydx) rows, after checking the file's sha256."""
     try:
         raw = path.read_bytes()
@@ -201,29 +139,17 @@ def _load_ij0(path: Path = _SHIPPED_PATH) -> np.ndarray:
     return np.load(io.BytesIO(raw))
 
 
-@lru_cache(maxsize=4)
-def _ij0_spline(upper: float) -> _HermiteTable:
-    """Fast evaluator of Int_0^x J0 on [0, upper].
+@lru_cache(maxsize=1)
+def _ij0_table() -> _HermiteTable:
+    """Int_0^x J0 on [0, T0], one table per process.
 
     scipy's Struve functions cost microseconds per point, too slow for the
     millions of arguments a window build and a distance series need, so
-    IJ0 is tabulated and read by direct index (`_HermiteTable`).  Up to
-    upper = 200 the knot values are a prefix of the shipped table, which the
-    tests certify against the Struve route with the tolerances a build uses;
-    a longer table is built and certified here (`_build_ij0`).
+    IJ0 is tabulated and read by direct index (`_HermiteTable`) from the
+    shipped knot values, which the tests certify against the Struve route.
     """
-    if upper > _SHIPPED_TOP:
-        return _build_ij0(upper)
-    xs = _table_knots(upper)
-    ys, dydx = _load_ij0()[:, : len(xs)]
-    return _HermiteTable(xs, ys, dydx)
-
-
-def _ij0_upto(t_cap: float):
-    """Int_0^x J0 for 0 <= x <= t_cap: one table per T0, 100 * ceil(T0 / 100)
-    long, or the Struve route past the longest table."""
-    upper = 100.0 * math.ceil(max(t_cap, 1.0) / 100.0)
-    return _ij0_spline(upper) if upper <= _TABLE_MAX else integral_j0
+    ys, dydx = _load_ij0(_SHIPPED_PATH)
+    return _HermiteTable(np.linspace(0.0, T0, len(ys)), ys, dydx)
 
 
 def _weighted_row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,11 +184,10 @@ _BLOCK_ELEMS = 1 << 16
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Certification settings for the window."""
+    """The window's fixed quadrature range and tolerance, as `EnergyFunction.quad`."""
 
-    # doubled-density self-checks sit near 2e-15; 1e-12 keeps a wide margin
-    abs_tol: float = 1e-12         # certified absolute tolerance of f on [0, T0]
-    t_cap: float = 200.0           # T0: quadrature range; envelope beyond
+    abs_tol: float                 # ABS_TOL
+    t_cap: float                   # T0
 
 
 @dataclass
@@ -272,7 +197,7 @@ class EnergyFunction:
     Fields are filled by build_energy_function.  The suprema are theorems
     of the construction, not samples: |f| <= f(0) = 1/2 and, since eta
     increases below 1/e, sup eta(|f|/2) = eta(1/4) = log(4)/4; each carries
-    abs_tol, the distance of a computed value from f.  `cache` maps delta
+    ABS_TOL, the distance of a computed value from f.  `cache` maps delta
     to one array of the quadrature values f(delta*N), N = 0, 1, ..., that
     `f_delta_batch` grows on demand.
     """
@@ -280,21 +205,21 @@ class EnergyFunction:
     alpha: float
     rho: float
     beta_prime: float              # envelope decay exponent (1+alpha)/2
-    quad: QuadratureConfig
     nodes: np.ndarray              # tau quadrature nodes
     coeffs: np.ndarray             # weight * ghat(node) / normalization
     envelope_c: float
     cache: dict = field(default_factory=dict)
+    quad: ClassVar[QuadratureConfig] = QuadratureConfig(abs_tol=ABS_TOL, t_cap=T0)
 
     @property
     def sup_f(self) -> float:
         """Certified sup_t |f(t)|."""
-        return 0.5 + self.quad.abs_tol
+        return 0.5 + ABS_TOL
 
     @property
     def sup_eta(self) -> float:
         """Certified sup_t eta(|f(t)|/2)."""
-        return math.log(4.0) / 4.0 + self.quad.abs_tol
+        return math.log(4.0) / 4.0 + ABS_TOL
 
     def envelope(self, t: float | np.ndarray) -> np.ndarray | float:
         """Fitted decay envelope e^{-c |t|^{beta'}}."""
@@ -315,9 +240,8 @@ def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarr
     return nodes, weights
 
 
-def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray, t_cap: float
-               ) -> np.ndarray:
-    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= t_cap.
+def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= T0.
 
     IJ0 is taken only on the bump's support: exp underflows towards both
     ends of (0, 1), so the coefficients there are exactly 0.0 (454 of 2064
@@ -331,7 +255,7 @@ def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray, t_cap: flo
     """
     ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
-    ij0 = _ij0_upto(t_cap)
+    ij0 = _ij0_table()
     support = np.flatnonzero(coeffs)
     lo, hi = int(support[0]), int(support[-1]) + 1
     tau = nodes[lo:hi]
@@ -345,22 +269,21 @@ def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray, t_cap: flo
     return out
 
 
-def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) -> EnergyFunction:
+def build_energy_function(alpha: float) -> EnergyFunction:
     """Construct the window for one decay target alpha in (0, 1).
 
     Runs a panel-refinement self-check (doubled panel density must agree
-    within quad.abs_tol on a probe grid) and fits an envelope
+    within ABS_TOL on a probe grid) and fits an envelope
     e^{-c t^{beta'}} dominating |f| + tol on a grid over [0, T0].  Raises
     ConstructionError if the self-check fails.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    quad = quad or QuadratureConfig()
     rho = (1.0 + alpha) / (1.0 - alpha)
     beta_prime = 0.5 * (1.0 + alpha)
 
     def rule(osc_panels: int) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = _tau_rule(quad.t_cap, osc_panels)
+        nodes, weights = _tau_rule(T0, osc_panels)
         coeffs = weights * _ghat_raw(nodes, rho)
         norm = float(coeffs.sum())
         if not (norm > 0.0):
@@ -370,17 +293,17 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
     nodes, coeffs = rule(_PANELS_PER_OSC)
     # self-check: doubled panel density on a probe grid
     fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
-    probe = np.linspace(0.0, quad.t_cap, 41)
-    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs, quad.t_cap)
-                              - _f_on_rule(probe, fnodes, fcoeffs, quad.t_cap))))
-    if resid > quad.abs_tol:
+    probe = np.linspace(0.0, T0, 41)
+    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs)
+                              - _f_on_rule(probe, fnodes, fcoeffs))))
+    if resid > ABS_TOL:
         raise ConstructionError("tau quadrature did not converge at the configured density", resid)
 
     # envelope: e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
     # 0.75 safety factor guards the extrapolation beyond T0
-    grid = np.linspace(0.0, quad.t_cap, _GRID_POINTS)[1:]
-    absf = np.abs(_f_on_rule(grid, nodes, coeffs, quad.t_cap))
-    ratios = -np.log(np.minimum(absf + quad.abs_tol, 0.5)) / grid ** beta_prime
+    grid = np.linspace(0.0, T0, _GRID_POINTS)[1:]
+    absf = np.abs(_f_on_rule(grid, nodes, coeffs))
+    ratios = -np.log(np.minimum(absf + ABS_TOL, 0.5)) / grid ** beta_prime
     env_c = 0.75 * float(np.min(ratios))
     if env_c <= 0.0:
         raise ConstructionError("envelope fit produced a nonpositive decay constant")
@@ -389,7 +312,6 @@ def build_energy_function(alpha: float, quad: QuadratureConfig | None = None) ->
         alpha=alpha,
         rho=rho,
         beta_prime=beta_prime,
-        quad=quad,
         nodes=nodes,
         coeffs=coeffs,
         envelope_c=env_c,
@@ -401,19 +323,18 @@ def window(ef: EnergyFunction, ts, quad_vals: np.ndarray | None = None
     """The window at each t: (signed value, certified upper bound on |f|,
     envelope flag), the regime decided on |t|.
 
-    |t| <= T0: the quadrature value, bounded by min(|f| + abs_tol, envelope).
+    |t| <= T0: the quadrature value, bounded by min(|f| + ABS_TOL, envelope).
     |t| > T0: the fitted envelope as both value and bound, flagged; it is
     meant to overestimate |f| and leaves the sign unresolved, which every
     upper-bound consumer tolerates.  `quad_vals`, when the caller holds them,
     are the quadrature values of the |t| <= T0 entries, in order.
     """
     at = np.abs(np.asarray(ts, dtype=float))
-    flags = at > ef.quad.t_cap
+    flags = at > T0
     env = ef.envelope(at)
     vals = env.copy()
-    vals[~flags] = (_f_on_rule(at[~flags], ef.nodes, ef.coeffs, ef.quad.t_cap)
-                    if quad_vals is None else quad_vals)
-    up = np.where(flags, env, np.minimum(np.abs(vals) + ef.quad.abs_tol, env))
+    vals[~flags] = _f_on_rule(at[~flags], ef.nodes, ef.coeffs) if quad_vals is None else quad_vals
+    up = np.where(flags, env, np.minimum(np.abs(vals) + ABS_TOL, env))
     return vals, up, flags
 
 
@@ -436,11 +357,11 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
     if n_lo < 0:
         raise ValueError("n_lo must be >= 0")
     ts = delta * np.arange(n_lo, n_hi + 1)
-    n_quad = int(np.count_nonzero(ts <= ef.quad.t_cap))   # a prefix: delta*N grows with N
+    n_quad = int(np.count_nonzero(ts <= T0))   # a prefix: delta*N grows with N
     memo = ef.cache.get(delta, _NO_VALUES)
     if n_quad and len(memo) < n_lo + n_quad:
         fresh = delta * np.arange(len(memo), n_lo + n_quad)
-        memo = np.concatenate((memo, _f_on_rule(fresh, ef.nodes, ef.coeffs, ef.quad.t_cap)))
+        memo = np.concatenate((memo, _f_on_rule(fresh, ef.nodes, ef.coeffs)))
         ef.cache[delta] = memo
     return window(ef, ts, memo[n_lo : n_lo + n_quad])
 
@@ -453,9 +374,9 @@ def eval_f(ef: EnergyFunction, t: float) -> float:
 def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
     """Vectorized f over arguments with |t| <= T0 (raises beyond)."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(np.abs(ts) > ef.quad.t_cap):
-        raise ValueError(f"arguments exceed the quadrature range [0, {ef.quad.t_cap}]")
-    return _f_on_rule(ts, ef.nodes, ef.coeffs, ef.quad.t_cap)
+    if np.any(np.abs(ts) > T0):
+        raise ValueError(f"arguments exceed the quadrature range [0, {T0}]")
+    return _f_on_rule(ts, ef.nodes, ef.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +431,9 @@ def make_synthetic_pair(
     available room) so its Fourier coefficients die well before freq_cut.
     Coefficients are taken by FFT on _PAIR_SAMPLES points (spectrally accurate
     for smooth G).  Raises ValueError below FREQ_CUT_MIN, where fewer than the
-    12 coefficients the tail check reads are kept, and ConstructionError
-    when the discarded tail mass exceeds _PAIR_TAIL_TOL, i.e. freq_cut is too
-    small for the requested delta.
+    12 coefficients the tail check reads are kept, and when the discarded
+    tail mass exceeds _PAIR_TAIL_TOL, i.e. freq_cut is too small for the
+    requested delta.
     """
     if not (0.0 < delta < math.pi):
         raise ValueError("delta must lie in (0, pi)")
@@ -535,8 +456,9 @@ def make_synthetic_pair(
     ghat = np.fft.fft(g_vals) / _PAIR_SAMPLES   # ghat[k] = (2pi)^-1 Int G e^{-ikt}
     tail_mass = float(np.max(np.abs(ghat[freq_cut - FREQ_CUT_MIN : freq_cut + 1])))
     if tail_mass > _PAIR_TAIL_TOL:
-        raise ConstructionError(
-            f"freq_cut={freq_cut} too small for delta={delta}", tail_mass
+        raise ValueError(
+            f"freq_cut={freq_cut} too small for delta={delta}: Fourier tail mass "
+            f"{tail_mass:.3e} exceeds {_PAIR_TAIL_TOL:.0e}"
         )
 
     a = np.zeros(freq_cut + 1, dtype=complex)
@@ -582,7 +504,7 @@ def verify_spectral_identity(ef: EnergyFunction, pair: SyntheticPair) -> Spectra
     with the pair (and with the gap certificate for imperfect pairs).
     """
     n_hi = pair.freq_cut
-    if pair.delta * n_hi > ef.quad.t_cap:
+    if pair.delta * n_hi > T0:
         raise ValueError("delta * freq_cut exceeds the quadrature range")
     fv = eval_f_many(ef, pair.delta * np.arange(n_hi + 1))
     lhs = np.sum((pair.a + pair.b) * fv)

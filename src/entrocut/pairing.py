@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +41,25 @@ _SLACK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TruncatedSpace:
-    """Basis labels l_0 <= l_1 <= ... <= E with l_0 = 0 the unique vacuum."""
+    """The spectrum slots with eigenvalue <= E, given by their level
+    dimensions d_0 = 1 (the unique vacuum), d_1, ..., d_E.
+
+    The basis labels l_0 = 0 <= l_1 <= ... <= E, one per slot, are built on
+    first use: the oracle reads only the level dimensions, so it runs on
+    spaces far too large to list.
+    """
 
     model_label: str
     energy_cut: int
-    labels: np.ndarray          # int labels, ascending, labels[0] == 0
     dims_by_level: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return sum(self.dims_by_level)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.dims_by_level)), self.dims_by_level)
 
 
 def build_truncated_space(model: SpectrumModel, energy_cut: int, dim_limit: int = 400) -> TruncatedSpace:
@@ -60,20 +70,12 @@ def build_truncated_space(model: SpectrumModel, energy_cut: int, dim_limit: int 
     """
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
-    dims = tuple(model.dims_upto(energy_cut))
-    total = sum(dims)
-    if total > dim_limit:
+    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
+    if space.dim > dim_limit:
         raise OracleLimitError(
-            f"truncated dimension {total} exceeds the oracle limit {dim_limit}"
+            f"truncated dimension {space.dim} exceeds the oracle limit {dim_limit}"
         )
-    labels = np.concatenate([np.full(d, n, dtype=int) for n, d in enumerate(dims) if d > 0]) \
-        if total > 0 else np.zeros(0, dtype=int)
-    return TruncatedSpace(
-        model_label=model.label,
-        energy_cut=energy_cut,
-        labels=labels,
-        dims_by_level=dims,
-    )
+    return space
 
 
 _I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)   # i^k for k = 0..3
@@ -299,7 +301,7 @@ def oracle_vs_bounds(
         model_label=space.model_label,
         delta=delta,
         energy_cut=space.energy_cut,
-        dim=sum(space.dims_by_level),
+        dim=space.dim,
         c_deltaE=c,
         exact_entropy=exact,
         entropy_bound=bound,

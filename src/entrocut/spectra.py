@@ -307,18 +307,13 @@ class GrowthFit:
     """Certified constant C with dims[N] <= C * exp(N^kappa) on a scanned range.
 
     C is the exact maximum of dims[N] / exp(N^kappa) over the range, so the
-    inequality holds there by construction.  `plateau` records whether the
-    maximizing N sits in the interior of the range; a maximizer at the end
-    means the ratio was still growing and kappa undershoots the empirical
-    growth exponent.
+    inequality holds there by construction.
     """
 
     kappa: float
     C: float
     log_C: float
     certified_range: tuple[int, int]
-    argmax_n: int
-    plateau: bool
     model_label: str = ""
 
 
@@ -338,22 +333,14 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     hi = _scan_top(model, n_max)
     best = -math.inf
-    best_n = 0
     for n, ld in enumerate(model.log_dims(0, hi)):
-        if ld == -math.inf:
-            continue
-        h = ld - float(n) ** kappa
-        if h > best:
-            best, best_n = h, n
-    # interior maximizer = ratio turned over inside the range
-    plateau = best_n < int(0.9 * hi) if hi > 0 else True
+        if ld != -math.inf:
+            best = max(best, ld - float(n) ** kappa)
     return GrowthFit(
         kappa=kappa,
         C=math.exp(best),
         log_C=best,
         certified_range=(0, hi),
-        argmax_n=best_n,
-        plateau=plateau,
         model_label=model.label,
     )
 

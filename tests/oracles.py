@@ -10,6 +10,11 @@ the literal nested s x tau quadrature of its definition instead of the
 closed-form inner integral.  The tabulated
 spline itself is pinned, bit for bit, by scipy's CubicHermiteSpline through
 the same knots, evaluated at every tau node of the rule.
+
+The one exception is the builder of the shipped integral-of-J0 table,
+`build_ij0`: it is the recipe the file was written with, so it reuses the
+package's Hermite reader and fixed-order row sum, and it certifies its
+table against the Struve-function route `integral_j0`.
 """
 
 from __future__ import annotations
@@ -159,6 +164,74 @@ def window_highprec(alpha: float, t: float, dps: int = 22) -> float:
 
         val = mp.quad(integrand, [0, mp.mpf(1) / 2, 1])
         return float(val / norm)
+
+
+def integral_j0(x: np.ndarray | float) -> np.ndarray:
+    """Int_0^x J0(y) dy for x >= 0, via the Struve identity
+    IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)).
+
+    scipy.special.itj0y0 returns garbage for x >~ 25, so it is not used.
+    Accuracy checked against high-precision quadrature: <= ~2e-14 relative
+    up to x = 1500.
+    """
+    from scipy.special import j0, j1, struve
+
+    x = np.asarray(x, dtype=float)
+    return x * j0(x) + 0.5 * np.pi * x * (j1(x) * struve(0, x) - j0(x) * struve(1, x))
+
+
+# largest gaps allowed between an integral-of-J0 table and the Struve route.
+# scipy's Struve functions lose ~1e-12 near their method switch around
+# x ~ 25.5 (the table is clean there, checked to 7e-16 against 40-digit
+# quadrature), so x in (20, 30) gets the looser IJ0_BLIP_TOL
+IJ0_TOL = 2e-13
+IJ0_BLIP_TOL = 3e-12
+
+
+def certify_ij0(table) -> tuple[float, float]:
+    """Largest gaps between the table and the Struve route, outside and
+    inside x in (20, 30).  Probe points include interval midpoints, where
+    the Hermite error peaks."""
+    top = float(table.xs[-1])
+    probe = np.concatenate([
+        np.linspace(0.0, top, 2001),
+        (np.arange(2000) + 0.5) * (top / 2000.0),   # lands on table midpoints
+    ])
+    diff = np.abs(table(probe) - integral_j0(probe))
+    blip = (probe > 20.0) & (probe < 30.0)
+    return float(np.max(diff[~blip])), float(np.max(diff[blip]))
+
+
+def build_ij0():
+    """The integral-of-J0 table on [0, T0] from scipy's J0, certified.
+
+    Step integrals of J0 over the knots k * 0.002 by 8-point Gauss-Legendre
+    (error per step far below eps), accumulated in extended precision, then
+    the Hermite interpolant with the exact derivative IJ0' = J0.  This is
+    how `src/entrocut/ij0_table.npy` was written; from the repository root,
+
+        PYTHONPATH=src:tests python -c "import numpy as np, oracles; t = oracles.build_ij0(); np.save('src/entrocut/ij0_table.npy', np.stack((t.ys, t.dydx)))"
+
+    rewrites it, after which `energy._SHIPPED_SHA256` is set to the new
+    file's sha256.
+    """
+    from scipy.special import j0
+
+    from entrocut.energy import T0, _HermiteTable, _weighted_row_sums
+
+    step = 0.002
+    n_steps = round(T0 / step)
+    xs = np.linspace(0.0, T0, n_steps + 1)
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    mids = xs[:-1, None] + 0.5 * step * (1.0 + gx[None, :])
+    steps = (0.5 * step) * _weighted_row_sums(j0(mids), gw)
+    ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
+    table = _HermiteTable(xs, ys, j0(xs))
+    err_out, err_in = certify_ij0(table)
+    if err_out > IJ0_TOL or err_in > IJ0_BLIP_TOL:
+        raise ValueError(f"integral-J0 table disagrees with the Struve route by "
+                         f"{max(err_out, err_in):.3e}")
+    return table
 
 
 def ij0_scipy_spline(table):

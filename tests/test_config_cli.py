@@ -4,7 +4,8 @@ import math
 import pytest
 
 import entrocut.cli as cli
-from entrocut import ConfigError, RunConfig, load_config, parse_config_file, spectra
+from entrocut import ConfigError, RunConfig, eval_f, load_config, parse_config_file, spectra
+from entrocut.entropy import eta
 from entrocut.bounds import QuasinormReport
 
 
@@ -14,12 +15,12 @@ def test_config_file_parses_lists_scalars_comments(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# sweep\nalpha = 0.6\ndelta = 0.1, 0.4\nE = 0, 2\nseed = 1, 9\n"
-        "model = virasoro\nquad_tol = 1e-11\n"
+        "model = virasoro\nkappa = 0.45\n"
     )
     got = parse_config_file(str(path))
     assert got == {
         "alpha": 0.6, "delta": [0.1, 0.4], "E": [0, 2], "seed": [1, 9],
-        "model": "virasoro", "quad_tol": 1e-11,
+        "model": "virasoro", "kappa": 0.45,
     }
 
 
@@ -28,15 +29,13 @@ def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
     path.write_text(
         "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
         "delta = 1, 0.5\nE = 0, 4\nbeta = 2\np = 1, 0.3\nkappa = 0.5\nseed = 3\n"
-        "out = o.csv\noracle_limit = 50\nquad_tol = 1e-10\nt_cap = 100\n"
-        "fit_n_max = 800\nfreq_cut = 64\n"
+        "out = o.csv\noracle_limit = 50\nfit_n_max = 800\nfreq_cut = 64\n"
     )
     got = parse_config_file(str(path))
     want = {
         "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
         "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "p": [1.0, 0.3], "kappa": 0.5,
-        "seed": [3], "out": "o.csv", "oracle_limit": 50, "quad_tol": 1e-10, "t_cap": 100.0,
-        "fit_n_max": 800, "freq_cut": 64,
+        "seed": [3], "out": "o.csv", "oracle_limit": 50, "fit_n_max": 800, "freq_cut": 64,
     }
     assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
     assert got == want
@@ -81,14 +80,11 @@ def test_load_config_precedence(tmp_path):
         ("E", [-1]),
         ("p", [2.0]),
         ("power", 0),
-        ("t_cap", -3.0),
+        ("kappa", 0.0),
         ("delta", [math.nan]),
         ("delta", [0.5, math.inf]),
         ("beta", [math.inf]),
         ("beta", [math.nan]),
-        ("quad_tol", math.nan),
-        ("t_cap", math.inf),
-        ("t_cap", math.nan),
     ],
 )
 def test_run_config_validate_rejects(field, value):
@@ -296,12 +292,26 @@ def test_cli_energy_function_non_finite_t_max_exits_two(capsys):
         assert out == "" and err.startswith("entrocut: ") and "Traceback" not in err
 
 
-def test_cli_config_infinite_t_cap_exits_two(capsys, tmp_path):
-    path = tmp_path / "inf.cfg"
-    path.write_text("t_cap = inf\n")
-    code, out, err = _run(capsys, ["energy-function", "--config", str(path)])
+@pytest.mark.parametrize("line", ["t_cap = 300", "quad_tol = 1e-11", "t_cap = inf"])
+def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
+    # T0 = 200 and the 1e-12 tolerance are constants of the window, not settings
+    path = tmp_path / "quad.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" ")[0]
+    for command in ("energy-function", "bounds"):
+        code, out, err = _run(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert out == "" and err == f"entrocut: line 1: unknown key {key!r}\n"
+
+
+def test_cli_verify_spectral_tail_mass_exits_two(capsys):
+    # freq_cut = 11 passes the floor but is too small for delta = 0.5: the
+    # input is at fault, so exit 2, naming the tail mass and its limit
+    code, out, err = _run(capsys, ["verify", "--only", "spectral", "--freq-cut", "11"])
     assert code == 2
-    assert out == "" and err.startswith("entrocut: ") and "Traceback" not in err
+    assert out == "" and "Traceback" not in err
+    assert err == ("entrocut: freq_cut=11 too small for delta=0.5: "
+                   "Fourier tail mass 1.635e-01 exceeds 1e-04\n")
 
 
 def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
@@ -318,7 +328,8 @@ def test_cli_rejects_unknown_flag_value(capsys):
                  # flags a subcommand does not read are not offered
                  ["bounds", "--n-max", "3"], ["bounds", "--fit-n-max", "5"],
                  ["model", "--seed", "1"], ["energy-function", "--seed", "1"],
-                 ["bounds", "--seed", "1"], ["trace", "--seed", "1"]):
+                 ["bounds", "--seed", "1"], ["trace", "--seed", "1"],
+                 ["bounds", "--oracle-limit", "5"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -328,12 +339,31 @@ def test_cli_rejects_unknown_flag_value(capsys):
 
 def test_cli_verify_concavity_skips_oversized_cuts(capsys):
     code, out, _ = _run(capsys, ["verify", "--only", "concavity",
-                                 "--delta", "0.5", "--E", "2,40"])
+                                 "--delta", "0.5,2.5", "--E", "2,40,90"])
     assert code == 0
     lines = out.strip().split("\n")[1:]
-    # E = 40 exceeds the oracle dimension limit and is skipped, not failed
-    assert [l.split(",")[1] for l in lines] == ["delta=0.5 E=2"]
+    # the oracle reads only level dimensions, so E = 40 (dimension 215,308)
+    # gets a row; only a cut with delta*E beyond T0 = 200 is skipped
+    assert [l.split(",")[1] for l in lines] == [
+        "delta=0.5 E=2", "delta=0.5 E=40", "delta=0.5 E=90", "delta=2.5 E=2", "delta=2.5 E=40"]
     assert all(l.endswith(",1") for l in lines)
+
+
+def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):
+    code, out, _ = _run(capsys, ["bounds", "--E", "13,14,20", "--delta", "1.0"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [int(r[3]) for r in rows] == [13, 14, 20]
+    for r in rows:
+        # the tau state's entropy in closed form over the level basis
+        energy_cut = int(r[3])
+        dims = spectra.model_dims("u1", energy_cut).dims
+        absf = [abs(eval_f(ef075, float(n))) for n in range(energy_cut + 1)]
+        s = math.fsum(d * a for d, a in zip(dims[1:], absf[1:]))
+        c = 1.0 + 2.0 * s
+        want = eta((1.0 + s) / c) + math.fsum(d * eta(a / c) for d, a in zip(dims[1:], absf[1:]))
+        assert abs(float(r[9]) - want) <= 1e-12, r
+        assert r[10] == "1", r
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -341,7 +371,7 @@ def test_cli_verify_concavity_skips_oversized_cuts(capsys):
     (["bounds", "--power", "0"], "power must be >= 1, got 0"),
     (["trace", "--fit-n-max", "0"], "fit_n_max must be >= 1, got 0"),
     (["verify", "--only", "spectral", "--freq-cut", "10"], "freq_cut must be >= 11, got 10"),
-    (["bounds", "--oracle-limit", "0"], "oracle_limit must be >= 1, got 0"),
+    (["verify", "--oracle-limit", "0"], "oracle_limit must be >= 1, got 0"),
 ])
 def test_cli_range_check_names_its_field(capsys, argv, message):
     code, out, err = _run(capsys, argv)

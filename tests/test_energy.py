@@ -11,20 +11,18 @@ import pytest
 import oracles
 from entrocut import (
     ConstructionError,
-    QuadratureConfig,
     build_energy_function,
     eval_f,
     eval_f_many,
-    integral_j0,
     make_synthetic_pair,
     verify_spectral_identity,
 )
 from entrocut import energy
-from entrocut.energy import _f_on_rule, _ij0_spline, _ij0_upto, f_delta_batch, window
+from entrocut.energy import _f_on_rule, _ij0_table, f_delta_batch, window
 
 
 def test_ij0_table_matches_highprec_quadrature():
-    sp = _ij0_spline(200.0)
+    sp = _ij0_table()
     # include the x ~ 25.5 region where scipy's Struve route loses accuracy
     pts = [0.3, 1.0, 7.7, 25.3, 25.5, 25.9, 26.3, 77.7, 123.4, 199.5]
     worst = max(abs(float(sp(x)) - oracles.ij0_highprec(x)) for x in pts)
@@ -36,7 +34,7 @@ def _bits(a):
 
 
 def test_ij0_table_matches_scipy_hermite_bit_for_bit():
-    table = _ij0_spline(200.0)
+    table = _ij0_table()
     spline = oracles.ij0_scipy_spline(table)
     xs = table.xs
     top = xs[-1]
@@ -52,28 +50,23 @@ def test_ij0_table_matches_scipy_hermite_bit_for_bit():
     assert float(table(top)) == float(spline(top))
 
 
-def test_shorter_ij0_table_is_prefix_of_longer():
-    short, long = _ij0_spline(100.0), _ij0_spline(300.0)
-    n = len(short.xs)
-    assert _bits(short.xs) == _bits(long.xs[:n])
-    assert _bits(short.ys) == _bits(long.ys[:n])
-    for name in ("c0", "c1", "c2", "c3"):
-        assert _bits(getattr(short, name)) == _bits(getattr(long, name)[: n - 1]), name
-    pts = np.concatenate([short.xs, np.random.default_rng(4).uniform(0.0, 100.0, 50_000)])
-    assert _bits(short(pts)) == _bits(long(pts))
+@pytest.fixture(scope="module")
+def window_by_alpha():
+    return {alpha: build_energy_function(alpha) for alpha in (0.3, 0.55, 0.75, 0.95)}
 
 
-@pytest.mark.parametrize("t_cap", [200.0, 50.0])
+@pytest.mark.parametrize("t_max", [200.0, 50.0])
 @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
-def test_window_matches_full_width_scipy_route(alpha, t_cap):
-    # alpha = 0.3 leaves almost every coefficient nonzero, 0.95 zeroes most
-    ef = build_energy_function(alpha, QuadratureConfig(t_cap=t_cap))
+def test_window_matches_full_width_scipy_route(window_by_alpha, alpha, t_max):
+    # alpha = 0.3 leaves almost every coefficient nonzero, 0.95 zeroes most;
+    # t_max = T0 samples the whole quadrature range, 50 its start more densely
+    ef = window_by_alpha[alpha]
     assert np.count_nonzero(ef.coeffs == 0.0) > 0
-    ts = np.concatenate([np.linspace(0.0, t_cap, 301),
-                         np.random.default_rng(5).uniform(0.0, t_cap, 100)])
-    spline = oracles.ij0_scipy_spline(_ij0_upto(t_cap))
+    ts = np.concatenate([np.linspace(0.0, t_max, 301),
+                         np.random.default_rng(5).uniform(0.0, t_max, 100)])
+    spline = oracles.ij0_scipy_spline(_ij0_table())
     want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, spline)
-    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs, t_cap)) == _bits(want)
+    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs)) == _bits(want)
 
 
 _SCIPY_PROBE = """
@@ -100,28 +93,16 @@ def test_cli_runs_leave_scipy_out():
 
 
 def test_shipped_ij0_table_passes_the_struve_certification():
-    for upper in (100.0, 200.0):
-        err_out, err_in = energy._certify_ij0(_ij0_spline(upper))
-        assert err_out <= energy._TABLE_TOL and err_in <= energy._TABLE_BLIP_TOL
+    err_out, err_in = oracles.certify_ij0(_ij0_table())
+    assert err_out <= oracles.IJ0_TOL and err_in <= oracles.IJ0_BLIP_TOL
 
 
 def test_shipped_ij0_table_matches_a_fresh_build():
-    shipped, built = _ij0_spline(200.0), energy._build_ij0(200.0)
+    shipped, built = _ij0_table(), oracles.build_ij0()
     assert _bits(shipped.xs) == _bits(built.xs)
     # equal bit for bit where libm rounds J0 as the machine that wrote the file
     assert np.max(np.abs(shipped.ys - built.ys)) <= 1e-15
     assert np.max(np.abs(shipped.dydx - built.dydx)) <= 1e-15
-
-
-def test_shipped_ij0_slice_is_a_built_short_table():
-    short, long, built = _ij0_spline(100.0), _ij0_spline(200.0), energy._build_ij0(100.0)
-    n = len(built.xs)
-    for name in ("xs", "ys", "dydx"):
-        assert _bits(getattr(short, name)) == _bits(getattr(built, name)), name
-        assert _bits(getattr(short, name)) == _bits(getattr(long, name)[:n]), name
-    for name in ("c0", "c1", "c2", "c3"):
-        assert _bits(getattr(short, name)) == _bits(getattr(built, name)), name
-    assert short.scale == built.scale and short.last == built.last
 
 
 def test_corrupted_ij0_table_is_refused(tmp_path):
@@ -129,17 +110,16 @@ def test_corrupted_ij0_table_is_refused(tmp_path):
     raw[-8] ^= 1                                # one bit of the last dydx value
     bad = tmp_path / "ij0_table.npy"
     bad.write_bytes(bytes(raw))
-    load = energy._load_ij0.__wrapped__         # past the cache of the real file
     with pytest.raises(ConstructionError, match="sha256"):
-        load(bad)
+        energy._load_ij0(bad)
     with pytest.raises(ConstructionError, match="cannot read"):
-        load(tmp_path / "gone.npy")
-    assert load(energy._SHIPPED_PATH).shape == (2, 100_001)
+        energy._load_ij0(tmp_path / "gone.npy")
+    assert energy._load_ij0(energy._SHIPPED_PATH).shape == (2, 100_001)
 
 
 def test_struve_route_matches_highprec_outside_blip():
     for x in (0.5, 5.0, 18.0, 40.0, 150.0):
-        assert abs(float(integral_j0(x)) - oracles.ij0_highprec(x)) <= 5e-13
+        assert abs(float(oracles.integral_j0(x)) - oracles.ij0_highprec(x)) <= 5e-13
 
 
 def test_window_value_half_at_zero(ef075):
@@ -313,10 +293,11 @@ def test_build_rejects_bad_alpha():
         build_energy_function(0.0)
 
 
-def test_build_fails_on_unreachable_tolerance():
-    quad = QuadratureConfig(abs_tol=1e-18, t_cap=50.0)
-    with pytest.raises(ConstructionError):
-        build_energy_function(0.75, quad)
+def test_build_fails_on_unreachable_tolerance(monkeypatch):
+    # the doubled-density self-check sits near 2e-15, so 1e-18 cannot hold
+    monkeypatch.setattr(energy, "ABS_TOL", 1e-18)
+    with pytest.raises(ConstructionError, match="did not converge"):
+        build_energy_function(0.75)
 
 
 def test_synthetic_pair_deterministic_and_certified():
@@ -329,7 +310,7 @@ def test_synthetic_pair_deterministic_and_certified():
 
 
 def test_synthetic_pair_rejects_small_freq_cut():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError, match="tail mass"):
         make_synthetic_pair(0.05, freq_cut=12, seed=0)
 
 
@@ -342,7 +323,9 @@ def test_synthetic_pair_refuses_freq_cut_below_its_tail_check(freq_cut):
 
 
 def test_synthetic_pair_smallest_freq_cut_reaches_the_tail_check():
-    with pytest.raises(ConstructionError, match="freq_cut=11 too small"):
+    # the fault lies in the input, so the error is a ValueError, as below 11
+    with pytest.raises(ValueError, match="freq_cut=11 too small for delta=0.5: "
+                                         r"Fourier tail mass 2\.258e-01 exceeds 1e-04"):
         make_synthetic_pair(0.5, freq_cut=11, seed=0)
 
 
