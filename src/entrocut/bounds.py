@@ -139,6 +139,25 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
     )
 
 
+def _series_stop(small: np.ndarray, consec: int, finite_support: bool
+                 ) -> tuple[int | None, int]:
+    """Where the stop rule fires in one block of the series, and the run of
+    small terms the block hands on.
+
+    `small` flags the block's terms; `consec` is the run of small terms
+    carried in from the blocks before, which a run starting at the block's
+    first term continues.  The run ending at each term starts after the last
+    term that is not small, found by `maximum.accumulate` over their
+    indices.  The rule fires at the first term that ends a run of
+    _CONSECUTIVE, never for a finitely supported spectrum.
+    """
+    idx = np.arange(len(small))
+    runs = idx - np.maximum.accumulate(np.where(small, -1 - consec, idx))
+    done = runs >= _CONSECUTIVE
+    stop = int(np.argmax(done)) if done.any() and not finite_support else None
+    return stop, int(runs[-1])
+
+
 def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
                                delta: float, tail: TailConfig | None = None) -> BoundReport:
     """C_delta = sum_N 2 d_N |f(delta N)|, S_delta = sum_{N>0} 4 d_N eta(|f(delta N)|/2),
@@ -188,12 +207,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         run_s = np.logaddexp.accumulate(np.concatenate(([log_s], lt_s)))[1:]
         thresh = math.log(_REL_EPS) + run_c
         small = (lt_c < thresh) & ((lt_s < thresh) | np.isneginf(lt_s))
-        stop_i = None
-        for i in range(len(small)):
-            consec = consec + 1 if small[i] else 0
-            if consec >= _CONSECUTIVE and not finite_support:
-                stop_i = i
-                break
+        stop_i, consec = _series_stop(small, consec, finite_support)
         if stop_i is not None:
             n_stop = n + stop_i
             log_c = float(run_c[stop_i])

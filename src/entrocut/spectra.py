@@ -48,6 +48,7 @@ requested range.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -265,10 +266,13 @@ def parse_spectrum_file(path: str) -> list[int]:
     """Parse "N d_N" lines into a dense multiplicity list.
 
     Rules: UTF-8 text, '#' starts a comment, blank lines ignored, N strictly
-    increasing, missing N filled with d_N = 0, dims[0] must be 1.  Any
-    violation raises SpectrumFileError naming the line.
+    increasing, missing N filled with d_N = 0, dims[0] must be 1, and the
+    sum of the d_N must convert to a float (the bounds sum d_N |f(delta N)|
+    and d_N in floats).  Any violation raises SpectrumFileError naming the
+    line.
     """
     entries: list[tuple[int, int]] = []
+    total = 0
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -287,6 +291,13 @@ def parse_spectrum_file(path: str) -> list[int]:
                 raise SpectrumFileError(f"non-integer field in {raw.strip()!r}", line_no) from None
             if n < 0 or d < 0:
                 raise SpectrumFileError("N and d_N must be nonnegative", line_no)
+            total += d
+            try:
+                float(total)
+            except OverflowError:
+                raise SpectrumFileError(
+                    f"d_N ({len(str(d))} digits) brings the sum of d_N past the float "
+                    f"limit {sys.float_info.max:.6e}", line_no) from None
             if entries and n <= entries[-1][0]:
                 raise SpectrumFileError(
                     f"N must be strictly increasing (got {n} after {entries[-1][0]})", line_no

@@ -48,6 +48,51 @@ def test_distance_bound_custom_matches_scalar_loop(ef075):
     assert rep.n_max_used == model.n_max
 
 
+def _loop_stop(small, consec, finite_support):
+    """The stop rule term by term, as the series once ran it."""
+    for i, flag in enumerate(small):
+        consec = consec + 1 if flag else 0
+        if consec >= bounds._CONSECUTIVE and not finite_support:
+            return i, consec
+    return None, consec
+
+
+@pytest.mark.parametrize("finite_support", [False, True])
+def test_series_stop_matches_the_loop(finite_support):
+    rng = np.random.default_rng(12)
+    crossed = 0                      # stops whose run began in an earlier block
+    for _ in range(300):
+        # runs of small terms of every length around the rule's 10, cut into
+        # blocks at random places so that runs cross block boundaries
+        p_small = rng.choice([0.5, 0.8, 0.9, 0.95])
+        small = rng.random(int(rng.integers(1, 400))) < p_small
+        cuts = np.sort(rng.choice(np.arange(1, len(small) + 1), size=min(4, len(small)),
+                                  replace=False))
+        consec = 0
+        start = 0
+        for end in cuts:
+            block = small[start:end]
+            stop, carried = bounds._series_stop(block, consec, finite_support)
+            assert stop == _loop_stop(block, consec, finite_support)[0]
+            if stop is not None:
+                crossed += stop < bounds._CONSECUTIVE - 1
+                break
+            assert carried == _loop_stop(block, consec, finite_support)[1]
+            consec, start = carried, end
+    assert crossed > 0 or finite_support
+
+
+def test_finite_support_sums_past_long_runs_of_zeros(ef075):
+    # 600 zero levels: the stop rule would fire on the 10th, across the
+    # first block of 512, but a finitely supported spectrum is summed in full
+    model = _custom([1] + [0] * 600 + [3])
+    rep = distance_regularized_bound(model, ef075, 0.3)
+    up = window(ef075, [0.0, 0.3 * 601])[1]
+    assert rep.n_max_used == 601
+    assert rep.C_delta == pytest.approx(2.0 * up[0] + 6.0 * up[1], rel=1e-12)
+    assert rep.S_delta == pytest.approx(12.0 * eta(up[1] / 2.0), rel=1e-12)
+
+
 def test_distance_bound_builtin_terminates(u1_3000, u1_fit, ef075):
     rep = distance_regularized_bound(u1_3000, ef075, 1.0, TailConfig(fit=u1_fit))
     assert rep.n_max_used == 3202

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -130,6 +131,28 @@ def test_cli_model_custom_round_trip(capsys, tmp_path):
         code, out, _ = _run(capsys, ["model", "--kind", "custom", "--file", str(src), *extra])
         assert code == 0
         assert out == "N,d_N\n0,1\n1,2\n"
+
+
+def test_cli_refuses_a_custom_d_n_beyond_the_float_range(capsys, tmp_path):
+    # the bounds sum d_N |f(delta N)| in floats; 10^400 once ended in an
+    # OverflowError traceback inside cutoff_bound
+    src = tmp_path / "huge.txt"
+    src.write_text(f"0 1\n# a comment line\n1 {10 ** 400}\n")
+    code, out, err = _run(capsys, ["bounds", "--model", "custom", "--file", str(src),
+                                   "--E", "1,2"])
+    assert code == 2 and out == ""
+    assert err == ("entrocut: line 3: d_N (401 digits) brings the sum of d_N past the "
+                   "float limit 1.797693e+308\n")
+    # d_N that each convert but whose sum does not once failed in the caps C_E, S_E
+    src.write_text("0 1\n" + "".join(f"{n} {8 * 10 ** 307}\n" for n in (1, 2, 3)))
+    code, out, err = _run(capsys, ["bounds", "--model", "custom", "--file", str(src),
+                                   "--E", "3", "--delta", "50"])
+    assert code == 2 and out == ""
+    assert err.startswith("entrocut: line 4: d_N (308 digits) brings the sum of d_N past")
+    # the largest sum that converts to a float is still read
+    top = int(sys.float_info.max)
+    src.write_text(f"0 1\n1 {top - 1}\n")
+    assert spectra.parse_spectrum_file(str(src))[1] == top - 1
 
 
 def test_cli_bounds_rows_and_chain(capsys):

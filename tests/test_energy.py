@@ -69,6 +69,62 @@ def test_window_matches_full_width_scipy_route(window_by_alpha, alpha, t_max):
     assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs)) == _bits(want)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
+def test_interpolant_matches_the_quadrature(window_by_alpha, alpha):
+    ef = window_by_alpha[alpha]
+    ts = np.linspace(0.0, energy.T0, 20_001)
+    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs))
+    assert float(np.max(err)) <= 1e-14
+
+
+def test_interpolant_half_at_zero_and_even_at_panel_edges(window_by_alpha):
+    edges = energy.T0 / energy._PANEL_COUNT * np.arange(energy._PANEL_COUNT + 1)
+    for ef in window_by_alpha.values():
+        assert eval_f(ef, 0.0) == 0.5 and eval_f(ef, -0.0) == 0.5
+        assert _bits(eval_f_many(ef, edges)) == _bits(eval_f_many(ef, -edges))
+        assert window(ef, edges)[0].tobytes() == window(ef, -edges)[0].tobytes()
+
+
+def test_value_bits_do_not_depend_on_the_batch(ef075):
+    width = energy.T0 / energy._PANEL_COUNT
+    for t in (0.3, 37.3, 2.0 * width, 199.99, energy.T0):
+        alone = eval_f_many(ef075, [t])
+        batch = np.linspace(0.0, energy.T0, 401)
+        batch[123] = t
+        across = t + width * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+        across = across[(across >= 0.0) & (across <= energy.T0)]
+        assert t in across
+        assert _bits(eval_f_many(ef075, batch)[123:124]) == _bits(alone)
+        assert _bits(eval_f_many(ef075, across)[across == t]) == _bits(alone)
+        assert _bits(window(ef075, [t, 250.0])[0][:1]) == _bits(alone)
+
+
+def test_build_computes_283_quadrature_rows(monkeypatch):
+    # 201 Chebyshev points and the self-check's 2 x 41 probes; the interpolant
+    # serves the envelope fit and every reader
+    rows = []
+    real = energy._f_on_rule
+
+    def counted(ts, nodes, coeffs):
+        rows.append(len(ts))
+        return real(ts, nodes, coeffs)
+
+    monkeypatch.setattr(energy, "_f_on_rule", counted)
+    ef = build_energy_function(0.75)
+    eval_f_many(ef, np.linspace(0.0, energy.T0, 1001))
+    f_delta_batch(ef, 0.37, 0, 600)
+    assert sorted(rows) == [41, 41, 201]
+
+
+def test_memo_holds_the_latest_delta_only(ef075):
+    ef = _fresh(ef075)
+    deltas = 0.1 + 1.9 * np.random.default_rng(4).random(1000)
+    for delta in deltas:
+        f_delta_batch(ef, float(delta), 0, 30)
+    assert list(ef.cache) == [float(deltas[-1])]
+    assert len(ef.cache[float(deltas[-1])]) == 31
+
+
 _SCIPY_PROBE = """
 import contextlib, io, sys
 import entrocut.cli
@@ -204,10 +260,8 @@ def test_grid_values_match_pointwise_bit_for_bit(ef075, n_points):
 
 
 def test_long_grid_matches_pointwise_bit_for_bit(ef075):
-    # longer than one evaluation block, so the comparison crosses block boundaries
-    rows = energy._BLOCK_ELEMS // len(ef075.nodes)
+    # 25 points per panel of the interpolant, so the comparison crosses every panel edge
     ts = np.linspace(0.0, 200.0, 2500)
-    assert 1 <= rows < len(ts)
     grid = eval_f_many(ef075, ts)
     assert [float(v) for v in grid] == [eval_f(ef075, t) for t in ts]
 
