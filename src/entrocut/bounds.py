@@ -19,7 +19,7 @@ import numpy as np
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import DivergenceError
-from .spectra import GrowthFit, SpectrumModel, exponential_cap
+from .spectra import GrowthFit, SpectrumModel, exponential_cap, log_trace_coefficient
 
 _INV_E = 1.0 / math.e
 _LOG_TINY = math.log(1e-300)
@@ -294,8 +294,10 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
     dims = np.array(dims_int, dtype=float)
     vals, _, flags = f_delta_batch(ef, delta, 0, energy_cut)
     absf = np.abs(vals)
-    c = float(np.sum(2.0 * dims * absf))
-    s = float(np.sum(4.0 * dims[1:] * _eta_upper(absf[1:] / 2.0))) if energy_cut > 0 else 0.0
+    # d_N near the float limit overflows 2 d_N to inf, which validate() reports
+    with np.errstate(over="ignore"):
+        c = float(np.sum(2.0 * dims * absf))
+        s = float(np.sum(4.0 * dims[1:] * _eta_upper(absf[1:] / 2.0))) if energy_cut > 0 else 0.0
     c_e, s_e = _cutoff_caps(ef, dims_int)
     he = c_e * math.log(c_e) + s_e
     report = BoundReport(
@@ -333,50 +335,42 @@ def _a_exp(a: float, exponent: float, what: str) -> float:
     return a * math.exp(exponent)
 
 
-def trace_partition(model: SpectrumModel, beta: float, n_trunc: int,
-                    fit: GrowthFit | None = None) -> tuple[float, float]:
-    """(partial sum of d_N e^{-beta N} to n_trunc, certified tail bound).
+def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[float, float]:
+    """(partial sum of d_N e^{-beta N}, certified bound on the rest).
 
-    The tail uses d_N <= C e^{N^kappa} and closes the sum with a geometric
-    majorant once the terms are provably decreasing; if they are not
-    decreasing anywhere in the scanned range the series is reported as
-    divergent for this beta.
+    A custom spectrum is finite and is summed whole, to its last level
+    whatever n_trunc is, with a tail of 0.0.  A built-in u1^m or virasoro^m
+    is summed to n_trunc, and the rest is bounded by Chernoff on the
+    partition lemma log Tr e^{-beta L0} <= b/beta, b = m pi^2/6
+    (`spectra.log_trace_coefficient`): with n1 = n_trunc + 1 and
+    0 < theta <= 1, e^{-beta N} <= e^{-(1-theta) beta n1} e^{-theta beta N}
+    for N >= n1, so
+
+        sum_{N >= n1} d_N e^{-beta N} <= exp(-(1-theta) beta n1 + b/(theta beta)),
+
+    least at theta = min(1, sqrt(b/n1)/beta).  Raises DivergenceError naming
+    beta when that bound leaves the float range.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if n_trunc < 0:
         raise ValueError("n_trunc must be >= 0")
+    finite_support = model.kind == "custom"
+    if finite_support:
+        n_trunc = model.n_max
     value = 0.0
     for nn, ld in enumerate(model.log_dims(0, n_trunc)):
         if ld == -np.inf:
             continue
         value += math.exp(ld - beta * nn)
 
-    if model.kind == "custom":
+    if finite_support:
         return value, 0.0
-    if fit is None:
-        raise ValueError("a GrowthFit is required to bound the tail of an unbounded spectrum")
-    kappa, log_c_fit = fit.kappa, fit.log_C
-    # terms C e^{N^kappa - beta N} decrease once kappa N^{kappa-1} < beta
-    n_turn = _pow_or_inf(kappa / beta, 1.0 / (1.0 - kappa))
-    if n_turn > TailConfig.n_cap:
-        raise DivergenceError(
-            f"trace tail for beta = {beta:g} does not start decreasing before "
-            f"N = {TailConfig.n_cap} under the kappa = {kappa:g} growth fit"
-        )
-    n0 = max(n_trunc + 1, int(math.ceil(n_turn)) + 1)
-    bridge = 0.0
-    if n0 > n_trunc + 1:
-        ns = np.arange(n_trunc + 1, n0, dtype=float)
-        bridge = float(np.sum(np.exp(log_c_fit + ns ** kappa - beta * ns)))
-    h0 = log_c_fit + float(n0) ** kappa - beta * n0
-    ratio = math.exp(kappa * float(n0) ** (kappa - 1.0) - beta)
-    if ratio >= 1.0:
-        raise DivergenceError(
-            f"trace tail ratio did not fall below 1 at N = {n0} for beta = {beta:g}"
-        )
-    tail_bound = bridge + math.exp(h0) / (1.0 - ratio)
-    return value, tail_bound
+    b = log_trace_coefficient(model)
+    n1 = n_trunc + 1
+    theta = min(1.0, math.sqrt(b / n1) / beta)
+    exponent = -(1.0 - theta) * beta * n1 + b / (theta * beta)
+    return value, _a_exp(1.0, exponent, f"trace tail at beta = {beta:g}")
 
 
 @dataclass(frozen=True)
@@ -495,14 +489,17 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
                        n_trunc: int | None = None) -> TraceVerification:
     """Check trace <= a exp(b beta^{-c}) on the grid; a failed row does not raise.
 
-    Raises DivergenceError when the bound at some beta exceeds the float range.
+    The fit gives only the constants a, b and c; the trace itself is
+    `trace_partition` to n_trunc (the end of the fit's scan by default),
+    closed by the partition-lemma tail.  Raises DivergenceError when the
+    bound or the tail at some beta exceeds the float range.
     """
     constants = trace_bound_constants(fit.kappa, fit.C)
     if n_trunc is None:
         n_trunc = fit.certified_range[1]
     rows = []
     for beta in beta_grid:
-        value, tail_bound = trace_partition(model, beta, n_trunc, fit=fit)
+        value, tail_bound = trace_partition(model, beta, n_trunc)
         bound = constants.bound(beta)
         total = value + tail_bound
         rows.append(TraceCheckRow(
@@ -517,16 +514,16 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
 
 
 def nu_p_damping_bound(model: SpectrumModel, p: float, beta: float,
-                       fit: GrowthFit | None = None,
                        n_trunc: int | None = None) -> float:
     """Certified upper value of Tr(e^{-p beta L0}), the computable p-sum cap
-    for the damping map: partial sum plus tail bound at inverse temperature
-    p * beta."""
+    for the damping map: `trace_partition` at inverse temperature p * beta,
+    summed to n_trunc (the model's n_max by default) and closed by the
+    partition-lemma tail."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if n_trunc is None:
-        n_trunc = fit.certified_range[1] if fit is not None else model.n_max
-    value, tail_bound = trace_partition(model, p * beta, n_trunc, fit=fit)
+        n_trunc = model.n_max
+    value, tail_bound = trace_partition(model, p * beta, n_trunc)
     return value + tail_bound
 
 

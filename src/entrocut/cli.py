@@ -25,6 +25,7 @@ import numpy as np
 from .bounds import cutoff_bound, quasinorm_property_check, verify_trace_bound
 from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
 from .energy import (
+    T0,
     EnergyFunction,
     build_energy_function,
     make_synthetic_pair,
@@ -111,11 +112,10 @@ def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float,
                 energy_cut: int) -> OracleComparison | None:
     """The oracle at (delta, E), or None when delta*E leaves the quadrature
     range.  It reads only the level dimensions, so it needs no oracle limit."""
-    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
-    try:
-        return oracle_vs_bounds(space, ef, delta)
-    except ValueError:
+    if delta * energy_cut > T0:
         return None
+    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
+    return oracle_vs_bounds(space, ef, delta)
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:

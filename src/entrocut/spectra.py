@@ -42,7 +42,9 @@ other.  A read past a model's n_max goes through that lock; entries are only
 ever appended, so a read up to n_max needs none.
 
 Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
-requested range.
+requested range, the whole file for a custom model.  The trace of a
+built-in is bounded in closed form instead, by the partition lemma
+(`log_trace_coefficient`).
 """
 
 from __future__ import annotations
@@ -328,21 +330,16 @@ class GrowthFit:
     model_label: str = ""
 
 
-def _scan_top(model: SpectrumModel, n_max: int | None) -> int:
-    """n_max (the model's own by default), clipped to the file for a custom model."""
-    if n_max is None or (model.kind == "custom" and n_max > model.n_max):
-        return model.n_max
-    return n_max
-
-
 def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None = None) -> GrowthFit:
     """Smallest C with dims[N] <= C e^{N^kappa} for all N in 0..n_max.
 
-    n_max defaults to the model's own; a custom model's scan ends with its file.
+    n_max sets the scan of a built-in and defaults to the model's own.  A
+    custom model is finite, so its whole file is scanned whatever n_max is,
+    and C covers every level.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    hi = _scan_top(model, n_max)
+    hi = model.n_max if n_max is None or model.kind == "custom" else n_max
     best = -math.inf
     for n, ld in enumerate(model.log_dims(0, hi)):
         if ld != -math.inf:
@@ -358,12 +355,31 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
 
 def exponential_cap(model: SpectrumModel, n_max: int | None = None) -> float:
     """Smallest c with dims[N] <= c * e^N on the scanned range (kappa = 1 edge)."""
-    hi = _scan_top(model, n_max)
+    hi = model.n_max if n_max is None else n_max
+    if model.kind == "custom":          # its scan ends with its file
+        hi = min(hi, model.n_max)
     best = -math.inf
     for n, ld in enumerate(model.log_dims(0, hi)):
         if ld != -math.inf:
             best = max(best, ld - float(n))
     return math.exp(best)
+
+
+def log_trace_coefficient(model: SpectrumModel) -> float:
+    """b = m pi^2/6, so that log Tr e^{-beta L0} <= b/beta for every beta > 0,
+    for a built-in u1^m or virasoro^m (the partition lemma).
+
+    Proof, with q = e^{-beta}: Tr e^{-beta L0} for u1 is prod_{n>=1} (1-q^n)^{-1},
+    and -log(1-x) = sum_k x^k/k gives log prod_n (1-q^n)^{-1} = sum_k q^k/(k(1-q^k))
+    = sum_k 1/(k(e^{beta k}-1)) <= sum_k 1/(beta k^2) = pi^2/(6 beta), by e^x - 1 >= x.
+    The m-th power multiplies the log by m.  A virasoro level is a partition
+    with no part 1, so d_N^vir <= p(N) termwise, and its powers' d_N are at
+    most u1^m's.  A custom spectrum has no such bound: it is finite and is
+    read whole.
+    """
+    if model.kind == "custom":
+        raise ValueError("the partition lemma bounds built-in spectra only")
+    return model.power * math.pi ** 2 / 6.0
 
 
 def log_dim(model: SpectrumModel, n: int) -> float:

@@ -313,6 +313,40 @@ def trace_direct(dims: list[int], beta: float) -> float:
     return math.fsum(d * math.exp(-beta * n) for n, d in enumerate(dims))
 
 
+def log_trace_exact(beta: float, kind: str = "u1", power: int = 1) -> float:
+    """log Tr e^{-beta L0} for u1^power or virasoro^power, from the Dedekind
+    eta transformation instead of any sum over levels.
+
+    With P(q) = prod_{n>=1} (1 - q^n)^{-1}, the generating function of p(N),
+    P(e^{-beta}) = sqrt(beta/(2 pi)) exp(pi^2/(6 beta) - beta/24) P(e^{-4 pi^2/beta}),
+    and the last factor is a product at q' = e^{-4 pi^2/beta}, taken at 40
+    digits to the first factor below 1e-45.  Virasoro's generating function
+    is P(q) (1 - q); a tensor power raises it to that power.
+    """
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        q_dual = mp.exp(-4 * mp.pi ** 2 / b)
+        log_p = mp.log(b / (2 * mp.pi)) / 2 + mp.pi ** 2 / (6 * b) - b / 24
+        n = 1
+        while q_dual ** n > mp.mpf("1e-45"):
+            log_p -= mp.log1p(-q_dual ** n)
+            n += 1
+        if kind == "virasoro":
+            log_p += mp.log1p(-mp.exp(-b))
+        return float(power * log_p)
+
+
+def boundary_gap(pair, points: int = 501) -> float:
+    """max |A(t) - B(t)| of a synthetic pair on `points` points of [-delta, delta],
+    with A(t) = sum a_N e^{iNt} and B(t) = sum b_N e^{-iNt}: how far the two
+    boundary values are from agreeing where they should."""
+    grid = np.linspace(-pair.delta, pair.delta, points)
+    n = np.arange(pair.freq_cut + 1)
+    a_side = np.exp(1j * np.outer(grid, n)) @ pair.a
+    b_side = np.exp(-1j * np.outer(grid, n)) @ pair.b
+    return float(np.max(np.abs(a_side - b_side)))
+
+
 def schatten_sum_direct(matrix: np.ndarray, p: float, cut: float = 1e-12) -> float:
     """sum sigma^p through numpy's SVD with a plain relative cutoff."""
     sigma = np.linalg.svd(np.asarray(matrix), compute_uv=False)

@@ -211,17 +211,58 @@ def test_trace_partition_matches_direct_sum(u1_small):
 
 
 def test_trace_partition_tail_covers_remainder(u1_3000, u1_fit):
-    v1, t1 = trace_partition(u1_3000, 1.0, 1500, fit=u1_fit)
-    v2, _ = trace_partition(u1_3000, 1.0, 3000, fit=u1_fit)
+    v1, t1 = trace_partition(u1_3000, 1.0, 1500)
+    v2, _ = trace_partition(u1_3000, 1.0, 3000)
     assert v2 <= v1 + t1
     assert t1 >= 0.0
 
 
 def test_trace_partition_diverges_at_tiny_beta(u1_3000, u1_fit):
-    with pytest.raises(DivergenceError):
-        trace_partition(u1_3000, 1e-4, 3000, fit=u1_fit)
-    with pytest.raises(DivergenceError):
-        trace_partition(u1_3000, 1e-300, 3000, fit=u1_fit)   # turning point beyond any float
+    # the lemma's tail bound is e^{pi^2/(6 beta)}: e^16449 and e^1.6e300
+    with pytest.raises(DivergenceError, match=r"trace tail at beta = 0\.0001 is e\^16449"):
+        trace_partition(u1_3000, 1e-4, 3000)
+    with pytest.raises(DivergenceError, match=r"trace tail at beta = 1e-300 is e\^1\.6449"):
+        trace_partition(u1_3000, 1e-300, 3000)
+
+
+_EXACT_BETAS = (0.01, 0.03, 0.05, 0.1, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("u1", 2), ("virasoro", 1), ("virasoro", 2)])
+def test_trace_partition_covers_the_exact_trace(kind, power):
+    # a kappa = 0.45 growth fit once closed the tail of u1 at beta = 0.01 at
+    # 1.38e46, against an exact trace of e^161.27; the lemma's tail is a bound
+    model = model_dims(kind, 12, power=power)
+    for beta in _EXACT_BETAS:
+        value, tail = trace_partition(model, beta, 3000)
+        log_exact = oracles.log_trace_exact(beta, kind, power)
+        assert value + tail >= math.exp(log_exact) * (1.0 - 1e-13), beta
+        if beta >= 0.05:
+            # past the bulk of the sum the tail is sharp
+            assert math.log(value + tail) - log_exact <= 5e-3, beta
+
+
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("u1", 3), ("virasoro", 1), ("virasoro", 2)])
+def test_partition_lemma_bounds_the_exact_trace(kind, power):
+    b = spectra.log_trace_coefficient(model_dims(kind, 12, power=power))
+    assert b == power * math.pi ** 2 / 6.0
+    for beta in (*_EXACT_BETAS, 1e-3, 10.0):
+        assert b / beta >= oracles.log_trace_exact(beta, kind, power), beta
+    with pytest.raises(ValueError, match="built-in spectra only"):
+        spectra.log_trace_coefficient(_custom([1, 2]))
+
+
+def test_custom_spectrum_is_read_whole():
+    # one level past the fit's scan: it once left both the sum and C
+    dims = [1, 1] + [0] * 4998 + [10 ** 300]
+    model = _custom(dims)
+    value, tail = trace_partition(model, 0.1, 3000)
+    assert tail == 0.0
+    # e^{log d_N - beta N} at log d_N = 690.8 carries about 1e-13 of rounding
+    assert value == pytest.approx(oracles.trace_direct(dims, 0.1), rel=1e-12)
+    fit = fit_growth_constants(model, 0.5, n_max=3000)
+    assert fit.certified_range == (0, 5000)
+    assert fit.log_C == pytest.approx(math.log(10 ** 300) - math.sqrt(5000.0), rel=1e-15)
 
 
 def test_trace_constants_half_kappa_closed_form():
@@ -313,10 +354,10 @@ def test_trace_chain_virasoro():
 
 
 def test_nu_p_substitution_identity(u1_3000, u1_fit):
-    a = nu_p_damping_bound(u1_3000, 0.5, 2.0, fit=u1_fit)
-    b = nu_p_damping_bound(u1_3000, 1.0, 1.0, fit=u1_fit)
+    a = nu_p_damping_bound(u1_3000, 0.5, 2.0)
+    b = nu_p_damping_bound(u1_3000, 1.0, 1.0)
     assert a == b
-    v, t = trace_partition(u1_3000, 1.0, u1_fit.certified_range[1], fit=u1_fit)
+    v, t = trace_partition(u1_3000, 1.0, u1_fit.certified_range[1])
     assert a == v + t
 
 
@@ -324,13 +365,13 @@ def test_nu_p_cap_dominates(u1_3000, u1_fit):
     tc = trace_bound_constants(u1_fit.kappa, u1_fit.C)
     for p in (0.3, 0.5, 1.0):
         for beta in (0.5, 1.0, 2.0):
-            val = nu_p_damping_bound(u1_3000, p, beta, fit=u1_fit)
+            val = nu_p_damping_bound(u1_3000, p, beta)
             cap = nu_p_damping_cap(tc, p, beta)
             assert val <= cap
             assert cap == pytest.approx(
                 tc.a * math.exp((tc.b / p ** tc.c) * beta ** (-tc.c)), rel=1e-12)
     with pytest.raises(ValueError):
-        nu_p_damping_bound(u1_3000, 1.5, 1.0, fit=u1_fit)
+        nu_p_damping_bound(u1_3000, 1.5, 1.0)
 
 
 def test_schatten_p_diagonal_and_unitary_invariance():
@@ -397,7 +438,7 @@ def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
     def run():
         reps = [distance_regularized_bound(model_dims(kind, 12), ef075, delta, TailConfig(fit=fit))
                 for delta in (0.5, 0.8, 1.3, 2.0)]
-        traces = [trace_partition(model_dims(kind, 12), beta, 3000, fit=fit)
+        traces = [trace_partition(model_dims(kind, 12), beta, 3000)
                   for beta in (0.5, 1.0, 2.0)]
         return reps, traces
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import pytest
 
 import entrocut.cli as cli
+import oracles
 from entrocut import ConfigError, RunConfig, eval_f, load_config, parse_config_file, spectra
 from entrocut.entropy import eta
 from entrocut.bounds import QuasinormReport
@@ -344,6 +346,72 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("entrocut: divergence:") and "beta = 0.05" in err
+
+
+def test_cli_trace_covers_the_exact_trace(capsys):
+    # the kappa = 0.45 fit's tail once printed 4.4814e22, under the exact 4.4853e22
+    code, out, err = _run(capsys, ["trace", "--kappa", "0.45", "--beta", "0.03"])
+    assert code == 0 and err == ""
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[4]) >= math.exp(oracles.log_trace_exact(0.03)) * (1.0 - 1e-13)
+    assert row[7] == "1"
+
+
+def test_cli_trace_reads_a_custom_file_whole(capsys, tmp_path):
+    # a fit scan to fit_n_max = 3000 once left out the level 5000, and its
+    # 10^300 e^{-500} = 7.1e82, from both the trace (1.905) and C (1.0)
+    src = tmp_path / "long.txt"
+    src.write_text(f"0 1\n1 1\n5000 {10 ** 300}\n")
+    argv = ["trace", "--model", "custom", "--file", str(src), "--kappa", "0.5"]
+    code, out, err = _run(capsys, [*argv, "--beta", "0.1"])
+    assert code == 3 and out == ""
+    assert err == ("entrocut: divergence: trace bound at beta = 0.1 is e^721.047, "
+                   "beyond the float range\n")
+    code, out, err = _run(capsys, [*argv, "--beta", "0.5"])
+    assert code == 0 and err == ""
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[2]) >= 10.0 ** 300 / math.exp(math.sqrt(5000.0)) * (1.0 - 1e-13)
+    assert row[7] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy-function", "--alpha", "0.98", "--points", "3"],
+    ["bounds", "--alpha", "0.99", "--E", "2"],
+    ["verify", "--alpha", "0.999", "--only", "product"],
+])
+def test_cli_steep_window_prints_no_numpy_warning(capsys, argv):
+    # ghat's q^{-rho} overflows near the ends of (0, 1), where exp(-inf) = 0.0
+    # is the coefficient meant; numpy once warned about it on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert code == 0 and out and err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+def test_cli_bounds_overflowing_terms_exit_three_without_warnings(capsys, tmp_path):
+    # d_1 = 10^308 converts to a float, but 2 d_1 |f| does not
+    src = tmp_path / "huge.txt"
+    src.write_text(f"0 1\n1 {10 ** 308}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["bounds", "--model", "custom", "--file", str(src),
+                                       "--E", "1"])
+    assert code == 3 and out == ""
+    assert err == "entrocut: divergence: c_deltaE is not finite in report for custom\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_cli_oracle_error_in_range_exits_two(capsys, monkeypatch):
+    # only delta * E beyond T0 leaves the oracle columns blank; any other
+    # error once blanked them too, with exit 0
+    def boom(space, ef, delta):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "oracle_vs_bounds", boom)
+    code, out, err = _run(capsys, ["bounds", "--delta", "0.5", "--E", "2"])
+    assert code == 2 and out == ""
+    assert err == "entrocut: boom\n"
 
 
 def test_cli_rejects_unknown_flag_value(capsys):

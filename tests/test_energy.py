@@ -359,7 +359,7 @@ def test_synthetic_pair_deterministic_and_certified():
     p2 = make_synthetic_pair(0.3, seed=5)
     assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b)
     # the boundary gap tracks the discarded Fourier mass at freq_cut
-    assert p1.gap_certificate <= 1e-5
+    assert oracles.boundary_gap(p1) <= 1e-5
     assert p1.tail_mass <= 1e-4
 
 
