@@ -22,7 +22,6 @@ from .errors import DivergenceError
 from .spectra import GrowthFit, SpectrumModel, exponential_cap, log_trace_coefficient
 
 _INV_E = 1.0 / math.e
-_LOG_TINY = math.log(1e-300)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # series truncation: streaming stops after _CONSECUTIVE successive terms fall

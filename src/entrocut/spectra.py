@@ -227,7 +227,8 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
     Parameters
     ----------
     kind : "u1", "virasoro", or "custom"
-    n_max : largest eigenvalue to tabulate (custom files may end earlier)
+    n_max : largest eigenvalue to tabulate (a custom file may end earlier,
+        its power-th tensor power at power times the file's last N)
     power : tensor power >= 1 (independent copies; multiplicities convolve)
     path : required for kind="custom"
     """
@@ -244,11 +245,17 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
         raise ValueError(f"unknown model kind {kind!r}")
     if path is None:
         raise ValueError("custom models need a file path")
-    dims = parse_spectrum_file(path)
-    if n_max < len(dims) - 1:
-        dims = dims[: n_max + 1]
+    dims = parse_spectrum_file(path)[: n_max + 1]
     if power > 1:
-        dims = _convolve_power(dims, power)
+        # the power's support runs to power * N_last: pad so no level is cut
+        top = min(n_max, power * (len(dims) - 1))
+        dims = _convolve_power(dims + [0] * (top + 1 - len(dims)), power)
+        try:
+            float(sum(dims))
+        except OverflowError:
+            raise SpectrumFileError(
+                f"{path}: the sum of d_N of tensor power {power} passes the float limit "
+                f"{sys.float_info.max:.6e}") from None
     return SpectrumModel(kind=kind, dims=dims, power=power, source=path)
 
 

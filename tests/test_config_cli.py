@@ -1,8 +1,13 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entrocut.cli as cli
@@ -157,6 +162,35 @@ def test_cli_refuses_a_custom_d_n_beyond_the_float_range(capsys, tmp_path):
     assert spectra.parse_spectrum_file(str(src))[1] == top - 1
 
 
+def test_cli_custom_tensor_power_keeps_every_level(capsys, tmp_path):
+    # (1 + 2q + 4q^3)^2 = 1 + 4q + 4q^2 + 8q^3 + 16q^4 + 16q^6; the square once
+    # stopped at the file's last level N = 3, and its trace read 6.683
+    src = tmp_path / "spec.txt"
+    src.write_text("0 1\n1 2\n3 4\n")
+    code, out, _ = _run(capsys, ["model", "--kind", "custom", "--file", str(src), "--power", "2"])
+    assert code == 0
+    assert out.split("\n")[1:-1] == [f"{n},{d}" for n, d in enumerate([1, 4, 4, 8, 16, 0, 16])]
+    code, out, err = _run(capsys, ["trace", "--model", "custom", "--file", str(src),
+                                   "--power", "2", "--beta", "0.5"])
+    assert code == 0 and err == ""
+    square = oracles.convolve_exact([1, 2, 0, 4], [1, 2, 0, 4], 6)
+    exact = math.fsum(d * math.exp(-0.5 * n) for n, d in enumerate(square))
+    assert float(out.split("\n")[1].split(",")[4]) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("command", ["bounds", "trace"])
+def test_cli_refuses_a_custom_power_beyond_the_float_range(capsys, tmp_path, command):
+    # the file's own sum converts to a float but its square's does not; bounds
+    # once died in cutoff_bound and trace in fit_growth_constants with a traceback
+    src = tmp_path / "big.txt"
+    src.write_text(f"0 1\n1 {10 ** 160}\n2 0\n")
+    code, out, err = _run(capsys, [command, "--model", "custom", "--file", str(src),
+                                   "--power", "2"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == (f"entrocut: {src}: the sum of d_N of tensor power 2 passes the float "
+                   "limit 1.797693e+308\n")
+
+
 def test_cli_bounds_rows_and_chain(capsys):
     code, out, _ = _run(capsys, ["bounds", "--delta", "0.5,1.0", "--E", "0,2"])
     assert code == 0
@@ -221,6 +255,20 @@ def test_cli_verify_multi_seed_blocks(capsys):
     assert code == 0
     lines = out.strip().split("\n")[1:]
     assert [l.split(",")[1] for l in lines] == ["seed=2 delta=0.5 E=4", "seed=5 delta=0.5 E=4"]
+
+
+def test_cli_verify_prints_seed_free_suites_once(capsys):
+    _, one, _ = _run(capsys, ["verify", "--seed", "1"])
+    code, two, _ = _run(capsys, ["verify", "--seed", "1", "--seed", "2"])
+    assert code == 0
+    # the first seed's block is the single-seed output, row for row; the second
+    # repeats only the seeded suites, not concavity and trace
+    assert two.startswith(one)
+    rest = two[len(one):].strip().split("\n")
+    assert [r.split(",")[0] for r in rest] == [
+        "polarization", "product", "product", "spectral", "spectral",
+        "quasinorm", "quasinorm", "quasinorm"]
+    assert all(",seed=2 " in r for r in rest)
 
 
 @pytest.mark.parametrize("suite,windows,fits", [
@@ -481,3 +529,28 @@ def test_cli_verify_spectral_refuses_freq_cut_below_eleven(capsys, tmp_path, fre
         assert code == 2, argv
         assert out == "" and "freq_cut" in err and "zero-size" not in err, argv
         assert "Traceback" not in err, argv
+
+
+def _numpy_on_openblas_x86() -> bool:
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS on x86-64")
+def test_cli_bytes_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names a set;
+    # Prescott is its oldest x86-64 one.  The product suite once went through
+    # zgemm and LAPACK norms, and its residuals changed in the last digits
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["verify"], ["bounds", "--E", ",".join(map(str, range(14)))]):
+        outs = [subprocess.run([sys.executable, "-m", "entrocut.cli", *argv], env={**env, **extra},
+                               capture_output=True, check=True).stdout
+                for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+        assert outs[0] == outs[1], argv

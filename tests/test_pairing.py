@@ -17,7 +17,7 @@ from entrocut import (
     theta_product_identity_check,
 )
 from entrocut.energy import eval_f, f_delta_batch
-from entrocut.pairing import theta_direct
+from entrocut.pairing import phi_values, theta_direct
 
 
 @pytest.fixture(scope="module")
@@ -88,23 +88,43 @@ def test_theta_direct_on_identity(space4, ef075):
     assert abs(theta_direct(dec, one, one) - 1.0) <= 1e-12
 
 
+def test_phi_closed_form_matches_the_pure_state_vectors(space4):
+    # phi_{k,n}(x) = (x_00 + x_nn + i^k x_0n + i^-k x_n0)/2 is <v_{k,n}, x v_{k,n}>
+    rng = np.random.default_rng(43)
+    d = space4.dim
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    slots = np.repeat(np.arange(1, d), 4)
+    ks = np.tile(np.arange(4), d - 1)
+    for phi, n, k in zip(phi_values(x, slots, ks), slots, ks):
+        v = pure_state_vector(space4, int(k), int(n))
+        assert abs(phi - np.vdot(v, x @ v)) <= 1e-14, (k, n)
+    # slot 0 is the vacuum term, whatever its phase
+    assert np.array_equal(phi_values(x, np.zeros(4, dtype=int), np.arange(4)), [x[0, 0]] * 4)
+
+
 def test_theta_weights_and_sign_routing(space4, ef075):
-    delta = 0.5
-    dec = assemble_theta(space4, ef075, delta)
-    # every excited slot contributes 4 terms to each part
+    # every excited slot contributes its 4 phases to each part
     n_excited = space4.dim - 1
-    assert len(dec.plus_weights) == 1 + 4 * n_excited
-    assert len(dec.minus_weights) == 4 * n_excited
-    assert dec.plus_weights[0] == 1.0
-    assert dec.dropped_count == 0
-    # plus part: left == right exactly when f(delta l_n) > 0
-    for i in range(1, len(dec.plus_weights)):
-        same = np.array_equal(dec.plus_left[i], dec.plus_right[i])
-        w = dec.plus_weights[i]
-        n = int(np.argmax(np.abs(dec.plus_left[i][1:])) + 1)
-        fd = dec.window_by_label[int(space4.labels[n])]
-        assert abs(w - abs(fd) / 2.0) <= 1e-17
-        assert same == (fd > 0.0)
+    phases = np.tile(np.arange(4), n_excited)
+    slots = np.repeat(np.arange(1, space4.dim), 4)
+    for delta in (0.5, 1.0):             # f(delta l_n) > 0 throughout, then of both signs
+        dec = assemble_theta(space4, ef075, delta)
+        assert (dec.plus_weights[0], dec.plus_slots[0]) == (1.0, 0)
+        assert np.array_equal(dec.plus_slots[1:], slots) and np.array_equal(dec.minus_slots, slots)
+        assert np.array_equal(dec.plus_left_k[1:], phases)
+        assert np.array_equal(dec.minus_left_k, phases)
+        assert dec.dropped_count == 0
+        fd = dec.window_by_level[space4.labels[slots]]
+        assert np.all(np.abs(dec.plus_weights[1:] - np.abs(fd) / 2.0) <= 1e-17)
+        assert np.array_equal(dec.minus_weights, dec.plus_weights[1:])
+        # plus part: left phase == right phase exactly when f(delta l_n) > 0;
+        # the minus part takes the other pairing, and a pair that differs is k, k + 2
+        assert np.array_equal(dec.plus_left_k[1:] == dec.plus_right_k[1:], fd > 0.0)
+        assert np.array_equal(dec.minus_left_k == dec.minus_right_k, fd < 0.0)
+        for left, right in ((dec.plus_left_k, dec.plus_right_k),
+                            (dec.minus_left_k, dec.minus_right_k)):
+            assert set((right - left) % 4) <= {0, 2}
+        assert (delta == 1.0) == bool(np.any(fd < 0.0))
 
 
 def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
