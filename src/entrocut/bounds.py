@@ -22,15 +22,21 @@ from .errors import DivergenceError
 from .spectra import GrowthFit, SpectrumModel, exponential_cap, log_trace_coefficient
 
 _INV_E = 1.0 / math.e
+_LOG2 = math.log(2.0)
+_LOG4 = math.log(4.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # series truncation: streaming stops after _CONSECUTIVE successive terms fall
-# below _REL_EPS times the running sum; the analytic tail scans at most
-# _TAIL_BLOCKS chunks of _TAIL_CHUNK terms
+# below _REL_EPS times the running sum, read in blocks of _BLOCK terms; the
+# analytic tail scans at most _TAIL_BLOCKS chunks of _TAIL_CHUNK terms
 _REL_EPS = 1e-18
+_LOG_REL_EPS = math.log(_REL_EPS)
 _CONSECUTIVE = 10
+_BLOCK = 2048
 _TAIL_CHUNK = 4096
 _TAIL_BLOCKS = 64
+# room for the rounding of a tail bound's terms, taken in scalar floats
+_TAIL_SLACK = 1e-6
 # a report's chain c_{delta,E} <= C_E, S_{delta,E} <= S_E holds to this slack
 _CHAIN_TOL = 1e-9
 
@@ -89,8 +95,19 @@ class BoundReport:
 
 def _eta_upper(x: np.ndarray) -> np.ndarray:
     # eta increases only below 1/e; cap by the global maximum past that
-    x = np.minimum(np.asarray(x, dtype=float), 1.0)
-    return np.where(x < _INV_E, eta(x), _INV_E)
+    x = np.asarray(x, dtype=float)
+    rising = x < _INV_E
+    if rising.all():
+        return eta(x)
+    return np.where(rising, eta(np.minimum(x, 1.0)), _INV_E)
+
+
+def _log0(x: np.ndarray) -> np.ndarray:
+    """log x elementwise for x >= 0, -inf where x is 0, with no warning."""
+    pos = x > 0.0
+    if pos.all():
+        return np.log(x)
+    return np.where(pos, np.log(np.maximum(x, 5e-324)), -np.inf)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -99,10 +116,11 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     place, so the pairwise sum reduces the same row, and log1p(s/m) + log(m)
     + max for m maxima."""
     a_max = a.max()
-    top = a == a_max
+    shifted = a - a_max
+    top = shifted == 0.0          # exactly the maxima, for finite a
     m = np.float64(np.count_nonzero(top))
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-    return np.log1p(s / m) + np.log(m) + a_max
+    shifted[top] = -np.inf
+    return np.log1p(np.exp(shifted).sum() / m) + np.log(m) + a_max
 
 
 def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
@@ -110,28 +128,42 @@ def _series_tail(ef: EnergyFunction, delta: float, fit: GrowthFit,
     """(log tail_C, log tail_S) for the streamed series past n_start.
 
     Uses dims <= C e^{N^kappa} and the certified decay envelope; terms are
-    summed in log space until a chunk is negligible against the total.
+    summed in log space, _TAIL_CHUNK at a time, until a chunk is negligible
+    against the total.
+
+    A chunk is skipped when a bound already shows it negligible.  The log of
+    a C term, a(N) = log 2 + log C + N^kappa - v(N) with v(N) =
+    c (delta N)^beta', rises and then falls (kappa < beta'), so on a chunk
+    N0..N1 past the peak the C sum is below a(N0) + log(_TAIL_CHUNK).  Where
+    log 2 + v(N) > 1 the log of an S term is a(N) + log(log 2 + v(N)), and
+    v rises, so the S sum is below that bound plus log(log 2 + v(N1)).  The
+    chunk would end the loop, and adding it would move each log total by
+    under 1e-18, below half its ulp unless the total lies within 1/64 of 0:
+    the result is the one the loop gives with the chunk computed.
     """
-    n = n_start
-    total_c = -np.inf
-    total_s = -np.inf
-    for _ in range(_TAIL_BLOCKS):
-        ns = np.arange(n, n + _TAIL_CHUNK, dtype=float)
-        ts = delta * ns
-        log_env = -ef.envelope_c * ts ** ef.beta_prime
-        log_dims = fit.log_C + ns ** fit.kappa
-        chunk_c = _logsumexp(math.log(2.0) + log_dims + log_env)
-        # eta(x) = x * (-log x) for x < 1/e; the envelope is microscopic here
-        x_log = log_env - math.log(2.0)
-        neg_log_x = -x_log
-        log_eta = np.where(neg_log_x > 1.0, x_log + np.log(np.maximum(neg_log_x, 1.0)), -1.0)
-        chunk_s = _logsumexp(math.log(4.0) + log_dims + log_eta)
-        total_c = np.logaddexp(total_c, chunk_c)
-        total_s = np.logaddexp(total_s, chunk_s)
-        if chunk_c < total_c + math.log(_REL_EPS) and \
-                chunk_s < total_s + math.log(_REL_EPS):
-            return float(total_c), float(total_s)
-        n += _TAIL_CHUNK
+    kappa, c, bp = fit.kappa, ef.envelope_c, ef.beta_prime
+    total_c = total_s = -math.inf
+    for k in range(_TAIL_BLOCKS):
+        n0 = n_start + k * _TAIL_CHUNK
+        v0 = c * (delta * n0) ** bp
+        if k and kappa * n0 ** kappa < 0.999 * bp * v0 and _LOG2 + v0 > 1.0:
+            bound_c = _LOG2 + fit.log_C + n0 ** kappa - v0 + math.log(_TAIL_CHUNK) + _TAIL_SLACK
+            bound_s = bound_c + math.log(_LOG2 + c * (delta * (n0 + _TAIL_CHUNK - 1)) ** bp)
+            if bound_c < total_c + _LOG_REL_EPS and bound_s < total_s + _LOG_REL_EPS:
+                return total_c, total_s
+        ns = np.arange(n0, n0 + _TAIL_CHUNK, dtype=float)
+        log_env = -c * (delta * ns) ** bp
+        log_dims = fit.log_C + ns ** kappa
+        chunk_c = float(_logsumexp(_LOG2 + log_dims + log_env))
+        # eta(x) = x (-log x) at x = env/2, which rises to its cap 1/e at
+        # x = 1/e; in logs, log(-log x) + log x capped at -1
+        neg_log_x = _LOG2 - log_env
+        log_eta = np.minimum(np.log(np.maximum(neg_log_x, 1.0)) - neg_log_x, -1.0)
+        chunk_s = float(_logsumexp(_LOG4 + log_dims + log_eta))
+        total_c = float(np.logaddexp(total_c, chunk_c))
+        total_s = float(np.logaddexp(total_s, chunk_s))
+        if chunk_c < total_c + _LOG_REL_EPS and chunk_s < total_s + _LOG_REL_EPS:
+            return total_c, total_s
     raise DivergenceError(
         f"analytic tail did not close within {_TAIL_BLOCKS * _TAIL_CHUNK} terms; "
         f"fitted kappa = {fit.kappa:g} is too close to the decay exponent alpha = {ef.alpha:g}"
@@ -186,38 +218,32 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     consec = 0
     n_stop: int | None = None
     envelope_used = False
-    block = 512
     n = 0
     hard_cap = model.n_max if finite_support else tail.n_cap
     lt_c = np.zeros(0)
     while n <= hard_cap and n_stop is None:
-        hi = min(n + block - 1, hard_cap)
+        hi = min(n + _BLOCK - 1, hard_cap)
         _, up, flags = f_delta_batch(ef, delta, n, hi)
-        log_up = np.where(up > 0.0, np.log(np.maximum(up, 5e-324)), -np.inf)
-        ld = np.array(model.log_dims(n, hi))
-        zero_dim = np.isneginf(ld)
-        lt_c = np.where(zero_dim, -np.inf, math.log(2.0) + ld + log_up)
-        eta_vals = _eta_upper(up / 2.0)
-        log_eta = np.where(eta_vals > 0.0, np.log(np.maximum(eta_vals, 5e-324)), -np.inf)
-        lt_s = np.where(zero_dim, -np.inf, math.log(4.0) + ld + log_eta)
+        # a zero level reads log d_N = -inf, which the finite or -inf logs
+        # of the window bounds leave at -inf
+        ld = model._log_column(n, hi)
+        lt_c = _LOG2 + ld + _log0(up)
+        lt_s = _LOG4 + ld + _log0(_eta_upper(up / 2.0))
         if n == 0:
             lt_s[0] = -np.inf        # vacuum level never contributes to S
+        # logaddexp.accumulate is a sequential fold, carried across blocks
         run_c = np.logaddexp.accumulate(np.concatenate(([log_c], lt_c)))[1:]
-        run_s = np.logaddexp.accumulate(np.concatenate(([log_s], lt_s)))[1:]
-        thresh = math.log(_REL_EPS) + run_c
-        small = (lt_c < thresh) & ((lt_s < thresh) | np.isneginf(lt_s))
+        thresh = _LOG_REL_EPS + run_c
+        small = (lt_c < thresh) & (lt_s < thresh)
         stop_i, consec = _series_stop(small, consec, finite_support)
-        if stop_i is not None:
-            n_stop = n + stop_i
-            log_c = float(run_c[stop_i])
-            log_s = float(run_s[stop_i])
-            envelope_used = envelope_used or bool(np.any(flags[:stop_i + 1]))
-        else:
-            log_c = float(run_c[-1])
-            log_s = float(run_s[-1])
-            envelope_used = envelope_used or bool(np.any(flags))
+        end = len(lt_c) if stop_i is None else stop_i + 1
+        log_c = float(run_c[end - 1])
+        log_s = float(np.logaddexp.accumulate(np.concatenate(([log_s], lt_s[:end])))[-1])
+        envelope_used = envelope_used or bool(flags[:end].any())
+        if stop_i is None:
             n = hi + 1
-            block = min(block * 2, 8192)
+        else:
+            n_stop = n + stop_i
     if n_stop is None:
         if finite_support:
             n_stop = hard_cap
@@ -242,12 +268,12 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
 
     log_c_total = float(np.logaddexp(log_c, tail_log_c))
     log_s_total = float(np.logaddexp(log_s, tail_log_s))
-    c_delta = math.exp(log_c_total)
-    s_delta = 0.0 if log_s_total == -np.inf else math.exp(log_s_total)
-    if not math.isfinite(c_delta) or not math.isfinite(s_delta):
+    if max(log_c_total, log_s_total) >= _LOG_FLOAT_MAX:
         raise DivergenceError(
             f"series value exceeds floating range (log C_delta = {log_c_total:.3f})"
         )
+    c_delta = math.exp(log_c_total)
+    s_delta = 0.0 if log_s_total == -np.inf else math.exp(log_s_total)
     tail_est = math.exp(tail_log_c) + (0.0 if tail_log_s == -np.inf else math.exp(tail_log_s)) \
         if not finite_support else 0.0
     h_bound = c_delta * math.log(c_delta) + s_delta

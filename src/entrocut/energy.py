@@ -71,8 +71,10 @@ quadrature range [0, T0] it returns the envelope e^{-c |t|^{beta'}}, fitted
 on a grid over [0, T0] to overestimate |f| (a fit, not a proof), and flags
 it; every bound formula consumes |f|, so overestimates keep the inequalities
 valid.  The lattice form `f_delta_batch` (t = delta*N) keeps one growing
-array of values for the latest delta: a call costs about 70 us whatever its
-size, and a cutoff table asks for a few points at a time at one delta.
+array of values for the latest delta.  A call that needs a fresh point costs
+a full interpolant call, so a cutoff table read at E = 0, 1, ... still pays
+one per new E; the memo spares the repeat read of points already held, as
+the oracle makes at the same E.
 `eval_f` and `eval_f_many` are thin wrappers.
 """
 
@@ -449,13 +451,16 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
     The memo holds the latest delta only: `ef.cache` is {delta: f(delta*N)
     for N = 0, 1, ...}, grown to the largest N asked for in [0, T0], and a
     call at another delta replaces it.  A fresh point costs a few dozen
-    multiply-adds, but a call has a fixed cost of about 70 us, so callers
-    that ask for a few points at a time at one delta (a cutoff table, E =
-    0, 1, ...) read them from the memo; one array, not one per delta, keeps
-    a sweep over fresh deltas from growing the process.  A value does not
-    depend on the call that computed it, so the memo needs no lock: racing
-    calls store arrays that agree where they overlap, and the loser's points
-    are recomputed, to the same bits, when next asked for.
+    multiply-adds, but a call that computes any pays the fixed cost of one
+    `_interpolate` call, about 70 us.  The memo spares that cost only to a
+    call whose points it all holds, such as the oracle's read at the E a
+    cutoff row has just read; a cutoff table at E = 0, 1, ... pays it once
+    per new E (about 4,900 calls in 360 `oracle_sweep` ops).  One array,
+    not one per delta, keeps a sweep over fresh deltas from growing the
+    process.  A value does not depend on the call that computed it, so the
+    memo needs no lock: racing calls store arrays that agree where they
+    overlap, and the loser's points are recomputed, to the same bits, when
+    next asked for.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")

@@ -13,13 +13,16 @@ import numpy as np
 
 
 def eta(x: np.ndarray | float) -> np.ndarray | float:
-    """-x log x elementwise, with eta(0) = 0; requires x >= 0."""
+    """-x log x elementwise, with eta(0) = 0; requires x >= 0 (NaN raises)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("eta needs nonnegative arguments")
-    out = np.zeros_like(arr)
+    if not np.all(arr >= 0.0):
+        raise ValueError("eta needs nonnegative arguments, not NaN")
     pos = arr > 0.0
-    out[pos] = -arr[pos] * np.log(arr[pos])
+    if pos.all():
+        out = -arr * np.log(arr)
+    else:
+        out = np.zeros_like(arr)
+        out[pos] = -arr[pos] * np.log(arr[pos])
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -18,11 +18,14 @@ table in this module, grown in place and never rebuilt: the pentagonal
 recurrence for the partition numbers p(N) continues from the last entry it
 holds, virasoro entries are differences of that column, and a tensor power
 is recomputed from the cached base column when it has to grow.  Next to
-each integer d_N the table keeps the float log d_N (-inf where d_N = 0),
-taken once per entry by math.log on the exact int, so no caller takes logs
-of huge integers one element at a time.  `model_dims` hands out a fresh
-copy of the integers (callers may mutate it) and a reference to the shared
-log column.  Custom (file) models are not cached.
+the integer d_N the table keeps log d_N (-inf where d_N = 0) as one
+read-only float64 numpy column, taken once per entry by math.log on the
+exact int, so no caller takes logs of huge integers one element at a time
+and the distance series reads its blocks as array slices.  The column is
+never resized in place: a growth publishes a longer array, so a slice a
+reader holds stays valid.  `model_dims` hands out a fresh copy of the
+integers (callers may mutate it) and a reference to the shared log column.
+Custom (file) models are not cached.
 
 Tensor powers are one exact big-integer product (Kronecker substitution):
 the base column is packed into a single int with one wide slot per
@@ -39,7 +42,8 @@ its file.  So no caller has to extend a model before reading it.
 Thread rule: every growth of a shared table happens under one module lock,
 so concurrent callers see the tables as if they were grown one after the
 other.  A read past a model's n_max goes through that lock; entries are only
-ever appended, so a read up to n_max needs none.
+ever appended, and a longer log column replaces the old one whole, so a read
+up to n_max needs none.
 
 Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
 requested range, the whole file for a custom model.  The trace of a
@@ -49,10 +53,13 @@ built-in is bounded in closed form instead, by the partition lemma
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import threading
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import SpectrumFileError
 
@@ -63,12 +70,22 @@ def _log_or_neginf(d: int) -> float:
     return math.log(d) if d > 0 else -math.inf
 
 
+def _logs_of(dims: list[int]) -> np.ndarray:
+    """[log d for d in dims] as a float64 array, each entry math.log's bits."""
+    return np.array([_log_or_neginf(d) for d in dims], dtype=float)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 @dataclass
 class _Table:
     """Exact d_N for N = 0..len(dims)-1 and their logs, in step once grown."""
 
     dims: list[int] = field(default_factory=lambda: [1])
-    logs: list[float] = field(default_factory=lambda: [0.0])
+    logs: np.ndarray = field(default_factory=lambda: _read_only(_logs_of([1])))
 
 
 # one table per built-in (kind, power); entries are appended, never changed
@@ -80,26 +97,26 @@ def _extend_partitions(p: list[int], n_max: int) -> None:
     """Append p(len(p)), ..., p(n_max) to p by the pentagonal recurrence.
 
     p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
+    The generalized pentagonal offsets up to n_max are listed once, in
+    ascending order 1, 2, 5, 7, 12, 15, ...: offsets 4j and 4j+1 of the list
+    carry the sign +, offsets 4j+2 and 4j+3 the sign -.
     """
+    offsets = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        offsets.append(k * (3 * k - 1) // 2)
+        offsets.append(k * (3 * k + 1) // 2)
+        k += 1
     for n in range(len(p), n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p.append(total)
+        terms = [p[n - g] for g in offsets[: bisect.bisect_right(offsets, n)]]
+        p.append(sum(terms[0::4]) + sum(terms[1::4]) - sum(terms[2::4]) - sum(terms[3::4]))
 
 
 def _grow(kind: str, power: int, n_max: int) -> _Table:
     # caller holds _TABLES_LOCK
-    table = _TABLES.setdefault((kind, power), _Table())
+    table = _TABLES.get((kind, power))
+    if table is None:
+        table = _TABLES[(kind, power)] = _Table()
     have = len(table.dims)
     if have <= n_max:
         if power > 1:
@@ -110,8 +127,11 @@ def _grow(kind: str, power: int, n_max: int) -> _Table:
             table.dims.extend(p[n] - p[n - 1] for n in range(have, n_max + 1))
         else:
             _extend_partitions(table.dims, n_max)
-    # logs catch up with whatever the integer column holds
-    table.logs.extend(_log_or_neginf(d) for d in table.dims[len(table.logs):])
+    # logs catch up with whatever the integer column holds, in a new array:
+    # slices readers took of the old one stay valid
+    done = len(table.logs)
+    if done < len(table.dims):
+        table.logs = _read_only(np.concatenate((table.logs, _logs_of(table.dims[done:]))))
     return table
 
 
@@ -145,7 +165,7 @@ class SpectrumModel:
     label: str = ""
     # log d_N for N >= 0, possibly longer than dims: the shared column of a
     # built-in table, or taken from dims on first use
-    _logs: list[float] | None = field(default=None, init=False, repr=False, compare=False)
+    _logs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _BUILTIN_KINDS + ("custom",):
@@ -163,11 +183,12 @@ class SpectrumModel:
     def n_max(self) -> int:
         return len(self.dims) - 1
 
-    def _past(self, lo: int, hi: int, logs: bool) -> list:
-        """Entries lo..hi (all past n_max) of d_N, or of log d_N: zero past a
-        custom file, else read from the shared table grown to hi in one call."""
+    def _past(self, lo: int, hi: int, logs: bool) -> list | np.ndarray:
+        """Entries lo..hi (all past n_max) of d_N as a list, or of log d_N as
+        an array: zero past a custom file, else read from the shared table
+        grown to hi in one call."""
         if self.kind == "custom":
-            return [-math.inf if logs else 0] * (hi - lo + 1)
+            return np.full(max(hi - lo + 1, 0), -np.inf) if logs else [0] * (hi - lo + 1)
         table = _table(self.kind, self.power, hi)
         return (table.logs if logs else table.dims)[lo: hi + 1]
 
@@ -187,14 +208,22 @@ class SpectrumModel:
 
     def log_dims(self, lo: int, hi: int) -> list[float]:
         """[log d_lo, ..., log d_hi] as floats, -inf where d_N = 0, for any 0 <= lo."""
+        return self._log_column(lo, hi).tolist()
+
+    def _log_column(self, lo: int, hi: int) -> np.ndarray:
+        """`log_dims` as a float64 array with the same bits: a read-only view
+        of the shared column where the range lies past n_max or the model
+        holds that column."""
         if lo < 0:
             raise ValueError("lo must be >= 0")
+        if lo > self.n_max:
+            return self._past(lo, hi, logs=True)
         if self._logs is None:
-            self._logs = [_log_or_neginf(d) for d in self.dims]
+            self._logs = _read_only(_logs_of(self.dims))
         own = self._logs[lo: min(hi, self.n_max) + 1]
         if hi <= self.n_max:
             return own
-        return own + self._past(max(lo, self.n_max + 1), hi, logs=True)
+        return np.concatenate((own, self._past(self.n_max + 1, hi, logs=True)))
 
 
 def _convolve_power(base: list[int], m: int) -> list[int]:

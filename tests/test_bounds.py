@@ -24,7 +24,7 @@ from entrocut import (
     verify_trace_bound,
 )
 from entrocut import bounds
-from entrocut.energy import window
+from entrocut.energy import build_energy_function, window
 from entrocut.entropy import eta
 
 
@@ -446,3 +446,77 @@ def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
     # past the last block the series reads at delta 0.5 (it stops near N = 10400)
     model_dims(kind, 20000)
     assert run() == cold
+
+
+# C_delta, S_delta, H_delta and n_max_used as the series gave them when it
+# still read its blocks from lists, with blocks of 512 doubling to 8192
+_SERIES_BITS = {
+    ("u1", 0.5): ("0x1.ad16fb732ffaap+82", "0x1.092b22406c9b1p+89", "0x1.c96fa45f8c5a5p+89", 10369),
+    ("u1", 0.55): ("0x1.c4592c1354340p+73", "0x1.f44480fbcf538p+79", "0x1.aef6b14f436d0p+80", 8773),
+    ("u1", 0.8): ("0x1.04b28dcbcc24bp+47", "0x1.74885184cc262p+52", "0x1.3f0b0b3f4d46cp+53", 4626),
+    ("u1", 1.0): ("0x1.d5a4add0f886ap+35", "0x1.034817c9a4ef4p+41", "0x1.b9c278ae8b483p+41", 3202),
+    ("u1", 1.3): ("0x1.f528d7fa9b4e9p+25", "0x1.a34d90abe3dcdp+30", "0x1.5e9b1ffe053e8p+31", 2106),
+    ("u1", 1.7): ("0x1.387f67eb1209cp+18", "0x1.a963b451d0790p+22", "0x1.507bc9fab7a87p+23", 1396),
+    ("u1", 2.0): ("0x1.5871c8c4c64d2p+14", "0x1.b052951be4974p+18", "0x1.43cf18e5e613cp+19", 1099),
+    ("virasoro", 0.5): ("0x1.43c25de1831b9p+77", "0x1.8976949687b5dp+83", "0x1.4c52ea2843646p+84", 10286),
+    ("virasoro", 0.55): ("0x1.7d15477f7c1b8p+68", "0x1.9d961f8aeb834p+74", "0x1.5c4e3b6197756p+75", 8698),
+    ("virasoro", 0.8): ("0x1.5250b3e8b7fedp+42", "0x1.d5936a29b73a1p+47", "0x1.862760796fa9cp+48", 4574),
+    ("virasoro", 1.0): ("0x1.88ba103f1f0bep+31", "0x1.a22f60abd292ap+36", "0x1.5792e7cea58d4p+37", 3160),
+    ("virasoro", 1.3): ("0x1.13cff4f6674c3p+22", "0x1.bc61196c5ba43p+26", "0x1.624473c5b4b2ep+27", 2074),
+    ("virasoro", 1.7): ("0x1.afb4adf1e1e57p+14", "0x1.1d57a508bab51p+19", "0x1.a74ecc3acce42p+19", 1373),
+    ("virasoro", 2.0): ("0x1.0a8c689012de6p+11", "0x1.465b9a848c459p+15", "0x1.c60d1914a87d6p+15", 1081),
+}
+
+
+@pytest.fixture(scope="module")
+def series_fits():
+    return {kind: fit_growth_constants(model_dims(kind, 3000), 0.6) for kind in ("u1", "virasoro")}
+
+
+@pytest.mark.parametrize("kind,delta", sorted(_SERIES_BITS))
+def test_series_keeps_its_bits(ef075, series_fits, kind, delta):
+    # the block size, the array reads and the tail's chunk skipping are all
+    # free to change, as long as not one bit of the sums moves
+    rep = distance_regularized_bound(model_dims(kind, 12), ef075, delta,
+                                     TailConfig(fit=series_fits[kind]))
+    got = (rep.C_delta.hex(), rep.S_delta.hex(), rep.H_delta_bound.hex(), rep.n_max_used)
+    assert got == _SERIES_BITS[(kind, delta)]
+
+
+def _tail_every_chunk(ef, delta, fit, n_start):
+    """The analytic tail as it ran before chunks could be skipped."""
+    n = n_start
+    total_c = total_s = -np.inf
+    while True:
+        ns = np.arange(n, n + bounds._TAIL_CHUNK, dtype=float)
+        log_env = -ef.envelope_c * (delta * ns) ** ef.beta_prime
+        log_dims = fit.log_C + ns ** fit.kappa
+        chunk_c = bounds._logsumexp(math.log(2.0) + log_dims + log_env)
+        x_log = log_env - math.log(2.0)
+        log_eta = np.where(-x_log > 1.0, x_log + np.log(np.maximum(-x_log, 1.0)), -1.0)
+        chunk_s = bounds._logsumexp(math.log(4.0) + log_dims + log_eta)
+        total_c = np.logaddexp(total_c, chunk_c)
+        total_s = np.logaddexp(total_s, chunk_s)
+        if chunk_c < total_c + math.log(1e-18) and chunk_s < total_s + math.log(1e-18):
+            return float(total_c), float(total_s)
+        n += bounds._TAIL_CHUNK
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.9, 1.4, 2.0, 3.5])
+def test_tail_chunk_skip_keeps_the_bits(ef075, series_fits, delta):
+    # starts before and after the peak of the tail's terms, which lies near
+    # N = 3300 at delta = 0.5 and moves down as delta grows
+    for kind, fit in series_fits.items():
+        for n_start in (40, 1100, 3203, 10370):
+            got = bounds._series_tail(ef075, delta, fit, n_start)
+            want = _tail_every_chunk(ef075, delta, fit, n_start)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (kind, n_start)
+
+
+def test_series_beyond_the_float_range_raises_divergence():
+    # u1^2 at alpha 0.85, kappa 0.7 sums to about e^783 at delta 0.6: a
+    # DivergenceError, where math.exp once raised OverflowError
+    ef = build_energy_function(0.85)
+    fit = fit_growth_constants(model_dims("u1", 3000, power=2), 0.7)
+    with pytest.raises(DivergenceError, match="floating range"):
+        distance_regularized_bound(model_dims("u1", 12, power=2), ef, 0.6, TailConfig(fit=fit))

@@ -18,6 +18,20 @@ def test_eta_rejects_negative():
         eta(-0.1)
 
 
+@pytest.mark.parametrize("x", [float("nan"), np.array([0.1, np.nan]), np.array([np.nan, 0.0])])
+def test_eta_rejects_nan(x):
+    # NaN is not a nonnegative argument; it once came back as eta = 0
+    with pytest.raises(ValueError):
+        eta(x)
+
+
+def test_eta_takes_the_same_bits_with_and_without_zeros():
+    x = np.array([1e-300, 0.1, 0.25, 1.0 / math.e, 0.5, 1.0])
+    with_zero = eta(np.concatenate(([0.0], x)))
+    assert with_zero[0] == 0.0
+    assert [v.hex() for v in with_zero[1:].tolist()] == [v.hex() for v in eta(x).tolist()]
+
+
 def test_eta_bound_constant_closed_form():
     c, t0 = eta_bound_constant(0.5)
     assert abs(c - 2.0 / math.e) <= 1e-15

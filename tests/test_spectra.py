@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import oracles
@@ -27,6 +28,13 @@ def test_partition_recurrence_matches_enumeration_to_35():
 
 def test_partition_recurrence_matches_coin_change_to_500():
     assert partition_numbers(500) == oracles.partition_counts_table(500)
+
+
+def test_partition_table_grown_in_odd_steps_matches_coin_change_to_3000(cold_tables):
+    # each step restarts the recurrence with its own list of pentagonal offsets
+    for n in (1, 2, 7, 58, 333, 1001, 2999, 3000):
+        model_dims("u1", n)
+    assert spectra._TABLES[("u1", 1)].dims == oracles.partition_counts_table(3000)
 
 
 def test_partition_known_values():
@@ -206,6 +214,48 @@ def test_log_dims_stay_inside_the_model():
     assert log_dim(model, 5) == math.log(7)
     hand = spectra.SpectrumModel(kind="u1", dims=[1, 0, 0])   # its own data up to n_max
     assert hand.log_dims(1, 4) == [-math.inf, -math.inf, math.log(3), math.log(5)]
+
+
+def _reads_bits(model, lo, hi, want):
+    """The array read and `log_dims` of lo..hi both carry exactly want's bits."""
+    column = model._log_column(lo, hi)
+    assert isinstance(column, np.ndarray) and column.dtype == np.float64
+    hexes = [x.hex() for x in want]
+    assert [x.hex() for x in column.tolist()] == hexes
+    assert [x.hex() for x in model.log_dims(lo, hi)] == hexes
+
+
+def _logs(dims):
+    return [math.log(d) if d else -math.inf for d in dims]
+
+
+def test_log_column_equals_log_dims_bit_for_bit(cold_tables, tmp_path):
+    # a built-in table grown in odd steps, read across its steps and past them
+    want = _logs(oracles.partition_counts_table(2002, min_part=2))
+    model = model_dims("virasoro", 7)
+    for n in (7, 40, 41, 333, 1001):
+        extend_model(model, n)
+        _reads_bits(model, 0, n + 5, want[: n + 6])
+        _reads_bits(model, 3, 2 * n, want[3: 2 * n + 1])
+    # a model built by hand reads its own prefix, then the table
+    hand = spectra.SpectrumModel(kind="u1", dims=[1, 0, 4, 0])
+    _reads_bits(hand, 0, 9, _logs([1, 0, 4, 0] + oracles.partition_counts_table(9)[4:]))
+    _reads_bits(hand, 2, 3, _logs([4, 0]))
+    # a custom model reads -inf past its file
+    path = tmp_path / "spec.txt"
+    path.write_text("0 1\n2 6\n")
+    custom = model_dims("custom", 10, path=str(path))
+    _reads_bits(custom, 0, 6, _logs([1, 0, 6, 0, 0, 0, 0]))
+    _reads_bits(custom, 4, 6, _logs([0, 0, 0]))
+
+
+def test_log_column_is_read_only():
+    model = model_dims("u1", 20)
+    with pytest.raises(ValueError):
+        model._log_column(0, 20)[3] = 0.0
+    with pytest.raises(ValueError):
+        model._log_column(30, 40)[0] = 0.0
+    assert model.log_dims(3, 3) == [math.log(3)]
 
 
 @pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
