@@ -316,14 +316,19 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
     dims_int = model.dims_upto(energy_cut)
-    dims = np.array(dims_int, dtype=float)
+    try:
+        dims = np.array(dims_int, dtype=float)
+        c_e, s_e = _cutoff_caps(ef, dims_int)
+    except OverflowError:
+        raise DivergenceError(
+            f"the level dimensions up to E = {energy_cut} of {model.label} "
+            f"sum beyond the float range") from None
     vals, _, flags = f_delta_batch(ef, delta, 0, energy_cut)
     absf = np.abs(vals)
     # d_N near the float limit overflows 2 d_N to inf, which validate() reports
     with np.errstate(over="ignore"):
         c = float(np.sum(2.0 * dims * absf))
         s = float(np.sum(4.0 * dims[1:] * _eta_upper(absf[1:] / 2.0))) if energy_cut > 0 else 0.0
-    c_e, s_e = _cutoff_caps(ef, dims_int)
     he = c_e * math.log(c_e) + s_e
     report = BoundReport(
         model_label=model.label,
@@ -444,8 +449,14 @@ def _sum_exp_neg_power(kappa: float) -> float:
     the tail cannot change its bits and is not evaluated.
     """
     m = 200_000
-    ns = np.arange(m, dtype=float)
-    partial = float(np.sum(np.exp(-ns ** kappa)))
+    # the terms e^{-N^kappa} built in one array, in place: the same array,
+    # so the same pairwise sum, as np.exp(-ns ** kappa) with a third of its
+    # peak allocation
+    terms = np.arange(m, dtype=float)
+    terms **= kappa
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    partial = float(np.sum(terms))
     s = 1.0 / kappa
     x = (m - 1.0) ** kappa
     if x > s - 1.0:
@@ -633,8 +644,14 @@ def quasinorm_property_check(p: float, n_instances: int = 50, dim_max: int = 8,
         worst_ideal = max(worst_ideal, lhs - rhs)
         n_fam = int(rng.integers(2, 9))
         family = [draw((rows, cols)) for _ in range(n_fam)]
-        lhs_f = schatten_p(sum(family), p) ** (1.0 / p)
-        rhs_f = n_fam ** ((1.0 - p) / p) * sum(schatten_p(tk, p) ** (1.0 / p) for tk in family)
+        try:
+            lhs_f = schatten_p(sum(family), p) ** (1.0 / p)
+            rhs_f = n_fam ** ((1.0 - p) / p) * sum(schatten_p(tk, p) ** (1.0 / p)
+                                                   for tk in family)
+        except OverflowError:
+            raise DivergenceError(
+                f"the family inequality at p = {p:g} takes 1/p-th powers beyond "
+                f"the float range") from None
         worst_family = max(worst_family, lhs_f - rhs_f)
     ok = (worst_hom <= _HOM_TOL and worst_sub <= _INEQ_TOL
           and worst_ideal <= _INEQ_TOL and worst_family <= _INEQ_TOL)

@@ -46,12 +46,14 @@ or on the BLAS build.
 
 The quadrature range T0 = 200 and the certified tolerance ABS_TOL = 1e-12
 are fixed: the window is one function for each alpha, and the cutoff caps
-need only its closed-form suprema.  IJ0 is read from one table per process,
-the one shipped with the package (`ij0_table.npy`, checked against a sha256
-on load): a cubic Hermite interpolant on [0, T0] with knots 0.002 apart,
-read by direct index with the same bits as scipy's CubicHermiteSpline, so
-no scipy import is needed and the values do not depend on the local scipy
-build.  The tests certify the file against the Struve-function identity
+need only its closed-form suprema.  IJ0 is read from the table shipped with
+the package (`ij0_table.npy`, checked against a sha256 on load), once per
+window build and held only until the build returns, since readers evaluate
+the interpolant and never IJ0.  The table is a cubic Hermite interpolant on
+[0, T0] with knots 0.002 apart, read by direct index with the same bits as
+scipy's CubicHermiteSpline, so no scipy import is needed and the values do
+not depend on the local scipy build.  The tests certify the file against
+the Struve-function identity
 IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)) and rebuild it
 from scipy's J0.  IJ0 is taken only on the bump's support, the tau nodes
 whose coefficient is not exactly 0.0, in blocks small enough to stay in
@@ -84,11 +86,11 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
+import numpy.lib.format as npy
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConstructionError
@@ -122,12 +124,24 @@ class _HermiteTable:
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, dydx: np.ndarray) -> None:
+        # c0 = t / dx and c1 = (slope - dydx[:-1]) / dx - t, with
+        # t = (dydx[:-1] + dydx[1:] - 2 slope) / dx, each rounded as scipy
+        # rounds it but computed in place: four arrays of the interval count
+        # live at once, not the six that the plain expressions allocate
         dx = np.diff(xs)
-        slope = np.diff(ys) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        slope = np.diff(ys)
+        slope /= dx
+        c1 = slope - dydx[:-1]
+        c1 /= dx
+        slope *= 2                      # exact: 2 slope as scipy takes it
+        t = np.add(dydx[:-1], dydx[1:])
+        t -= slope
+        t /= dx
+        c1 -= t
+        t /= dx
         self.xs, self.ys, self.dydx = xs, ys, dydx
-        self.c0 = t / dx
-        self.c1 = (slope - dydx[:-1]) / dx - t
+        self.c0 = t
+        self.c1 = c1
         self.c2 = dydx[:-1]
         self.c3 = ys[:-1]
         self.last = len(xs) - 2
@@ -148,24 +162,34 @@ class _HermiteTable:
 
 
 def _load_ij0(path: Path) -> np.ndarray:
-    """The shipped (ys, dydx) rows, after checking the file's sha256."""
+    """The shipped (ys, dydx) rows, after checking the file's sha256.
+
+    The rows are a read-only view of the bytes that were hashed: the .npy
+    header is parsed from them and nothing is copied.
+    """
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConstructionError(f"cannot read the integral-J0 table {path}: {exc}") from None
     if hashlib.sha256(raw).hexdigest() != _SHIPPED_SHA256:
         raise ConstructionError(f"integral-J0 table {path} does not match its sha256")
-    return np.load(io.BytesIO(raw))
+    head = io.BytesIO(raw)
+    npy.read_magic(head)            # version 1.0, as np.save writes this header
+    shape, fortran_order, dtype = npy.read_array_header_1_0(head)
+    rows = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=head.tell())
+    return rows.reshape(shape, order="F" if fortran_order else "C")
 
 
-@lru_cache(maxsize=1)
 def _ij0_table() -> _HermiteTable:
-    """Int_0^x J0 on [0, T0], one table per process.
+    """Int_0^x J0 on [0, T0], read from the shipped file on each call.
 
     scipy's Struve functions cost microseconds per point, too slow for the
-    millions of arguments a window build and a distance series need, so
-    IJ0 is tabulated and read by direct index (`_HermiteTable`) from the
-    shipped knot values, which the tests certify against the Struve route.
+    hundreds of thousands of arguments a window build needs, so IJ0 is
+    tabulated and read by direct index (`_HermiteTable`) from the shipped
+    knot values, which the tests certify against the Struve route.  Only a
+    window build reads IJ0, and it holds the table until it returns: the
+    table's 3.9 MB of arrays are not kept for the life of the process, and
+    a read costs a few milliseconds.
     """
     ys, dydx = _load_ij0(_SHIPPED_PATH)
     return _HermiteTable(np.linspace(0.0, T0, len(ys)), ys, dydx)
@@ -199,8 +223,12 @@ _POINTS_PER_PANEL = 16
 _PANELS_PER_OSC = 4
 # the envelope fit samples |f| at this many points of [0, T0]
 _GRID_POINTS = 1601
-# elements per evaluation block of _f_on_rule (512 KB of doubles)
-_BLOCK_ELEMS = 1 << 16
+# elements per evaluation block of _f_on_rule (128 KB of doubles): with the
+# table, the block and its temporaries set a build's peak, 5.6 MB allocated
+# (tracemalloc) at this size against 7.5 MB at 1 << 16; the process of
+# `energy-function --t-max 250 --points 401` peaks at 39.9 MB of RSS, 42.6 MB
+# at 1 << 16 and 58.5 MB with no block (every row at once)
+_BLOCK_ELEMS = 1 << 14
 # the interpolant: _f_on_rule at the Chebyshev-Lobatto points of one
 # degree-_CHEB_DEGREE polynomial on [0, T0], re-expanded into _PANEL_COUNT
 # equal panels of degree _PANEL_DEGREE; on a panel of width 2 the
@@ -272,8 +300,10 @@ def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarr
     return nodes, weights
 
 
-def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= T0.
+def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray,
+               ij0: _HermiteTable) -> np.ndarray:
+    """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= T0,
+    with IJ0 read from the table `ij0` (`_ij0_table`).
 
     IJ0 is taken only on the bump's support: exp underflows towards both
     ends of (0, 1), so the coefficients there are exactly 0.0 (454 of 2064
@@ -287,7 +317,6 @@ def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndar
     """
     ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
-    ij0 = _ij0_table()
     support = np.flatnonzero(coeffs)
     lo, hi = int(support[0]), int(support[-1]) + 1
     tau = nodes[lo:hi]
@@ -339,7 +368,8 @@ def _clenshaw(cols: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x * b1 + cols[0].take(p) - b2
 
 
-def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray,
+                        ij0: _HermiteTable) -> np.ndarray:
     """The window's interpolant on [0, T0], as `EnergyFunction.panels`.
 
     _f_on_rule at the _CHEB_DEGREE + 1 Chebyshev-Lobatto points of [0, T0]
@@ -349,7 +379,7 @@ def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """
     n, d = _CHEB_DEGREE, _PANEL_DEGREE
     xs = np.cos(np.pi * np.arange(n + 1) / n)
-    glob = _chebyshev_coefficients(_f_on_rule(0.5 * T0 * (1.0 + xs), nodes, coeffs))
+    glob = _chebyshev_coefficients(_f_on_rule(0.5 * T0 * (1.0 + xs), nodes, coeffs, ij0))
     ys = np.cos(np.pi * np.arange(d + 1) / d)
     # panel i's Lobatto points i + (1 + y)/2 in panel widths, mapped onto [-1, 1]
     at = (np.arange(_PANEL_COUNT)[:, None] + 0.5 * (1.0 + ys)) * (2.0 / _PANEL_COUNT) - 1.0
@@ -391,15 +421,17 @@ def build_energy_function(alpha: float) -> EnergyFunction:
         return nodes, coeffs / norm
 
     nodes, coeffs = rule(_PANELS_PER_OSC)
+    # the build's three quadratures read one table, dropped when it returns
+    ij0 = _ij0_table()
     # self-check: doubled panel density on a probe grid
     fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
     probe = np.linspace(0.0, T0, 41)
-    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs)
-                              - _f_on_rule(probe, fnodes, fcoeffs))))
+    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs, ij0)
+                              - _f_on_rule(probe, fnodes, fcoeffs, ij0))))
     if resid > ABS_TOL:
         raise ConstructionError("tau quadrature did not converge at the configured density", resid)
 
-    panels = _panel_coefficients(nodes, coeffs)
+    panels = _panel_coefficients(nodes, coeffs, ij0)
     # envelope: e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
     # 0.75 safety factor guards the extrapolation beyond T0
     grid = np.linspace(0.0, T0, _GRID_POINTS)[1:]

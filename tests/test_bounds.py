@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,13 @@ def test_cutoff_bound_grows_a_power_table_once(cold_tables, ef075, monkeypatch):
     assert rep.C_E == 2.0 * ef075.sup_f * float(sum(model_dims("u1", 300, power=2).dims))
 
 
+def test_cutoff_bound_past_the_float_range_raises_divergence(ef075):
+    # a level past 1.8e308 has no float: the caps diverge, named by E
+    model = SpectrumModel(kind="u1", dims=[1, 10**400])
+    with pytest.raises(DivergenceError, match="E = 1 "):
+        cutoff_bound(model, ef075, 1.0, 1)
+
+
 def test_bound_report_validate_rejects_chain_violations():
     with pytest.raises(DivergenceError):
         BoundReport(model_label="m", alpha=0.75, c_deltaE=5.0, C_E=4.0).validate()
@@ -320,7 +328,7 @@ def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, m
         assert _bits(logsumexp_np(a)) == _bits(logsumexp(a))
 
 
-@pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2, 0.3, 0.32, 0.45, 0.6, 0.9])
+@pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2, 0.3, 0.32, 0.45, 0.5, 0.6, 0.9])
 def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
     # the closed-form majorant skips the tail only where adding it could not
     # change a bit: the result equals partial sum + scipy's tail
@@ -330,6 +338,17 @@ def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
     s = 1.0 / kappa
     want = partial + float(math.gamma(s) * gammaincc(s, (m - 1.0) ** kappa) / kappa)
     assert _bits(bounds._sum_exp_neg_power(kappa)) == _bits(want)
+
+
+def test_sum_exp_neg_power_peaks_under_two_and_a_half_megabytes():
+    # its 200,000 terms are one 1.6 MB array, built in place
+    tracemalloc.start()
+    try:
+        bounds._sum_exp_neg_power(0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_trace_constants_reject_bad_input():

@@ -396,6 +396,13 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
     assert err.startswith("entrocut: divergence:") and "beta = 0.05" in err
 
 
+def test_cli_quasinorm_beyond_float_range_exits_three(capsys):
+    # the family check raises sums of Schatten quasinorms to the 1/p = 500th power
+    code, out, err = _run(capsys, ["verify", "--only", "quasinorm", "--p", "0.002"])
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("entrocut: divergence:") and "p = 0.002" in err
+
+
 def test_cli_trace_covers_the_exact_trace(capsys):
     # the kappa = 0.45 fit's tail once printed 4.4814e22, under the exact 4.4853e22
     code, out, err = _run(capsys, ["trace", "--kappa", "0.45", "--beta", "0.03"])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -64,16 +65,17 @@ def test_window_matches_full_width_scipy_route(window_by_alpha, alpha, t_max):
     assert np.count_nonzero(ef.coeffs == 0.0) > 0
     ts = np.concatenate([np.linspace(0.0, t_max, 301),
                          np.random.default_rng(5).uniform(0.0, t_max, 100)])
-    spline = oracles.ij0_scipy_spline(_ij0_table())
+    table = _ij0_table()
+    spline = oracles.ij0_scipy_spline(table)
     want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, spline)
-    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs)) == _bits(want)
+    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs, table)) == _bits(want)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
 def test_interpolant_matches_the_quadrature(window_by_alpha, alpha):
     ef = window_by_alpha[alpha]
     ts = np.linspace(0.0, energy.T0, 20_001)
-    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs))
+    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs, _ij0_table()))
     assert float(np.max(err)) <= 1e-14
 
 
@@ -105,9 +107,9 @@ def test_build_computes_283_quadrature_rows(monkeypatch):
     rows = []
     real = energy._f_on_rule
 
-    def counted(ts, nodes, coeffs):
+    def counted(ts, nodes, coeffs, ij0):
         rows.append(len(ts))
-        return real(ts, nodes, coeffs)
+        return real(ts, nodes, coeffs, ij0)
 
     monkeypatch.setattr(energy, "_f_on_rule", counted)
     ef = build_energy_function(0.75)
@@ -171,6 +173,46 @@ def test_corrupted_ij0_table_is_refused(tmp_path):
     with pytest.raises(ConstructionError, match="cannot read"):
         energy._load_ij0(tmp_path / "gone.npy")
     assert energy._load_ij0(energy._SHIPPED_PATH).shape == (2, 100_001)
+
+
+def test_load_ij0_returns_the_bits_of_np_load():
+    got, want = energy._load_ij0(energy._SHIPPED_PATH), np.load(energy._SHIPPED_PATH)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+_BUILD_PROBE = """
+import gc, json, tracemalloc
+from entrocut import energy
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+ef = energy.build_energy_function(0.75)
+gc.collect()
+grown = tracemalloc.get_traced_memory()[0] - before
+tables = sum(isinstance(o, energy._HermiteTable) for o in gc.get_objects())
+print(json.dumps({"grown": grown, "tables": tables}))
+"""
+
+
+@pytest.fixture(scope="module")
+def first_build():
+    # a fresh process: the first window build, with no table read before it
+    src = os.path.dirname(os.path.dirname(energy.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _BUILD_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_build_leaves_no_ij0_table_behind(first_build):
+    assert first_build["tables"] == 0
+
+
+def test_build_keeps_under_a_megabyte(first_build):
+    # the window itself is the tau rule and a 17 x 100 interpolant, about
+    # 50 KB; a table kept past the build would hold 3.9 MB
+    assert first_build["grown"] < 1 << 20
 
 
 def test_struve_route_matches_highprec_outside_blip():
