@@ -5,23 +5,16 @@ explicit constant in the cutoff entropy bounds (C_delta, S_delta,
 c_{delta,E}, S_{delta,E}, C_E, S_E), the underlying energy window with
 certified suprema, the explicit pure-state decompositions on a truncated
 space, an exact closed-form entropy oracle checking each bound, and the
-partition-trace / p-sum nuclearity caps.
+partition-trace caps (at p*beta, the p-sum of the damping map).
 """
 
 from .bounds import (
     BoundReport,
-    GrowthScalingReport,
-    QuasinormReport,
     TailConfig,
     TraceBoundConstants,
     TraceVerification,
     cutoff_bound,
     distance_regularized_bound,
-    growth_scaling_report,
-    nu_p_damping_bound,
-    nu_p_damping_cap,
-    quasinorm_property_check,
-    schatten_p,
     trace_bound_constants,
     trace_partition,
     verify_trace_bound,
@@ -32,12 +25,11 @@ from .energy import (
     QuadratureConfig,
     SyntheticPair,
     build_energy_function,
-    eval_f,
     eval_f_many,
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from .entropy import eta, eta_bound_constant
+from .entropy import eta
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -61,36 +53,29 @@ from .pairing import (
 from .spectra import (
     GrowthFit,
     SpectrumModel,
-    exponential_cap,
     extend_model,
     fit_growth_constants,
-    log_dim,
     model_dims,
     parse_spectrum_file,
-    partition_log_asymptotic,
-    partition_numbers,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "GrowthScalingReport", "QuasinormReport", "TailConfig",
-    "TraceBoundConstants", "TraceVerification", "cutoff_bound",
-    "distance_regularized_bound", "growth_scaling_report", "nu_p_damping_bound",
-    "nu_p_damping_cap", "quasinorm_property_check", "schatten_p",
-    "trace_bound_constants", "trace_partition", "verify_trace_bound",
+    "BoundReport", "TailConfig", "TraceBoundConstants", "TraceVerification",
+    "cutoff_bound", "distance_regularized_bound", "trace_bound_constants",
+    "trace_partition", "verify_trace_bound",
     "RunConfig", "load_config", "parse_config_file",
     "EnergyFunction", "QuadratureConfig", "SyntheticPair",
-    "build_energy_function", "eval_f", "eval_f_many",
+    "build_energy_function", "eval_f_many",
     "make_synthetic_pair", "verify_spectral_identity",
-    "eta", "eta_bound_constant",
+    "eta",
     "ConfigError", "ConstructionError", "DivergenceError", "EntrocutError",
     "OracleLimitError", "SpectrumFileError",
     "OracleComparison", "ThetaDecomposition", "TruncatedSpace",
     "assemble_theta", "build_truncated_space", "oracle_vs_bounds",
     "polarization_check", "pure_state_vector", "theta_eval",
     "theta_product_identity_check",
-    "GrowthFit", "SpectrumModel", "exponential_cap", "extend_model",
-    "fit_growth_constants", "log_dim", "model_dims", "parse_spectrum_file",
-    "partition_log_asymptotic", "partition_numbers",
+    "GrowthFit", "SpectrumModel", "extend_model",
+    "fit_growth_constants", "model_dims", "parse_spectrum_file",
 ]

@@ -1,12 +1,13 @@
-"""Closed-form bound computations: entropy caps, trace bounds, p-sums.
+"""Closed-form bound computations: entropy caps and trace bounds.
 
-Three families live here.  The distance-regularized series C_delta/S_delta
+Two families live here.  The distance-regularized series C_delta/S_delta
 and the cutoff constants c_{delta,E}/S_{delta,E}/C_E/S_E cap the oracle's
 exact entropy; partition-trace bounds with explicit constants cap
-Tr(e^{-beta L0}) and the p-sum of the damping map; Schatten p-sums carry
-the quasi-norm property checks.  Series are accumulated in log space so
-fast-growing spectra cannot silently overflow, and every truncation is
-closed with a certified analytic tail.
+Tr(e^{-beta L0}), which at p*beta is also the p-sum of the damping map
+e^{-beta L0} (its singular values are e^{-beta N}, d_N times each).
+Series are accumulated in log space so fast-growing spectra cannot
+silently overflow, and every truncation is closed with a certified
+analytic tail.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .energy import EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import DivergenceError
-from .spectra import GrowthFit, SpectrumModel, exponential_cap, log_trace_coefficient
+from .spectra import GrowthFit, SpectrumModel, log_trace_coefficient
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -547,173 +548,3 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
             ok=total <= bound,
         ))
     return TraceVerification(model_label=model.label, constants=constants, rows=tuple(rows))
-
-
-def nu_p_damping_bound(model: SpectrumModel, p: float, beta: float,
-                       n_trunc: int | None = None) -> float:
-    """Certified upper value of Tr(e^{-p beta L0}), the computable p-sum cap
-    for the damping map: `trace_partition` at inverse temperature p * beta,
-    summed to n_trunc (the model's n_max by default) and closed by the
-    partition-lemma tail."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if n_trunc is None:
-        n_trunc = model.n_max
-    value, tail_bound = trace_partition(model, p * beta, n_trunc)
-    return value + tail_bound
-
-
-def nu_p_damping_cap(constants: TraceBoundConstants, p: float, beta: float) -> float:
-    """Analytic cap a exp((b/p^c) beta^{-c}) dominating nu_p_damping_bound."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return _a_exp(constants.a, (constants.b / p ** constants.c) * _pow_or_inf(beta, -constants.c),
-                  f"p-sum cap at p = {p:g}, beta = {beta:g}")
-
-
-def schatten_p(matrix: np.ndarray, p: float) -> float:
-    """sum_k sigma_k(T)^p over singular values, p in (0, 1]."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size and sigma[0] > 0.0:
-        # numerical zeros get a huge boost from the p-th power; drop anything
-        # below the standard rank tolerance
-        sigma = sigma[sigma > sigma[0] * max(m.shape) * np.finfo(float).eps]
-    return float(np.sum(sigma ** p))
-
-
-# quasinorm battery pass marks: relative homogeneity error, and the slack
-# allowed in each inequality
-_HOM_TOL = 1e-12
-_INEQ_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuasinormReport:
-    p: float
-    instances: int
-    worst_homogeneity_rel: float
-    worst_subadditivity_gap: float     # positive = violation
-    worst_ideal_gap: float
-    worst_family_gap: float
-    ok: bool
-
-
-def quasinorm_property_check(p: float, n_instances: int = 50, dim_max: int = 8,
-                             seed: int = 0) -> QuasinormReport:
-    """Seeded property battery for the p-sum:
-
-    homogeneity  schatten_p(lam T) = |lam|^p schatten_p(T)     (relative)
-    subadditivity  schatten_p(T1 + T2) <= schatten_p(T1) + schatten_p(T2)
-    ideal  schatten_p(R S T) <= ||R||^p schatten_p(S) ||T||^p
-    family  schatten_p(sum_k T_k)^{1/p} <= N^{(1-p)/p} sum_k schatten_p(T_k)^{1/p}
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-
-    def draw(shape: tuple[int, int]) -> np.ndarray:
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    worst_hom = 0.0
-    worst_sub = -math.inf
-    worst_ideal = -math.inf
-    worst_family = -math.inf
-    for _ in range(n_instances):
-        rows = int(rng.integers(1, dim_max + 1))
-        cols = int(rng.integers(1, dim_max + 1))
-        t1 = draw((rows, cols))
-        t2 = draw((rows, cols))
-        lam = complex(rng.normal(), rng.normal())
-        base = schatten_p(t1, p)
-        scaled = schatten_p(lam * t1, p)
-        ref = abs(lam) ** p * base
-        if ref > 0.0:
-            worst_hom = max(worst_hom, abs(scaled - ref) / ref)
-        worst_sub = max(worst_sub, schatten_p(t1 + t2, p) - (base + schatten_p(t2, p)))
-        inner = int(rng.integers(1, dim_max + 1))
-        r = draw((rows, inner))
-        s = draw((inner, inner))
-        t3 = draw((inner, cols))
-        lhs = schatten_p(r @ s @ t3, p)
-        rhs = (np.linalg.norm(r, 2) ** p) * schatten_p(s, p) * (np.linalg.norm(t3, 2) ** p)
-        worst_ideal = max(worst_ideal, lhs - rhs)
-        n_fam = int(rng.integers(2, 9))
-        family = [draw((rows, cols)) for _ in range(n_fam)]
-        try:
-            lhs_f = schatten_p(sum(family), p) ** (1.0 / p)
-            rhs_f = n_fam ** ((1.0 - p) / p) * sum(schatten_p(tk, p) ** (1.0 / p)
-                                                   for tk in family)
-        except OverflowError:
-            raise DivergenceError(
-                f"the family inequality at p = {p:g} takes 1/p-th powers beyond "
-                f"the float range") from None
-        worst_family = max(worst_family, lhs_f - rhs_f)
-    ok = (worst_hom <= _HOM_TOL and worst_sub <= _INEQ_TOL
-          and worst_ideal <= _INEQ_TOL and worst_family <= _INEQ_TOL)
-    return QuasinormReport(
-        p=p,
-        instances=n_instances,
-        worst_homogeneity_rel=worst_hom,
-        worst_subadditivity_gap=worst_sub,
-        worst_ideal_gap=worst_ideal,
-        worst_family_gap=worst_family,
-        ok=ok,
-    )
-
-
-@dataclass(frozen=True)
-class GrowthScalingRow:
-    energy_cut: int
-    he_bound: float
-    ratio: float                 # HE_bound / (E e^E)
-
-
-@dataclass(frozen=True)
-class GrowthScalingReport:
-    model_label: str
-    cap_c: float                 # certified d_N <= cap_c * e^N on the range
-    derived_constant: float
-    rows: tuple[GrowthScalingRow, ...]
-    max_ratio: float
-    ok: bool
-
-
-def growth_scaling_report(model: SpectrumModel, ef: EnergyFunction,
-                          e_range: range | list[int]) -> GrowthScalingReport:
-    """HE_bound(E) / (E e^E) over e_range against the constant the caps imply.
-
-    With d_N <= c e^N on the range, C_E <= A e^E for A = 2 sup|f| c e/(e-1),
-    so HE_bound/(E e^E) <= A (1 + max(log A, 0)) + B with
-    B = 4 sup_eta c e/(e-1); the report asserts every ratio sits below it.
-    """
-    es = sorted(int(e) for e in e_range)
-    if not es or es[0] < 1:
-        raise ValueError("e_range must contain energies >= 1")
-    top = es[-1]
-    cap_c = exponential_cap(model, top)
-    dims = model.dims_upto(top)
-    geom = math.e / (math.e - 1.0)
-    a_const = 2.0 * ef.sup_f * cap_c * geom
-    b_const = 4.0 * ef.sup_eta * cap_c * geom
-    derived = a_const * (1.0 + max(math.log(a_const), 0.0)) + b_const
-    rows = []
-    max_ratio = 0.0
-    for e in es:
-        c_e, s_e = _cutoff_caps(ef, dims[: e + 1])
-        he = c_e * math.log(c_e) + s_e
-        ratio = he / (e * math.exp(e))
-        max_ratio = max(max_ratio, ratio)
-        rows.append(GrowthScalingRow(energy_cut=e, he_bound=he, ratio=ratio))
-    return GrowthScalingReport(
-        model_label=model.label,
-        cap_c=cap_c,
-        derived_constant=derived,
-        rows=tuple(rows),
-        max_ratio=max_ratio,
-        ok=max_ratio <= derived,
-    )

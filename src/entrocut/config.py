@@ -30,7 +30,6 @@ class RunConfig:
     delta: list[float] = field(default_factory=lambda: [0.5, 1.0])
     E: list[int] = field(default_factory=lambda: [0, 2, 4, 6])
     beta: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
-    p: list[float] = field(default_factory=lambda: [0.3, 0.5, 1.0])
     kappa: float = 0.6
     seed: list[int] = field(default_factory=lambda: [7])
     out: str | None = None
@@ -47,7 +46,7 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (0.0 < self.kappa < 1.0):
             raise ConfigError(f"kappa must lie in (0, 1), got {self.kappa}")
-        for name in ("delta", "E", "beta", "p", "seed"):
+        for name in ("delta", "E", "beta", "seed"):
             if not getattr(self, name):
                 raise ConfigError(f"list {name!r} must be nonempty")
         if any(d <= 0 for d in self.delta):
@@ -56,8 +55,6 @@ class RunConfig:
             raise ConfigError("E values must be >= 0")
         if any(b <= 0 for b in self.beta):
             raise ConfigError("beta values must be positive")
-        if any(not 0.0 < q <= 1.0 for q in self.p):
-            raise ConfigError("p values must lie in (0, 1]")
         for name, floor in (("oracle_limit", 1), ("n_max", 0), ("power", 1),
                             ("fit_n_max", 1), ("freq_cut", FREQ_CUT_MIN)):
             value = getattr(self, name)

@@ -77,7 +77,7 @@ array of values for the latest delta.  A call that needs a fresh point costs
 a full interpolant call, so a cutoff table read at E = 0, 1, ... still pays
 one per new E; the memo spares the repeat read of points already held, as
 the oracle makes at the same E.
-`eval_f` and `eval_f_many` are thin wrappers.
+`eval_f_many` reads the interpolant alone, at points inside [0, T0].
 """
 
 from __future__ import annotations
@@ -240,7 +240,11 @@ _PANEL_DEGREE = 16
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The window's fixed quadrature range and tolerance, as `EnergyFunction.quad`."""
+    """The window's fixed quadrature range and tolerance, as `EnergyFunction.quad`.
+
+    Only the benchmark reads it (`ef.quad.t_cap`); the package reads T0 and
+    ABS_TOL.  It can go with the next change to the benchmark.
+    """
 
     abs_tol: float                 # ABS_TOL
     t_cap: float                   # T0
@@ -506,11 +510,6 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
         memo = np.concatenate((memo, _interpolate(ef.panels, fresh)))
         ef.cache = {delta: memo}
     return window(ef, ts, memo[n_lo : n_lo + n_quad])
-
-
-def eval_f(ef: EnergyFunction, t: float) -> float:
-    """f(t), the envelope beyond T0; see `window`."""
-    return float(window(ef, [t])[0][0])
 
 
 def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:

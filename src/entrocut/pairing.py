@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import EnergyFunction, f_delta_batch
+from .energy import T0, EnergyFunction, f_delta_batch
 from .entropy import eta
 from .errors import OracleLimitError
 from .spectra import SpectrumModel
@@ -137,10 +137,10 @@ class ThetaDecomposition:
     window_by_level: np.ndarray
 
 
-def _require_quadrature_range(ef: EnergyFunction, delta: float, energy_cut: int) -> None:
-    if delta * energy_cut > ef.quad.t_cap:
+def _require_quadrature_range(delta: float, energy_cut: int) -> None:
+    if delta * energy_cut > T0:
         raise ValueError(
-            f"delta*E = {delta * energy_cut:g} exceeds the quadrature range {ef.quad.t_cap:g}; "
+            f"delta*E = {delta * energy_cut:g} exceeds the quadrature range {T0:g}; "
             "signed window values are only certified there"
         )
 
@@ -154,7 +154,7 @@ def assemble_theta(space: TruncatedSpace, ef: EnergyFunction, delta: float) -> T
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    _require_quadrature_range(ef, delta, space.energy_cut)
+    _require_quadrature_range(delta, space.energy_cut)
     window = f_delta_batch(ef, delta, 0, space.energy_cut)[0]
     fd = window[space.labels[1:]]
     w = np.abs(fd) / 2.0
@@ -272,7 +272,7 @@ def oracle_vs_bounds(
     the bound being concavity of eta over the pure-state decomposition.
     E = 0 degenerates to the pure vacuum: entropy 0, bound 0.
     """
-    _require_quadrature_range(ef, delta, space.energy_cut)
+    _require_quadrature_range(delta, space.energy_cut)
     dims = np.asarray(space.dims_by_level[1:], dtype=float)
     absf = np.abs(f_delta_batch(ef, delta, 1, space.energy_cut)[0])
     s = float(np.sum(dims * absf))

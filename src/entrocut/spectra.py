@@ -141,18 +141,6 @@ def _table(kind: str, power: int, n_max: int) -> _Table:
         return _grow(kind, power, n_max)
 
 
-def partition_numbers(n_max: int) -> list[int]:
-    """Exact partition numbers p(0..n_max) via the pentagonal recurrence.
-
-    Read from the shared u1 table, which the call grows as needed; the list
-    returned is a fresh copy.  Exact ints throughout; p(n) overflows double
-    for n >~ 76000 so callers that need floats should go through math.log.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _table("u1", 1, n_max).dims[: n_max + 1]
-
-
 @dataclass
 class SpectrumModel:
     """Multiplicity sequence d_N, tabulated in dims for N = 0..n_max (dims[0] == 1)
@@ -389,18 +377,6 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
     )
 
 
-def exponential_cap(model: SpectrumModel, n_max: int | None = None) -> float:
-    """Smallest c with dims[N] <= c * e^N on the scanned range (kappa = 1 edge)."""
-    hi = model.n_max if n_max is None else n_max
-    if model.kind == "custom":          # its scan ends with its file
-        hi = min(hi, model.n_max)
-    best = -math.inf
-    for n, ld in enumerate(model.log_dims(0, hi)):
-        if ld != -math.inf:
-            best = max(best, ld - float(n))
-    return math.exp(best)
-
-
 def log_trace_coefficient(model: SpectrumModel) -> float:
     """b = m pi^2/6, so that log Tr e^{-beta L0} <= b/beta for every beta > 0,
     for a built-in u1^m or virasoro^m (the partition lemma).
@@ -416,17 +392,3 @@ def log_trace_coefficient(model: SpectrumModel) -> float:
     if model.kind == "custom":
         raise ValueError("the partition lemma bounds built-in spectra only")
     return model.power * math.pi ** 2 / 6.0
-
-
-def log_dim(model: SpectrumModel, n: int) -> float:
-    """log d_n as a float (-inf for d_n = 0), read from the model's log column."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return model.log_dims(n, n)[0]
-
-
-def partition_log_asymptotic(n: int) -> float:
-    """log of the leading Hardy-Ramanujan term p(n) ~ e^{pi sqrt(2n/3)}/(4 sqrt(3) n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * math.sqrt(3.0) * n)

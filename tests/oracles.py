@@ -302,9 +302,9 @@ def weighted_sup(ef, grid_points: int = 1601) -> float:
     The decay claim says this stays bounded; it is sampled, so tests compare
     it across grid refinements rather than trust one grid.
     """
-    from entrocut import eval_f_many
+    from entrocut.energy import T0, eval_f_many
 
-    grid = np.linspace(0.0, ef.quad.t_cap, grid_points)
+    grid = np.linspace(0.0, T0, grid_points)
     return float(np.max(np.abs(eval_f_many(ef, grid)) * np.exp(grid ** ef.alpha)))
 
 

@@ -9,31 +9,24 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from entrocut import (
     SpectrumModel,
     build_energy_function,
     build_truncated_space,
-    eval_f,
     fit_growth_constants,
-    growth_scaling_report,
     make_synthetic_pair,
     model_dims,
     oracle_vs_bounds,
-    partition_log_asymptotic,
-    partition_numbers,
     polarization_check,
-    quasinorm_property_check,
     theta_product_identity_check,
     verify_spectral_identity,
     verify_trace_bound,
     cutoff_bound,
     eta,
-    eta_bound_constant,
-    extend_model,
 )
+from entrocut.energy import window
 
 
 def _report(ok: bool, line: str) -> None:
@@ -49,7 +42,7 @@ def test_criterion_01_energy_function_contract():
         ef = build_energy_function(alpha)
         coarse = oracles.weighted_sup(ef, 1601)
         fine = oracles.weighted_sup(ef, 3201)
-        worst_f0 = max(worst_f0, abs(eval_f(ef, 0.0) - 0.5))
+        worst_f0 = max(worst_f0, abs(float(window(ef, [0.0])[0][0]) - 0.5))
         assert math.isfinite(coarse)
         shift = abs(fine - coarse) / coarse
         worst_shift = max(worst_shift, shift)
@@ -148,7 +141,8 @@ def test_criterion_07_eta_bound_optimality():
     worst_violation = -math.inf
     worst_gap = 0.0
     for p in (0.3, 0.5, 0.9):
-        c_p, t0 = eta_bound_constant(p)
+        # the sharp constant and its equality point
+        c_p, t0 = 1.0 / ((1.0 - p) * math.e), math.exp(-1.0 / (1.0 - p))
         worst_violation = max(worst_violation,
                               float(np.max(eta(grid) - c_p * grid**p)))
         worst_gap = max(worst_gap, abs(eta(t0) - c_p * t0**p))
@@ -158,26 +152,46 @@ def test_criterion_07_eta_bound_optimality():
 
 
 def test_criterion_08_quasinorm_suite():
+    # the p-sum sum sigma^p of random complex matrices up to 8 x 8: homogeneous
+    # of degree p, p-subadditive, an ideal under operator-norm factors, and
+    # N^{(1-p)/p}-subadditive in its 1/p-th power over a family of N
+    rng = np.random.default_rng(0)
+    psum = oracles.schatten_sum_direct
+
+    def draw(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
     worst_hom = 0.0
-    worst_gap = 0.0
-    ok = True
+    worst_gap = -math.inf
     for p in (0.3, 0.5, 1.0):
-        rep = quasinorm_property_check(p, n_instances=50, dim_max=8, seed=0)
-        ok = ok and rep.ok
-        worst_hom = max(worst_hom, rep.worst_homogeneity_rel)
-        worst_gap = max(worst_gap, rep.worst_subadditivity_gap,
-                        rep.worst_ideal_gap, rep.worst_family_gap)
-    ok = ok and worst_hom <= 1e-12 and worst_gap <= 1e-9
+        for _ in range(50):
+            rows, cols, inner = (int(k) for k in rng.integers(1, 9, size=3))
+            t1, t2 = draw(rows, cols), draw(rows, cols)
+            lam = complex(rng.normal(), rng.normal())
+            worst_hom = max(worst_hom,
+                            abs(psum(lam * t1, p) / (abs(lam) ** p * psum(t1, p)) - 1.0))
+            r, s, t3 = draw(rows, inner), draw(inner, inner), draw(inner, cols)
+            family = [draw(rows, cols) for _ in range(int(rng.integers(2, 9)))]
+            worst_gap = max(
+                worst_gap,
+                psum(t1 + t2, p) - psum(t1, p) - psum(t2, p),
+                psum(r @ s @ t3, p) - (np.linalg.norm(r, 2) ** p * psum(s, p)
+                                       * np.linalg.norm(t3, 2) ** p),
+                psum(sum(family), p) ** (1.0 / p) - len(family) ** ((1.0 - p) / p)
+                * sum(psum(t, p) ** (1.0 / p) for t in family))
+    ok = worst_hom <= 1e-12 and worst_gap <= 1e-9
     _report(ok, f"criterion 8 quasi-norm suite: homogeneity {worst_hom:.2e}, "
                 f"worst inequality gap {worst_gap:.2e} over 50 instances, dims <= 8")
 
 
 def test_criterion_09_partition_asymptotics():
     t0 = time.perf_counter()
-    p = partition_numbers(1000)
+    p = model_dims("u1", 1000).dims
     ok = all(p[n] == oracles.count_partitions_enumerated(n) for n in range(61))
     exact = math.log(p[1000])
-    rel = abs(partition_log_asymptotic(1000) - exact) / exact
+    # the leading Hardy-Ramanujan term p(n) ~ e^{pi sqrt(2n/3)} / (4 sqrt(3) n)
+    asymptotic = math.pi * math.sqrt(2000.0 / 3.0) - math.log(4.0 * math.sqrt(3.0) * 1000)
+    rel = abs(asymptotic - exact) / exact
     elapsed = time.perf_counter() - t0
     ok = ok and rel <= 0.02
     _report(ok, f"criterion 9 partition asymptotics: enumeration exact to N = 60, "
@@ -185,13 +199,21 @@ def test_criterion_09_partition_asymptotics():
 
 
 def test_criterion_10_scaling_in_energy(ef075):
+    # with d_N <= c e^N on the range, C_E <= A e^E for A = 2 sup|f| c e/(e-1),
+    # so H_E/(E e^E) <= A (1 + max(log A, 0)) + B with B = 4 sup_eta c e/(e-1)
     u1 = model_dims("u1", 30)
     doubling = SpectrumModel(kind="custom", dims=[2**n for n in range(31)],
                              label="2^N")
     ok = True
     ratios = []
     for model in (u1, doubling):
-        rep = growth_scaling_report(model, ef075, range(1, 31))
-        ok = ok and rep.ok
-        ratios.append(f"{model.label} {rep.max_ratio:.4f} <= {rep.derived_constant:.4f}")
+        cap_c = max(d * math.exp(-n) for n, d in enumerate(model.dims))
+        geom = math.e / (math.e - 1.0)
+        a_const = 2.0 * ef075.sup_f * cap_c * geom
+        derived = a_const * (1.0 + max(math.log(a_const), 0.0)) \
+            + 4.0 * ef075.sup_eta * cap_c * geom
+        max_ratio = max(cutoff_bound(model, ef075, 1.0, e).HE_bound / (e * math.exp(e))
+                        for e in range(1, 31))
+        ok = ok and max_ratio <= derived
+        ratios.append(f"{model.label} {max_ratio:.4f} <= {derived:.4f}")
     _report(ok, f"criterion 10 E e^E scaling: {'; '.join(ratios)}")

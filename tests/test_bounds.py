@@ -13,12 +13,7 @@ from entrocut import (
     cutoff_bound,
     distance_regularized_bound,
     fit_growth_constants,
-    growth_scaling_report,
     model_dims,
-    nu_p_damping_bound,
-    nu_p_damping_cap,
-    quasinorm_property_check,
-    schatten_p,
     spectra,
     trace_bound_constants,
     trace_partition,
@@ -290,8 +285,6 @@ def test_trace_caps_beyond_float_range_raise_divergence():
     for beta in (0.05, 1e-300):              # at 1e-300, beta^{-c} alone overflows
         with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
             tc.bound(beta)
-        with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
-            nu_p_damping_cap(tc, 0.5, beta)
     assert math.isfinite(tc.bound(0.3))
 
 
@@ -373,33 +366,38 @@ def test_trace_chain_virasoro():
 
 
 def test_nu_p_substitution_identity(u1_3000, u1_fit):
-    a = nu_p_damping_bound(u1_3000, 0.5, 2.0)
-    b = nu_p_damping_bound(u1_3000, 1.0, 1.0)
+    # the damping map e^{-beta L0} has singular values e^{-beta N}, d_N times
+    # each, so its p-sum is the trace at p * beta: p = 0.5 at beta = 2 is
+    # p = 1 at beta = 1
+    ver = verify_trace_bound(u1_3000, u1_fit, [0.5 * 2.0, 1.0 * 1.0])
+    a, b = (r.trace_value + r.tail_bound for r in ver.rows)
     assert a == b
     v, t = trace_partition(u1_3000, 1.0, u1_fit.certified_range[1])
     assert a == v + t
+    p_sum = math.fsum(d * math.exp(-2.0 * n) ** 0.5 for n, d in enumerate(u1_3000.dims))
+    assert a == pytest.approx(p_sum, rel=1e-12)
 
 
 def test_nu_p_cap_dominates(u1_3000, u1_fit):
+    # the p-sum cap a exp((b/p^c) beta^{-c}) is the trace bound at p * beta
     tc = trace_bound_constants(u1_fit.kappa, u1_fit.C)
-    for p in (0.3, 0.5, 1.0):
-        for beta in (0.5, 1.0, 2.0):
-            val = nu_p_damping_bound(u1_3000, p, beta)
-            cap = nu_p_damping_cap(tc, p, beta)
-            assert val <= cap
-            assert cap == pytest.approx(
-                tc.a * math.exp((tc.b / p ** tc.c) * beta ** (-tc.c)), rel=1e-12)
-    with pytest.raises(ValueError):
-        nu_p_damping_bound(u1_3000, 1.5, 1.0)
+    grid = [(p, beta) for p in (0.3, 0.5, 1.0) for beta in (0.5, 1.0, 2.0)]
+    ver = verify_trace_bound(u1_3000, u1_fit, [p * beta for p, beta in grid])
+    assert ver.all_ok
+    for (p, beta), r in zip(grid, ver.rows):
+        assert r.trace_value + r.tail_bound <= r.bound
+        assert r.bound == pytest.approx(
+            tc.a * math.exp((tc.b / p ** tc.c) * beta ** (-tc.c)), rel=1e-12)
 
 
 def test_schatten_p_diagonal_and_unitary_invariance():
+    # the p-sum oracle the property tests of tests/test_properties.py read
     d = np.diag([3.0, 1.0, 0.25])
-    assert schatten_p(d, 0.5) == pytest.approx(3.0**0.5 + 1.0 + 0.25**0.5, rel=1e-12)
+    psum = oracles.schatten_sum_direct
+    assert psum(d, 0.5) == pytest.approx(3.0**0.5 + 1.0 + 0.25**0.5, rel=1e-12)
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    assert schatten_p(q @ d @ q.conj().T, 0.5) == pytest.approx(
-        schatten_p(d, 0.5), rel=1e-10)
+    assert psum(q @ d @ q.conj().T, 0.5) == pytest.approx(psum(d, 0.5), rel=1e-10)
 
 
 def test_schatten_p_ignores_rank_noise():
@@ -408,45 +406,35 @@ def test_schatten_p_ignores_rank_noise():
     v = rng.normal(size=5)
     m = np.outer(u, v)          # exact rank one, numerically rank ~5
     sigma = float(np.linalg.norm(u) * np.linalg.norm(v))
-    assert schatten_p(m, 0.3) == pytest.approx(sigma**0.3, rel=1e-10)
-    assert schatten_p(m, 0.3) == pytest.approx(
-        oracles.schatten_sum_direct(m, 0.3), rel=1e-10)
+    assert oracles.schatten_sum_direct(m, 0.3) == pytest.approx(sigma**0.3, rel=1e-10)
 
 
-@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
-def test_quasinorm_suite(p):
-    rep = quasinorm_property_check(p, seed=7)
-    assert rep.worst_homogeneity_rel <= 1e-12
-    assert rep.worst_subadditivity_gap <= 1e-9
-    assert rep.worst_ideal_gap <= 1e-9
-    assert rep.worst_family_gap <= 1e-9
-    assert rep.ok
+def _he_scaling(model, ef, top=30):
+    """(max over E = 1..top of H_E/(E e^E), the constant the caps imply).
 
-
-def test_quasinorm_rejects_bad_p():
-    with pytest.raises(ValueError):
-        quasinorm_property_check(1.5)
+    With d_N <= c e^N on the range, C_E <= A e^E for A = 2 sup|f| c e/(e-1),
+    so H_E/(E e^E) <= A (1 + max(log A, 0)) + B with B = 4 sup_eta c e/(e-1).
+    """
+    cap_c = max(d * math.exp(-n) for n, d in enumerate(model.dims_upto(top)))
+    geom = math.e / (math.e - 1.0)
+    a_const = 2.0 * ef.sup_f * cap_c * geom
+    derived = a_const * (1.0 + max(math.log(a_const), 0.0)) + 4.0 * ef.sup_eta * cap_c * geom
+    ratio = max(cutoff_bound(model, ef, 1.0, e).HE_bound / (e * math.exp(e))
+                for e in range(1, top + 1))
+    return ratio, derived
 
 
 def test_growth_scaling_u1(u1_small, ef075):
-    rep = growth_scaling_report(u1_small, ef075, range(1, 31))
-    assert rep.ok
-    assert 0.9 < rep.max_ratio < 1.2
-    assert 4.0 < rep.derived_constant < 5.0
+    max_ratio, derived = _he_scaling(u1_small, ef075)
+    assert max_ratio <= derived
+    assert 0.9 < max_ratio < 1.2
+    assert 4.0 < derived < 5.0
 
 
 def test_growth_scaling_doubling_spectrum(ef075):
     model = _custom([2**n for n in range(31)])
-    rep = growth_scaling_report(model, ef075, range(1, 31))
-    assert rep.ok
-    assert rep.max_ratio < rep.derived_constant
-
-
-def test_growth_scaling_rejects_empty_range(u1_small, ef075):
-    with pytest.raises(ValueError):
-        growth_scaling_report(u1_small, ef075, [])
-    with pytest.raises(ValueError):
-        growth_scaling_report(u1_small, ef075, [0, 1])
+    max_ratio, derived = _he_scaling(model, ef075)
+    assert max_ratio < derived
 
 
 @pytest.mark.parametrize("kind", ["u1", "virasoro"])

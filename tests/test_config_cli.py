@@ -12,9 +12,9 @@ import pytest
 
 import entrocut.cli as cli
 import oracles
-from entrocut import ConfigError, RunConfig, eval_f, load_config, parse_config_file, spectra
+from entrocut import ConfigError, RunConfig, load_config, parse_config_file, spectra
+from entrocut.energy import window
 from entrocut.entropy import eta
-from entrocut.bounds import QuasinormReport
 
 
 # --- config file layer ------------------------------------------------------
@@ -36,13 +36,13 @@ def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text(
         "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
-        "delta = 1, 0.5\nE = 0, 4\nbeta = 2\np = 1, 0.3\nkappa = 0.5\nseed = 3\n"
+        "delta = 1, 0.5\nE = 0, 4\nbeta = 2\nkappa = 0.5\nseed = 3\n"
         "out = o.csv\noracle_limit = 50\nfit_n_max = 800\nfreq_cut = 64\n"
     )
     got = parse_config_file(str(path))
     want = {
         "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
-        "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "p": [1.0, 0.3], "kappa": 0.5,
+        "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "kappa": 0.5,
         "seed": [3], "out": "o.csv", "oracle_limit": 50, "fit_n_max": 800, "freq_cut": 64,
     }
     assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
@@ -86,7 +86,7 @@ def test_load_config_precedence(tmp_path):
         ("model", "heterotic"),
         ("delta", []),
         ("E", [-1]),
-        ("p", [2.0]),
+        ("seed", []),
         ("power", 0),
         ("kappa", 0.0),
         ("delta", [math.nan]),
@@ -242,11 +242,11 @@ def test_cli_trace_table(capsys):
 
 
 def test_cli_verify_all_pass_and_filter(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "quasinorm", "--p", "0.5"])
+    code, out, _ = _run(capsys, ["verify", "--only", "polarization"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "check_name,param_summary,residual_or_gap,pass"
-    assert len(lines) == 2 and lines[1].startswith("quasinorm,seed=7 p=0.5,")
+    assert len(lines) == 2 and lines[1].startswith("polarization,seed=7 D=7 trials=25,")
 
 
 def test_cli_verify_multi_seed_blocks(capsys):
@@ -266,14 +266,12 @@ def test_cli_verify_prints_seed_free_suites_once(capsys):
     assert two.startswith(one)
     rest = two[len(one):].strip().split("\n")
     assert [r.split(",")[0] for r in rest] == [
-        "polarization", "product", "product", "spectral", "spectral",
-        "quasinorm", "quasinorm", "quasinorm"]
+        "polarization", "product", "product", "spectral", "spectral"]
     assert all(",seed=2 " in r for r in rest)
 
 
 @pytest.mark.parametrize("suite,windows,fits", [
     ("polarization", 0, 0),
-    ("quasinorm", 0, 0),
     ("trace", 0, 1),
     ("product", 1, 0),
 ])
@@ -288,20 +286,37 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
 
     monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
     monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
-    code, _, _ = _run(capsys, ["verify", "--only", suite, "--delta", "0.5", "--p", "0.5"])
+    code, _, _ = _run(capsys, ["verify", "--only", suite, "--delta", "0.5"])
     assert code == 0
     assert calls == {"window": windows, "fit": fits}
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
-    def fake_check(p, seed=0, **kw):
-        return QuasinormReport(p=p, instances=1, worst_homogeneity_rel=1.0,
-                               worst_subadditivity_gap=1.0, worst_ideal_gap=1.0,
-                               worst_family_gap=1.0, ok=False)
-    monkeypatch.setattr(cli, "quasinorm_property_check", fake_check)
-    code, out, _ = _run(capsys, ["verify", "--only", "quasinorm", "--p", "0.5"])
+    def fake_check(space, ef, delta, n_trials=0, seed=0):
+        return 1.0                  # a worst residual far above the 1e-10 mark
+    monkeypatch.setattr(cli, "theta_product_identity_check", fake_check)
+    code, out, _ = _run(capsys, ["verify", "--only", "product", "--delta", "0.5"])
     assert code == 1
     assert out.strip().split("\n")[1].endswith(",0")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--only", "quasinorm"], "invalid choice: 'quasinorm'"),
+    (["--p", "0.5"], "unrecognized arguments: --p 0.5"),
+    (["--config", "p.cfg"], "entrocut: line 1: unknown key 'p'"),
+])
+def test_cli_verify_has_no_quasinorm_suite(capsys, tmp_path, monkeypatch, argv, message):
+    # the suite checked numpy's SVD, not the package; its inequalities are
+    # property tests now, and its suite name, flag and config key are gone
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.cfg").write_text("p = 0.5\n")
+    try:
+        code = cli.main(["verify", *argv])
+    except SystemExit as exc:       # argparse refuses the flag itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_out_file_deterministic(tmp_path, capsys):
@@ -349,6 +364,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_out_to_a_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "gone" / "x.csv"
+    code, out, err = _run(capsys, ["model", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"entrocut: cannot write {target}: No such file or directory\n"
+
+
+def test_cli_out_to_a_directory_exits_two(capsys, tmp_path):
+    code, out, err = _run(capsys, ["model", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"entrocut: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_cli_missing_config_file_exits_two(capsys, tmp_path):
     gone = tmp_path / "gone.cfg"
     with pytest.raises(ConfigError):
@@ -394,13 +422,6 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("entrocut: divergence:") and "beta = 0.05" in err
-
-
-def test_cli_quasinorm_beyond_float_range_exits_three(capsys):
-    # the family check raises sums of Schatten quasinorms to the 1/p = 500th power
-    code, out, err = _run(capsys, ["verify", "--only", "quasinorm", "--p", "0.002"])
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert err.startswith("entrocut: divergence:") and "p = 0.002" in err
 
 
 def test_cli_trace_covers_the_exact_trace(capsys):
@@ -504,7 +525,7 @@ def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):
         # the tau state's entropy in closed form over the level basis
         energy_cut = int(r[3])
         dims = spectra.model_dims("u1", energy_cut).dims
-        absf = [abs(eval_f(ef075, float(n))) for n in range(energy_cut + 1)]
+        absf = [abs(window(ef075, [float(n)])[0][0]) for n in range(energy_cut + 1)]
         s = math.fsum(d * a for d, a in zip(dims[1:], absf[1:]))
         c = 1.0 + 2.0 * s
         want = eta((1.0 + s) / c) + math.fsum(d * eta(a / c) for d, a in zip(dims[1:], absf[1:]))

@@ -13,7 +13,6 @@ import oracles
 from entrocut import (
     ConstructionError,
     build_energy_function,
-    eval_f,
     eval_f_many,
     make_synthetic_pair,
     verify_spectral_identity,
@@ -82,7 +81,7 @@ def test_interpolant_matches_the_quadrature(window_by_alpha, alpha):
 def test_interpolant_half_at_zero_and_even_at_panel_edges(window_by_alpha):
     edges = energy.T0 / energy._PANEL_COUNT * np.arange(energy._PANEL_COUNT + 1)
     for ef in window_by_alpha.values():
-        assert eval_f(ef, 0.0) == 0.5 and eval_f(ef, -0.0) == 0.5
+        assert window(ef, [0.0])[0][0] == 0.5 and window(ef, [-0.0])[0][0] == 0.5
         assert _bits(eval_f_many(ef, edges)) == _bits(eval_f_many(ef, -edges))
         assert window(ef, edges)[0].tobytes() == window(ef, -edges)[0].tobytes()
 
@@ -221,29 +220,29 @@ def test_struve_route_matches_highprec_outside_blip():
 
 
 def test_window_value_half_at_zero(ef075):
-    assert abs(eval_f(ef075, 0.0) - 0.5) <= 1e-15
+    assert abs(window(ef075, [0.0])[0][0] - 0.5) <= 1e-15
 
 
 def test_window_is_even(ef075):
     for t in (0.3, 2.0, 57.0):
-        assert eval_f(ef075, t) == eval_f(ef075, -t)
+        assert window(ef075, [t])[0][0] == window(ef075, [-t])[0][0]
 
 
 def test_window_bounded_by_half(ef075):
     ts = np.linspace(0.0, 200.0, 2001)
     vals = eval_f_many(ef075, ts)
-    assert float(np.max(np.abs(vals))) <= 0.5 + ef075.quad.abs_tol
+    assert float(np.max(np.abs(vals))) <= 0.5 + energy.ABS_TOL
 
 
 def test_window_matches_definition_route(ef075):
     # the reference route integrates the defining double integral directly
     for t in (0.6, 3.7, 12.3):
-        assert abs(eval_f(ef075, t) - oracles.eval_f_reference(ef075, t)) <= 5e-7
+        assert abs(window(ef075, [t])[0][0] - oracles.eval_f_reference(ef075, t)) <= 5e-7
 
 
 def test_window_matches_highprec_quadrature(ef075):
     for t in (0.0, 0.8, 3.0):
-        assert abs(eval_f(ef075, t) - oracles.window_highprec(0.75, t)) <= 1e-9
+        assert abs(window(ef075, [t])[0][0] - oracles.window_highprec(0.75, t)) <= 1e-9
 
 
 def test_certified_suprema(ef075):
@@ -255,7 +254,7 @@ def test_certified_suprema(ef075):
 
 def test_envelope_dominates_grid(ef075):
     ts = np.linspace(0.0, 200.0, 777)
-    vals = np.abs(eval_f_many(ef075, ts)) + ef075.quad.abs_tol
+    vals = np.abs(eval_f_many(ef075, ts)) + energy.ABS_TOL
     env = ef075.envelope(ts)
     assert np.all(vals <= env * (1.0 + 1e-12))
 
@@ -266,8 +265,8 @@ def test_eval_beyond_range_flags_envelope(ef075):
     assert flags.tolist() == [True, True, False]
     assert vals[0] == vals[1] == ef075.envelope(np.array([250.0]))[0]
     assert up[0] == vals[0] and up[1] == vals[1]
-    assert up[2] == min(abs(vals[2]) + ef075.quad.abs_tol, ef075.envelope(np.array([150.0]))[0])
-    assert eval_f(ef075, 250.0) == vals[0]
+    assert up[2] == min(abs(vals[2]) + energy.ABS_TOL, ef075.envelope(np.array([150.0]))[0])
+    assert window(ef075, [250.0])[0][0] == vals[0]
 
 
 def test_eval_f_many_rejects_out_of_range(ef075):
@@ -279,11 +278,11 @@ def test_delta_scaling_and_memo(ef075):
     (v1,), _, (fl1,) = f_delta_batch(ef075, 0.5, 7, 7)
     (v2,), _, _ = f_delta_batch(ef075, 0.5, 7, 7)
     assert v1 == v2 and not fl1
-    assert v1 == eval_f(ef075, 0.5 * 7.0)
+    assert v1 == window(ef075, [0.5 * 7.0])[0][0]
     vals, up, flags = f_delta_batch(ef075, 0.5, 0, 16)
     assert vals[7] == v1 and not flags.any()
-    assert vals[0] == eval_f(ef075, 0.0)
-    assert np.array_equal(up, np.minimum(np.abs(vals) + ef075.quad.abs_tol,
+    assert vals[0] == window(ef075, [0.0])[0][0]
+    assert np.array_equal(up, np.minimum(np.abs(vals) + energy.ABS_TOL,
                                          ef075.envelope(0.5 * np.arange(17))))
     assert len(ef075.cache[0.5]) >= 17
 
@@ -298,14 +297,14 @@ def test_grid_values_match_pointwise_bit_for_bit(ef075, n_points):
     # a value must not depend on how many points share the call or where it sits
     ts = np.linspace(0.0, 200.0, n_points)
     grid = eval_f_many(ef075, ts)
-    assert [float(v) for v in grid] == [eval_f(ef075, t) for t in ts]
+    assert [float(v) for v in grid] == [window(ef075, [t])[0][0] for t in ts]
 
 
 def test_long_grid_matches_pointwise_bit_for_bit(ef075):
     # 25 points per panel of the interpolant, so the comparison crosses every panel edge
     ts = np.linspace(0.0, 200.0, 2500)
     grid = eval_f_many(ef075, ts)
-    assert [float(v) for v in grid] == [eval_f(ef075, t) for t in ts]
+    assert [float(v) for v in grid] == [window(ef075, [t])[0][0] for t in ts]
 
 
 def test_window_half_at_zero_exactly(ef_by_alpha):
@@ -315,7 +314,7 @@ def test_window_half_at_zero_exactly(ef_by_alpha):
 
 
 def test_certified_sup_is_half_plus_tolerance(ef_by_alpha):
-    assert ef_by_alpha.sup_f == 0.5 + ef_by_alpha.quad.abs_tol
+    assert ef_by_alpha.sup_f == 0.5 + energy.ABS_TOL
 
 
 def _fresh(ef):

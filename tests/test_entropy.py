@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrocut import eta, eta_bound_constant
+from entrocut import eta
 
 
 def test_eta_values():
@@ -33,8 +33,8 @@ def test_eta_takes_the_same_bits_with_and_without_zeros():
 
 
 def test_eta_bound_constant_closed_form():
-    c, t0 = eta_bound_constant(0.5)
-    assert abs(c - 2.0 / math.e) <= 1e-15
-    assert abs(t0 - math.exp(-2.0)) <= 1e-15
-    with pytest.raises(ValueError):
-        eta_bound_constant(1.0)
+    # eta(t) <= c_p t^p with c_p = 1/((1-p) e), equal at t_0 = e^{-1/(1-p)}:
+    # at p = 1/2, eta(e^-2) = 2 e^-2 = (2/e) (e^-2)^{1/2}
+    t0 = math.exp(-2.0)
+    assert abs(eta(t0) - 2.0 * t0) <= 1e-15
+    assert abs(eta(t0) - (2.0 / math.e) * t0 ** 0.5) <= 1e-15

@@ -16,7 +16,7 @@ from entrocut import (
     theta_eval,
     theta_product_identity_check,
 )
-from entrocut.energy import eval_f, f_delta_batch
+from entrocut.energy import f_delta_batch, window
 from entrocut.pairing import phi_values, theta_direct
 
 
@@ -132,7 +132,7 @@ def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
     oc = oracle_vs_bounds(space4, ef075, delta)
     expect = 1.0
     for n in range(1, 5):
-        expect += 2.0 * u1_small.dims[n] * abs(eval_f(ef075, delta * n))
+        expect += 2.0 * u1_small.dims[n] * abs(window(ef075, [delta * n])[0][0])
     # summation order differs (pairwise vs sequential), so allow an ulp
     assert abs(oc.c_deltaE - expect) <= 1e-13
     assert (oc.model_label, oc.delta, oc.energy_cut, oc.dim) == ("u1", 0.9, 4, 12)

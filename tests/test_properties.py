@@ -5,31 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entrocut import (
-    eta,
-    eta_bound_constant,
-    eval_f,
-    parse_spectrum_file,
-    partition_numbers,
-    polarization_check,
-    schatten_p,
-)
+from entrocut import eta, parse_spectrum_file, polarization_check
+from entrocut.energy import window
 from entrocut.pairing import build_truncated_space
 from entrocut.spectra import model_dims
 
-_P500 = partition_numbers(500)
+_P500 = model_dims("u1", 500).dims
 _DP500 = oracles.partition_counts_table(500)
+# the p-sum sum_k sigma_k(T)^p of a matrix, through numpy's SVD
+_PSUM = oracles.schatten_sum_direct
 
+
+# eta(t) <= c_p t^p on t >= 0 for 0 < p < 1, with the sharp constant
+# c_p = 1/((1-p) e) and equality exactly at t_0 = e^{-1/(1-p)}
 
 @given(st.floats(0.0, 50.0), st.floats(0.02, 0.98))
 def test_eta_dominated_by_power_bound(t, p):
-    c_p, _ = eta_bound_constant(p)
+    c_p = 1.0 / ((1.0 - p) * math.e)
     assert eta(t) <= c_p * t**p + 1e-12
 
 
 @given(st.floats(0.02, 0.98))
 def test_eta_bound_touches_at_t0(p):
-    c_p, t0 = eta_bound_constant(p)
+    c_p, t0 = 1.0 / ((1.0 - p) * math.e), math.exp(-1.0 / (1.0 - p))
     assert abs(eta(t0) - c_p * t0**p) <= 1e-12
 
 
@@ -38,14 +36,52 @@ def test_partition_recurrence_agrees_with_coin_change(n):
     assert _P500[n] == _DP500[n]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
-       st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+def _draw(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+_P_GRID = st.sampled_from([0.3, 0.5, 0.7, 1.0])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), _P_GRID)
+@settings(max_examples=40)
+def test_schatten_sum_homogeneity(seed, rows, cols, p):
+    rng = np.random.default_rng(seed)
+    t = _draw(rng, rows, cols)
+    lam = complex(rng.normal(), rng.normal())
+    ref = abs(lam) ** p * _PSUM(t, p)
+    assert abs(_PSUM(lam * t, p) - ref) <= 1e-12 * ref
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), _P_GRID)
 @settings(max_examples=40)
 def test_schatten_p_triangle(seed, dim, p):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    assert schatten_p(a + b, p) <= schatten_p(a, p) + schatten_p(b, p) + 1e-9
+    a = _draw(rng, dim, dim)
+    b = _draw(rng, dim, dim)
+    assert _PSUM(a + b, p) <= _PSUM(a, p) + _PSUM(b, p) + 1e-9
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
+       _P_GRID)
+@settings(max_examples=40)
+def test_schatten_sum_ideal_inequality(seed, rows, inner, cols, p):
+    # sum sigma(R S T)^p <= ||R||^p sum sigma(S)^p ||T||^p
+    rng = np.random.default_rng(seed)
+    r, s, t = _draw(rng, rows, inner), _draw(rng, inner, inner), _draw(rng, inner, cols)
+    rhs = np.linalg.norm(r, 2) ** p * _PSUM(s, p) * np.linalg.norm(t, 2) ** p
+    assert _PSUM(r @ s @ t, p) <= rhs + 1e-9
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(2, 8),
+       _P_GRID)
+@settings(max_examples=40)
+def test_schatten_sum_family_inequality(seed, rows, cols, n_fam, p):
+    # (sum sigma(sum_k T_k)^p)^{1/p} <= N^{(1-p)/p} sum_k (sum sigma(T_k)^p)^{1/p}
+    rng = np.random.default_rng(seed)
+    family = [_draw(rng, rows, cols) for _ in range(n_fam)]
+    rhs = n_fam ** ((1.0 - p) / p) * sum(_PSUM(t, p) ** (1.0 / p) for t in family)
+    assert _PSUM(sum(family), p) ** (1.0 / p) <= rhs + 1e-9
 
 
 @given(st.lists(st.integers(0, 99), min_size=0, max_size=12))
@@ -73,8 +109,8 @@ def test_polarization_identity_random_observables(seed):
 @given(st.floats(0.0, 200.0))
 @settings(max_examples=40)
 def test_window_even_and_bounded(ef075, t):
-    v = eval_f(ef075, t)
-    assert v == eval_f(ef075, -t)
+    v, v_neg = window(ef075, [t, -t])[0]
+    assert v == v_neg
     assert abs(v) <= 0.5 + 1e-9
 
 

@@ -8,26 +8,22 @@ import pytest
 import oracles
 from entrocut import (
     SpectrumFileError,
-    exponential_cap,
     extend_model,
     fit_growth_constants,
-    log_dim,
     model_dims,
     parse_spectrum_file,
-    partition_log_asymptotic,
-    partition_numbers,
     spectra,
 )
 
 
 def test_partition_recurrence_matches_enumeration_to_35():
-    p = partition_numbers(35)
+    p = model_dims("u1", 35).dims
     for n in range(36):
         assert p[n] == oracles.count_partitions_enumerated(n)
 
 
 def test_partition_recurrence_matches_coin_change_to_500():
-    assert partition_numbers(500) == oracles.partition_counts_table(500)
+    assert model_dims("u1", 500).dims == oracles.partition_counts_table(500)
 
 
 def test_partition_table_grown_in_odd_steps_matches_coin_change_to_3000(cold_tables):
@@ -38,14 +34,14 @@ def test_partition_table_grown_in_odd_steps_matches_coin_change_to_3000(cold_tab
 
 
 def test_partition_known_values():
-    p = partition_numbers(100)
+    p = model_dims("u1", 100).dims
     assert p[0] == 1 and p[1] == 1 and p[5] == 7 and p[10] == 42
     assert p[100] == 190569292
 
 
 def test_u1_dims_are_partition_numbers():
     m = model_dims("u1", 25)
-    assert m.dims == partition_numbers(25)
+    assert m.dims == oracles.partition_counts_table(25)
     assert m.label == "u1"
 
 
@@ -140,21 +136,16 @@ def test_growth_fit_rejects_bad_kappa(u1_small):
         fit_growth_constants(u1_small, 1.0)
 
 
-def test_exponential_cap_bounds_dims(u1_small):
-    cap = exponential_cap(u1_small)
-    for n, d in enumerate(u1_small.dims):
-        assert d <= cap * math.exp(n) * (1.0 + 1e-12)
-
-
 def test_log_dim_handles_zero_dims():
     m = model_dims("virasoro", 5)
-    assert log_dim(m, 1) == -math.inf
-    assert log_dim(m, 4) == math.log(2)
+    assert m.log_dims(1, 1) == [-math.inf]
+    assert m.log_dims(4, 4) == [math.log(2)]
 
 
 def test_partition_log_asymptotic_within_two_percent_at_1000():
-    exact = math.log(partition_numbers(1000)[1000])
-    approx = partition_log_asymptotic(1000)
+    exact = math.log(model_dims("u1", 1000).dims[1000])
+    # the leading Hardy-Ramanujan term p(n) ~ e^{pi sqrt(2n/3)} / (4 sqrt(3) n)
+    approx = math.pi * math.sqrt(2000.0 / 3.0) - math.log(4.0 * math.sqrt(3.0) * 1000)
     assert abs(approx - exact) / exact < 0.02
 
 
@@ -192,11 +183,11 @@ def test_mutating_returned_lists_leaves_the_tables_alone():
     model = model_dims("u1", 50)
     model.dims[10] = 0
     model.dims.append(5)
-    p = partition_numbers(60)
+    p = model_dims("u1", 60).dims
     p[20] = -1
     del p[30:]
     assert model_dims("u1", 50).dims == oracles.partition_counts_table(50)
-    assert partition_numbers(60) == oracles.partition_counts_table(60)
+    assert model_dims("u1", 60).dims == oracles.partition_counts_table(60)
 
 
 def test_log_column_is_math_log_bit_for_bit():
@@ -211,7 +202,7 @@ def test_log_dims_stay_inside_the_model():
     wide = model_dims("u1", 40)
     assert [x.hex() for x in model.log_dims(0, 40)] == [x.hex() for x in wide.log_dims(0, 40)]
     assert model.n_max == 5 and model.dims == [1, 1, 2, 3, 5, 7]
-    assert log_dim(model, 5) == math.log(7)
+    assert model.log_dims(5, 5) == [math.log(7)]
     hand = spectra.SpectrumModel(kind="u1", dims=[1, 0, 0])   # its own data up to n_max
     assert hand.log_dims(1, 4) == [-math.inf, -math.inf, math.log(3), math.log(5)]
 
@@ -323,5 +314,5 @@ def test_tensor_power_matches_convolution_to_300(tmp_path, kind, power):
 
 
 def test_u1_square_matches_convolution_to_3000():
-    base = partition_numbers(3000)
+    base = model_dims("u1", 3000).dims
     assert model_dims("u1", 3000, power=2).dims == oracles.convolve_exact(base, base, 3000)
