@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     TailConfig,
     TraceBoundConstants,
-    TraceVerification,
     cutoff_bound,
     distance_regularized_bound,
     trace_bound_constants,
@@ -62,7 +61,7 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "TailConfig", "TraceBoundConstants", "TraceVerification",
+    "BoundReport", "TailConfig", "TraceBoundConstants",
     "cutoff_bound", "distance_regularized_bound", "trace_bound_constants",
     "trace_partition", "verify_trace_bound",
     "RunConfig", "load_config", "parse_config_file",

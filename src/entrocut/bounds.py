@@ -408,24 +408,14 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[fl
 class TraceBoundConstants:
     """Explicit constants for Tr(e^{-beta L0}) <= a exp(b beta^{-c}).
 
-    b1 caps the exponent supremum sup_N (N^kappa - beta N) as
-    b1 * beta^{-c1}; a collects the series sum_N e^{-N^kappa}, summed with
-    decaying exponents so that it converges, against a2 with
-    log a2 = 1 + b1^{(c2-c1+1)/(c2-c1)}.
+    `trace_bound_constants` derives them from a growth bound
+    d_N <= C e^{N^kappa}: b = 1, c = 1/(1 - kappa), and a = C sum_N
+    e^{-N^kappa} + a2, where a2 absorbs the supremum of N^kappa - beta N.
     """
 
-    kappa: float
-    C_growth: float
-    b1: float
-    c0: float
-    c1: float
-    c2: float
-    log_a2: float
-    a2: float
     a: float
     b: float
     c: float
-    series_sum: float
 
     def bound(self, beta: float) -> float:
         if beta <= 0.0:
@@ -471,7 +461,13 @@ def _sum_exp_neg_power(kappa: float) -> float:
 
 
 def trace_bound_constants(kappa: float, C_growth: float) -> TraceBoundConstants:
-    """Constants of the explicit trace bound for growth d_N <= C e^{N^kappa}."""
+    """Constants of the explicit trace bound for growth d_N <= C e^{N^kappa}.
+
+    b1 caps the exponent supremum sup_N (N^kappa - beta N) as
+    b1 * beta^{-c1}; a collects the series sum_N e^{-N^kappa}, summed with
+    decaying exponents so that it converges, against a2 with
+    log a2 = 1 + b1^{(c2-c1+1)/(c2-c1)}, and c = c2.
+    """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     if C_growth <= 0.0:
@@ -480,24 +476,8 @@ def trace_bound_constants(kappa: float, C_growth: float) -> TraceBoundConstants:
     c0 = 1.0 / (1.0 - kappa)
     c1 = kappa / (1.0 - kappa)
     c2 = max(c0, c1)
-    log_a2 = 1.0 + b1 ** ((c2 - c1 + 1.0) / (c2 - c1))
-    a2 = math.exp(log_a2)
-    series = _sum_exp_neg_power(kappa)
-    a = C_growth * series + a2
-    return TraceBoundConstants(
-        kappa=kappa,
-        C_growth=C_growth,
-        b1=b1,
-        c0=c0,
-        c1=c1,
-        c2=c2,
-        log_a2=log_a2,
-        a2=a2,
-        a=a,
-        b=1.0,
-        c=c2,
-        series_sum=series,
-    )
+    a2 = math.exp(1.0 + b1 ** ((c2 - c1 + 1.0) / (c2 - c1)))
+    return TraceBoundConstants(a=C_growth * _sum_exp_neg_power(kappa) + a2, b=1.0, c=c2)
 
 
 @dataclass(frozen=True)
@@ -510,20 +490,9 @@ class TraceCheckRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class TraceVerification:
-    model_label: str
-    constants: TraceBoundConstants
-    rows: tuple[TraceCheckRow, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
 def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
                        beta_grid: list[float] | tuple[float, ...],
-                       n_trunc: int | None = None) -> TraceVerification:
+                       n_trunc: int | None = None) -> tuple[TraceCheckRow, ...]:
     """Check trace <= a exp(b beta^{-c}) on the grid; a failed row does not raise.
 
     The fit gives only the constants a, b and c; the trace itself is
@@ -547,4 +516,4 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
             ratio=total / bound,
             ok=total <= bound,
         ))
-    return TraceVerification(model_label=model.label, constants=constants, rows=tuple(rows))
+    return tuple(rows)

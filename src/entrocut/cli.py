@@ -153,10 +153,9 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
-    ver = verify_trace_bound(model, fit, cfg.beta)
     rows = [[model.label, fit.kappa, fit.C, r.beta,
              r.trace_value + r.tail_bound, r.bound, r.ratio, r.ok]
-            for r in ver.rows]
+            for r in verify_trace_bound(model, fit, cfg.beta)]
     _emit(cfg.out, ["model", "kappa", "C", "beta", "trace", "bound", "ratio", "pass"], rows)
     return EXIT_OK
 
@@ -167,7 +166,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
     rng = np.random.default_rng(seed)
 
     if "polarization" in suites:
-        space = build_truncated_space(model, 3, dim_limit=cfg.oracle_limit)
+        space = build_truncated_space(model, 3)
         worst = 0.0
         trials = 25
         for _ in range(trials):
@@ -180,7 +179,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                      worst, worst <= 1e-10])
 
     if "product" in suites:
-        space = build_truncated_space(model, 4, dim_limit=cfg.oracle_limit)
+        space = build_truncated_space(model, 4)
         for delta in cfg.delta:
             worst = theta_product_identity_check(space, ef, delta, n_trials=10, seed=seed)
             rows.append(["product", f"seed={seed} delta={delta:g} E=4",
@@ -188,13 +187,9 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
 
     if "spectral" in suites:
         for delta in cfg.delta:
-            worst = 0.0
             pairs = 5
-            for k in range(pairs):
-                pair = make_synthetic_pair(delta, freq_cut=cfg.freq_cut,
-                                           seed=seed * 1000 + k)
-                res = verify_spectral_identity(ef, pair)
-                worst = max(worst, res.relative)
+            worst = max(verify_spectral_identity(ef, make_synthetic_pair(delta, seed * 1000 + k))
+                        for k in range(pairs))
             rows.append(["spectral", f"seed={seed} delta={delta:g} pairs={pairs}",
                          worst, worst <= 1e-5])
 
@@ -208,8 +203,7 @@ def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                              oc.slack, oc.ok])
 
     if "trace" in suites:
-        ver = verify_trace_bound(model, fit, cfg.beta)
-        for r in ver.rows:
+        for r in verify_trace_bound(model, fit, cfg.beta):
             rows.append(["trace", f"beta={r.beta:g}", r.ratio, r.ok])
     return rows
 
@@ -244,8 +238,7 @@ _COMMANDS = {
     "trace": (cmd_trace, "partition trace against the explicit bound",
               ("model", "file", "power", "kappa", "beta", "fit_n_max")),
     "verify": (cmd_verify, "run the numerical identity suites",
-               ("seed", "only", "model", "file", "alpha", "delta", "E", "beta", "kappa",
-                "oracle_limit", "freq_cut")),
+               ("seed", "only", "model", "file", "alpha", "delta", "E", "beta", "kappa")),
 }
 
 _FLAG_OPTIONS = {

@@ -13,7 +13,6 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .energy import FREQ_CUT_MIN
 from .errors import ConfigError
 
 
@@ -33,9 +32,7 @@ class RunConfig:
     kappa: float = 0.6
     seed: list[int] = field(default_factory=lambda: [7])
     out: str | None = None
-    oracle_limit: int = 400
     fit_n_max: int = 3000
-    freq_cut: int = 128
 
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
@@ -55,8 +52,7 @@ class RunConfig:
             raise ConfigError("E values must be >= 0")
         if any(b <= 0 for b in self.beta):
             raise ConfigError("beta values must be positive")
-        for name, floor in (("oracle_limit", 1), ("n_max", 0), ("power", 1),
-                            ("fit_n_max", 1), ("freq_cut", FREQ_CUT_MIN)):
+        for name, floor in (("n_max", 0), ("power", 1), ("fit_n_max", 1)):
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
@@ -91,11 +87,16 @@ def parse_config_file(path: str) -> dict:
     unreadable file raise ConfigError."""
     values: dict = {}
     try:
-        fh = open(path, encoding="utf-8")
+        # undecodable bytes are kept as surrogates, so the line that holds them is known
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     with fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"line {line_no}: {path} is not UTF-8 text") from None
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -144,7 +144,7 @@ def _table(kind: str, power: int, n_max: int) -> _Table:
 @dataclass
 class SpectrumModel:
     """Multiplicity sequence d_N, tabulated in dims for N = 0..n_max (dims[0] == 1)
-    and read for every N >= 0 through `dim`, `dims_upto` and `log_dims`."""
+    and read for every N >= 0 through `dims_upto` and `log_dims`."""
 
     kind: str                      # "u1" | "virasoro" | "custom"
     dims: list[int]
@@ -179,12 +179,6 @@ class SpectrumModel:
             return np.full(max(hi - lo + 1, 0), -np.inf) if logs else [0] * (hi - lo + 1)
         table = _table(self.kind, self.power, hi)
         return (table.logs if logs else table.dims)[lo: hi + 1]
-
-    def dim(self, n: int) -> int:
-        """d_n for any n >= 0."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return self.dims[n] if n <= self.n_max else self._past(n, n, logs=False)[0]
 
     def dims_upto(self, hi: int) -> list[int]:
         """[d_0, ..., d_hi] as a fresh list, for any hi >= 0."""
@@ -300,11 +294,16 @@ def parse_spectrum_file(path: str) -> list[int]:
     entries: list[tuple[int, int]] = []
     total = 0
     try:
-        fh = open(path, encoding="utf-8")
+        # undecodable bytes are kept as surrogates, so the line that holds them is known
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise SpectrumFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
         for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SpectrumFileError(f"{path} is not UTF-8 text", line_no) from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -351,7 +350,6 @@ class GrowthFit:
     C: float
     log_C: float
     certified_range: tuple[int, int]
-    model_label: str = ""
 
 
 def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None = None) -> GrowthFit:
@@ -373,7 +371,6 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
         C=math.exp(best),
         log_C=best,
         certified_range=(0, hi),
-        model_label=model.label,
     )
 
 

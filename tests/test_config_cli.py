@@ -37,13 +37,13 @@ def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
     path.write_text(
         "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
         "delta = 1, 0.5\nE = 0, 4\nbeta = 2\nkappa = 0.5\nseed = 3\n"
-        "out = o.csv\noracle_limit = 50\nfit_n_max = 800\nfreq_cut = 64\n"
+        "out = o.csv\nfit_n_max = 800\n"
     )
     got = parse_config_file(str(path))
     want = {
         "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
         "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "kappa": 0.5,
-        "seed": [3], "out": "o.csv", "oracle_limit": 50, "fit_n_max": 800, "freq_cut": 64,
+        "seed": [3], "out": "o.csv", "fit_n_max": 800,
     }
     assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
     assert got == want
@@ -60,6 +60,14 @@ def test_config_file_unknown_key_names_line(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config_file(str(path))
     assert "line 2" in str(exc.value) and "wibble" in str(exc.value)
+
+
+def test_config_file_not_utf8_names_path_and_line(tmp_path, capsys):
+    # the decoder's own message once named neither the file nor the line
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"alpha = 0.6\n# caf\xe9\ndelta = 0.5\n")
+    code, out, err = _run(capsys, ["bounds", "--config", str(path)])
+    assert code == 2 and out == "" and err == f"entrocut: line 2: {path} is not UTF-8 text\n"
 
 
 def test_config_file_bad_value_names_line(tmp_path):
@@ -406,13 +414,44 @@ def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
 
 
 def test_cli_verify_spectral_tail_mass_exits_two(capsys):
-    # freq_cut = 11 passes the floor but is too small for delta = 0.5: the
-    # input is at fault, so exit 2, naming the tail mass and its limit
-    code, out, err = _run(capsys, ["verify", "--only", "spectral", "--freq-cut", "11"])
+    # at delta = 3.0 the pairs' bumps are too narrow for the cut of 66: the
+    # input is at fault, so exit 2, in one line naming delta and the limit
+    code, out, err = _run(capsys, ["verify", "--only", "spectral", "--delta", "3.0"])
     assert code == 2
-    assert out == "" and "Traceback" not in err
-    assert err == ("entrocut: freq_cut=11 too small for delta=0.5: "
-                   "Fourier tail mass 1.635e-01 exceeds 1e-04\n")
+    assert out == "" and "Traceback" not in err and "freq_cut" not in err
+    assert err == ("entrocut: delta=3.0 is too wide for the spectral suite: the pair's "
+                   "Fourier tail mass 3.417e-03 exceeds the suite's limit 1e-04\n")
+
+
+@pytest.mark.parametrize("deltas", ["1.6", "0.5,1.8"])
+def test_cli_verify_spectral_cut_follows_delta(capsys, deltas):
+    # a fixed cut of 128 put delta * 128 past T0 = 200 and exited 2 here
+    code, out, err = _run(capsys, ["verify", "--delta", deltas])
+    assert code == 0 and err == ""
+    spectral = [line.split(",") for line in out.split("\n") if line.startswith("spectral,")]
+    assert [(r[1], r[3]) for r in spectral] == [(f"seed=7 delta={d} pairs=5", "1")
+                                                for d in deltas.split(",")]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--freq-cut", "64"], "unrecognized arguments: --freq-cut 64"),
+    (["--oracle-limit", "50"], "unrecognized arguments: --oracle-limit 50"),
+    (["--config", "freq_cut"], "entrocut: line 1: unknown key 'freq_cut'"),
+    (["--config", "oracle_limit"], "entrocut: line 1: unknown key 'oracle_limit'"),
+])
+def test_cli_verify_has_no_tuning_settings(capsys, tmp_path, monkeypatch, argv, message):
+    # the spectral cut follows delta and the dense suites use the limit of
+    # 400 states in build_truncated_space, so neither is a flag or a config key
+    monkeypatch.chdir(tmp_path)
+    for key in ("freq_cut", "oracle_limit"):
+        (tmp_path / key).write_text(f"{key} = 64\n")
+    try:
+        code = cli.main(["verify", *argv])
+    except SystemExit as exc:       # argparse refuses the flag itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
@@ -537,26 +576,11 @@ def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):
     (["model", "--n-max", "-1"], "n_max must be >= 0, got -1"),
     (["bounds", "--power", "0"], "power must be >= 1, got 0"),
     (["trace", "--fit-n-max", "0"], "fit_n_max must be >= 1, got 0"),
-    (["verify", "--only", "spectral", "--freq-cut", "10"], "freq_cut must be >= 11, got 10"),
-    (["verify", "--oracle-limit", "0"], "oracle_limit must be >= 1, got 0"),
 ])
 def test_cli_range_check_names_its_field(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == "" and err == f"entrocut: {message}\n"
-
-
-@pytest.mark.parametrize("freq_cut", ["8", "9", "10"])
-def test_cli_verify_spectral_refuses_freq_cut_below_eleven(capsys, tmp_path, freq_cut):
-    # 8-10 passed the old floor of 8 and ended in numpy's zero-size error
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"freq_cut = {freq_cut}\n")
-    for argv in (["verify", "--only", "spectral", "--freq-cut", freq_cut],
-                 ["verify", "--only", "spectral", "--config", str(cfg)]):
-        code, out, err = _run(capsys, argv)
-        assert code == 2, argv
-        assert out == "" and "freq_cut" in err and "zero-size" not in err, argv
-        assert "Traceback" not in err, argv
 
 
 def _numpy_on_openblas_x86() -> bool:

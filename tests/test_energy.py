@@ -404,34 +404,38 @@ def test_synthetic_pair_deterministic_and_certified():
     assert p1.tail_mass <= 1e-4
 
 
+def test_synthetic_pair_cut_follows_delta():
+    # the largest N <= 128 with delta * N <= T0, by the comparison the
+    # identity check makes: 128 up to delta = 1.5625, and 125 at 1.6, where
+    # 1.6 * 125 rounds to 200.0
+    for delta, cut in ((0.05, 128), (1.5625, 128), (1.6, 125), (1.8, 111), (2.0, 100)):
+        pair = make_synthetic_pair(delta, seed=1)
+        assert pair.freq_cut == cut and len(pair.a) == len(pair.b) == cut + 1, delta
+
+
 def test_synthetic_pair_rejects_small_freq_cut():
+    # at delta = 3.0 the cut is 66 and the bumps are too narrow for it
     with pytest.raises(ValueError, match="tail mass"):
-        make_synthetic_pair(0.05, freq_cut=12, seed=0)
-
-
-@pytest.mark.parametrize("freq_cut", [1, 8, 9, 10])
-def test_synthetic_pair_refuses_freq_cut_below_its_tail_check(freq_cut):
-    # the tail check reads the 12 highest kept coefficients; fewer kept left
-    # numpy's "zero-size array" error in its place
-    with pytest.raises(ValueError, match=f"freq_cut must be >= 11, got {freq_cut}"):
-        make_synthetic_pair(0.5, freq_cut=freq_cut, seed=0)
+        make_synthetic_pair(3.0, seed=0)
 
 
 def test_synthetic_pair_smallest_freq_cut_reaches_the_tail_check():
-    # the fault lies in the input, so the error is a ValueError, as below 11
-    with pytest.raises(ValueError, match="freq_cut=11 too small for delta=0.5: "
-                                         r"Fourier tail mass 2\.258e-01 exceeds 1e-04"):
-        make_synthetic_pair(0.5, freq_cut=11, seed=0)
+    # near pi the cut is at its smallest (66 terms at delta = 3.0, 63 below
+    # pi); the fault lies in the input, so the error is a ValueError, and it
+    # names delta and the limit, not the cut, which is no setting
+    with pytest.raises(ValueError, match=r"^delta=3\.0 is too wide for the spectral suite: "
+                       r"the pair's Fourier tail mass 6\.284e-03 exceeds the suite's limit 1e-04$"):
+        make_synthetic_pair(3.0, seed=0)
 
 
 def test_spectral_identity_residual(ef075):
-    res = verify_spectral_identity(ef075, make_synthetic_pair(0.3, seed=0))
-    assert res.relative <= 1e-5
-    assert res.scale > 0
+    pair = make_synthetic_pair(0.3, seed=0)
+    assert verify_spectral_identity(ef075, pair) <= 1e-5
+    assert np.sum(np.abs(pair.a)) + np.sum(np.abs(pair.b)) > 0
 
 
 def test_spectral_identity_rejects_out_of_range(ef075):
-    pair = make_synthetic_pair(2.0, seed=0)
+    pair = make_synthetic_pair(1.6, seed=0)
     big = pair.__class__(**{**pair.__dict__, "delta": 3.0})
     with pytest.raises(ValueError):
         verify_spectral_identity(ef075, big)

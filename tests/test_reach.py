@@ -7,13 +7,17 @@ name the definition's source mentions: a name defined at module level in
 the same module, or imported there from a sibling module.  A reached class
 counts with its whole body, methods included.  A name in `entrocut.__all__`
 that the walk never reaches is run by nothing but the tests, and belongs in
-`tests/` or nowhere.
+`tests/` or nowhere.  A walk of the same kind, over `cli.py` alone, checks
+that each command reads every setting it offers.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import entrocut
+import entrocut.cli as cli
+from entrocut.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "entrocut"
@@ -94,3 +98,30 @@ def test_every_public_name_is_reached_by_a_command_or_the_benchmark():
     unreached = sorted(name for name in entrocut.__all__
                        if imports["__init__"][name] not in reached)
     assert unreached == [], f"run only by the tests: {', '.join(unreached)}"
+
+
+def test_a_handler_reads_every_setting_it_offers():
+    # cli.py's rule: a flag named after a RunConfig field goes only to a
+    # command whose handler, or a cli function it calls, reads cfg.<field>
+    defs = _module_tables()[0]["cli"]
+
+    def reads(name: str, seen: set) -> set[str]:
+        seen.add(name)
+        found = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) not in seen \
+                    and isinstance(defs.get(getattr(node.func, "id", None)), ast.FunctionDef):
+                found |= reads(node.func.id, seen)
+        return found
+
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    offered_anywhere: set[str] = set()
+    for command, (handler, _, flags) in cli._COMMANDS.items():
+        offered = fields & {cli._FLAG_OPTIONS.get(flag, {}).get("dest", flag)
+                            for flag in ("config", "out", *flags)}
+        offered_anywhere |= offered
+        unread = offered - reads(handler.__name__, set())
+        assert not unread, f"{command} offers but never reads {sorted(unread)}"
+    assert offered_anywhere == fields, f"offered by no command: {sorted(fields - offered_anywhere)}"

@@ -70,21 +70,21 @@ def test_custom_dim_beyond_range_is_zero(tmp_path):
     path.write_text("0 1\n3 5\n")
     m = model_dims("custom", 10, path=str(path))
     assert m.dims == [1, 0, 0, 5]
-    assert m.dim(7) == 0
+    assert m.dims_upto(7)[7] == 0
 
 
 def test_builtin_dim_beyond_range_raises():
     m = model_dims("u1", 5)
-    assert m.dim(6) == 11                # past n_max a built-in reads its table
+    assert m.dims_upto(6)[6] == 11       # past n_max a built-in reads its table
     with pytest.raises(ValueError):
-        m.dim(-1)
+        m.dims_upto(-1)
 
 
 def test_custom_model_reads_zero_past_its_file(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("0 1\n3 5\n")
     m = model_dims("custom", 10, path=str(path))
-    assert m.dim(4) == 0 and m.dim(1000) == 0
+    assert m.dims_upto(4)[4] == 0 and m.dims_upto(1000)[1000] == 0
     assert m.dims_upto(6) == [1, 0, 0, 5, 0, 0, 0]
     assert m.log_dims(2, 5) == [-math.inf, math.log(5), -math.inf, -math.inf]
     assert m.n_max == 3
@@ -113,6 +113,16 @@ def test_spectrum_file_errors(tmp_path, text, fragment):
     with pytest.raises(SpectrumFileError) as exc:
         parse_spectrum_file(str(path))
     assert fragment in str(exc.value)
+
+
+def test_spectrum_file_not_utf8_names_path_and_line(tmp_path):
+    # the decoder's own message once named neither the file nor the line
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 2\n# caf\xe9\n2 3\n")
+    with pytest.raises(SpectrumFileError) as exc:
+        parse_spectrum_file(str(path))
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: {path} is not UTF-8 text"
 
 
 def test_spectrum_file_missing_path_raises():
