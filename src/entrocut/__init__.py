@@ -3,9 +3,9 @@
 The package computes, for a concrete multiplicity sequence d_N, every
 explicit constant in the cutoff entropy bounds (C_delta, S_delta,
 c_{delta,E}, S_{delta,E}, C_E, S_E), the underlying energy window with
-certified suprema, the explicit pure-state decompositions on a truncated
-space, an exact closed-form entropy oracle checking each bound, and the
-partition-trace caps (at p*beta, the p-sum of the damping map).
+certified suprema, an exact closed-form entropy oracle on a truncated
+space checking each cutoff bound, and the partition-trace caps (at
+p*beta, the p-sum of the damping map).
 """
 
 from .bounds import (
@@ -37,18 +37,7 @@ from .errors import (
     OracleLimitError,
     SpectrumFileError,
 )
-from .pairing import (
-    OracleComparison,
-    ThetaDecomposition,
-    TruncatedSpace,
-    assemble_theta,
-    build_truncated_space,
-    oracle_vs_bounds,
-    polarization_check,
-    pure_state_vector,
-    theta_eval,
-    theta_product_identity_check,
-)
+from .pairing import OracleComparison, TruncatedSpace, build_truncated_space, oracle_vs_bounds
 from .spectra import (
     GrowthFit,
     SpectrumModel,
@@ -71,10 +60,7 @@ __all__ = [
     "eta",
     "ConfigError", "ConstructionError", "DivergenceError", "EntrocutError",
     "OracleLimitError", "SpectrumFileError",
-    "OracleComparison", "ThetaDecomposition", "TruncatedSpace",
-    "assemble_theta", "build_truncated_space", "oracle_vs_bounds",
-    "polarization_check", "pure_state_vector", "theta_eval",
-    "theta_product_identity_check",
+    "OracleComparison", "TruncatedSpace", "build_truncated_space", "oracle_vs_bounds",
     "GrowthFit", "SpectrumModel", "extend_model",
     "fit_growth_constants", "model_dims", "parse_spectrum_file",
 ]

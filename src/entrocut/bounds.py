@@ -437,7 +437,9 @@ def _sum_exp_neg_power(kappa: float) -> float:
     = Gamma(1/kappa, (M-1)^kappa) / kappa.  With s = 1/kappa > 1 and
     x = (M-1)^kappa > s - 1, Gamma(s, x) <= x^{s-1} e^{-x} x / (x - s + 1);
     when that majorant is negligible against the partial sum (kappa >= 0.32)
-    the tail cannot change its bits and is not evaluated.
+    the tail cannot change its bits and is not evaluated.  Raises
+    DivergenceError when the tail passes the float range (kappa below about
+    0.00586).
     """
     m = 200_000
     # the terms e^{-N^kappa} built in one array, in place: the same array,
@@ -454,6 +456,14 @@ def _sum_exp_neg_power(kappa: float) -> float:
         log_tail = s * math.log(x) - x - math.log(x - s + 1.0) - math.log(kappa)
         if log_tail < math.log(partial) + _LOG_NEGLIGIBLE:
             return partial
+    # Gamma(s) leaves the float range at s > 171.6 (kappa < 0.00583); there
+    # x < 1.08, so gammaincc(s, x) is 1 to double precision and the tail
+    # Gamma(s)/kappa is past the range with it
+    log_tail = math.lgamma(s) - math.log(kappa)
+    if log_tail >= _LOG_FLOAT_MAX:
+        raise DivergenceError(
+            f"sum_N e^(-N^kappa) at kappa = {kappa:g} is e^{log_tail:.6g}, beyond the float range"
+        )
     from scipy.special import gammaincc
 
     tail = float(math.gamma(s) * gammaincc(s, x) / kappa)

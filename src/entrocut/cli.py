@@ -2,7 +2,8 @@
 
 Subcommands: `model` (multiplicity tables), `energy-function` (window
 samples), `bounds` (cutoff-bound sweep with oracle columns), `trace`
-(partition-trace bound checks), `verify` (the numerical identity suites).
+(partition-trace bound checks), `verify` (checks of the window, the ensemble
+bound and the trace bound at the given settings).
 The parser is built from one table, `_COMMANDS`: each subcommand offers
 `--config`, `--out` and a flag for each setting it reads, spelled after its
 `RunConfig` field (`_` as `-`) and typed by the field's annotation.  The
@@ -33,21 +34,8 @@ from .energy import (
     verify_spectral_identity,
     window,
 )
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    EntrocutError,
-    OracleLimitError,
-    SpectrumFileError,
-)
-from .pairing import (
-    OracleComparison,
-    TruncatedSpace,
-    build_truncated_space,
-    oracle_vs_bounds,
-    polarization_check,
-    theta_product_identity_check,
-)
+from .errors import ConfigError, DivergenceError, EntrocutError, SpectrumFileError
+from .pairing import OracleComparison, TruncatedSpace, oracle_vs_bounds
 from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
@@ -55,7 +43,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DIVERGE = 3
 
-VERIFY_SUITES = ("polarization", "product", "spectral", "concavity", "trace")
+VERIFY_SUITES = ("spectral", "concavity", "trace")
 
 
 def _fmt(value) -> str:
@@ -163,28 +151,6 @@ def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _verify_rows_for_seed(cfg: RunConfig, seed: int, model: SpectrumModel,
                           ef: EnergyFunction, fit, suites: tuple[str, ...]) -> list[list]:
     rows: list[list] = []
-    rng = np.random.default_rng(seed)
-
-    if "polarization" in suites:
-        space = build_truncated_space(model, 3)
-        worst = 0.0
-        trials = 25
-        for _ in range(trials):
-            x = rng.normal(size=(space.dim, space.dim)) \
-                + 1j * rng.normal(size=(space.dim, space.dim))
-            for n in range(1, space.dim):
-                r1, r2 = polarization_check(space, x, n)
-                worst = max(worst, r1, r2)
-        rows.append(["polarization", f"seed={seed} D={space.dim} trials={trials}",
-                     worst, worst <= 1e-10])
-
-    if "product" in suites:
-        space = build_truncated_space(model, 4)
-        for delta in cfg.delta:
-            worst = theta_product_identity_check(space, ef, delta, n_trials=10, seed=seed)
-            rows.append(["product", f"seed={seed} delta={delta:g} E=4",
-                         worst, worst <= 1e-10])
-
     if "spectral" in suites:
         for delta in cfg.delta:
             pairs = 5
@@ -213,7 +179,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     # the window and the growth fit are built only for the suites that read them
     ef = (build_energy_function(cfg.alpha)
-          if {"product", "spectral", "concavity"} & set(suites) else None)
+          if {"spectral", "concavity"} & set(suites) else None)
     fit = (fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
            if "trace" in suites else None)
     rows: list[list] = []
@@ -237,7 +203,7 @@ _COMMANDS = {
                ("model", "file", "power", "alpha", "delta", "E", "kappa")),
     "trace": (cmd_trace, "partition trace against the explicit bound",
               ("model", "file", "power", "kappa", "beta", "fit_n_max")),
-    "verify": (cmd_verify, "run the numerical identity suites",
+    "verify": (cmd_verify, "run the spectral, concavity and trace checks",
                ("seed", "only", "model", "file", "alpha", "delta", "E", "beta", "kappa")),
 }
 
@@ -283,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"entrocut: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGE
-    except (ConfigError, SpectrumFileError, OracleLimitError, ValueError) as exc:
+    except (ConfigError, SpectrumFileError, ValueError) as exc:
         print(f"entrocut: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EntrocutError as exc:

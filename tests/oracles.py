@@ -7,9 +7,11 @@ diagonalized by LAPACK instead of the package's closed form over the level
 basis, the Bessel antiderivative from 40-digit piecewise quadrature
 instead of the Struve identity or the tabulated spline, and the window from
 the literal nested s x tau quadrature of its definition instead of the
-closed-form inner integral.  The tabulated
-spline itself is pinned, bit for bit, by scipy's CubicHermiteSpline through
-the same knots, evaluated at every tau node of the rule.
+closed-form inner integral.  The split theta_plus - theta_minus of the
+vacuum pairing is summed over the dense pure-state vectors of its
+derivation, which the package never builds.  The tabulated spline itself
+is pinned, bit for bit, by scipy's CubicHermiteSpline through the same
+knots, evaluated at every tau node of the rule.
 
 The one exception is the builder of the shipped integral-of-J0 table,
 `build_ij0`: it is the recipe the file was written with, so it reuses the
@@ -87,25 +89,80 @@ def density_from_weights(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return (vectors.T * (weights / float(np.sum(weights)))) @ vectors.conj()
 
 
+def _slot_levels(dims_by_level: tuple[int, ...]) -> list[int]:
+    """The level N of every slot of the truncated space, the vacuum first."""
+    return [n for n, d in enumerate(dims_by_level) for _ in range(d)]
+
+
+def phase_vector(dim: int, k: int, n: int) -> np.ndarray:
+    """v_{k,n} = (e_0 + i^k e_n)/sqrt(2), a unit vector of C^dim for n >= 1."""
+    v = np.zeros(dim, dtype=complex)
+    v[0] = 1.0
+    v[n] = 1j ** k
+    return v / math.sqrt(2.0)
+
+
+def phis(x: np.ndarray, n: int) -> list[complex]:
+    """phi_{k,n}(x) = <v_{k,n}, x v_{k,n}> for k = 0..3."""
+    return [np.vdot(v, x @ v) for v in (phase_vector(len(x), k, n) for k in range(4))]
+
+
+def polarization_residuals(x: np.ndarray, n: int) -> tuple[float, float]:
+    """Residuals of <e0, x e_n> = sum_k (i^-k/2) phi_{k,n}(x) and
+    <e_n, x e0> = sum_k (i^k/2) phi_{k,n}(x)."""
+    phi = phis(x, n)
+    ik = [1j ** k for k in range(4)]
+    return (abs(x[0, n] - sum(np.conj(ik[k]) * phi[k] for k in range(4)) / 2.0),
+            abs(x[n, 0] - sum(ik[k] * phi[k] for k in range(4)) / 2.0))
+
+
 def tau_density(dims_by_level: tuple[int, ...], absf: np.ndarray) -> np.ndarray:
     """The normalized tau state as a dense matrix on the truncated space.
 
     Slot 0 is the vacuum, with weight 1.  Every later slot n, at level N,
-    contributes the four vectors (e_0 + i^k e_n)/sqrt(2), k = 0..3, each with
-    weight absf[N]/2 = |f(delta N)|/2; nothing assumes the sum is diagonal.
+    contributes the four vectors v_{k,n}, k = 0..3, each with weight
+    absf[N]/2 = |f(delta N)|/2; nothing assumes the sum is diagonal.
     """
-    levels = [n for n, d in enumerate(dims_by_level) for _ in range(d)]
+    levels = _slot_levels(dims_by_level)
     dim = len(levels)
     weights = [1.0]
     vectors = [np.eye(1, dim, dtype=complex)[0]]
     for slot in range(1, dim):
         for k in range(4):
-            v = np.zeros(dim, dtype=complex)
-            v[0] = 1.0
-            v[slot] = 1j ** k
-            vectors.append(v / math.sqrt(2.0))
+            vectors.append(phase_vector(dim, k, slot))
             weights.append(absf[levels[slot]] / 2.0)
     return density_from_weights(np.array(weights), np.array(vectors))
+
+
+def theta_parts(dims_by_level: tuple[int, ...], window_by_level: np.ndarray,
+                x: np.ndarray, y: np.ndarray) -> tuple[complex, complex]:
+    """(theta_plus, theta_minus)(x (x) y) summed over the pure states
+    phi_{k,n}(x) = <v_{k,n}, x v_{k,n}>.
+
+    window_by_level holds f(delta N) for N = 0..E, with f(0) = 1/2.  The
+    vacuum gives 2 f(0) x_00 y_00 to theta_plus.  Each later slot n at level
+    N gives, for k = 0..3 and with weight |f(delta N)|/2, the product
+    phi_{k,n}(x) phi_{k,n}(y) to the part of f's sign and
+    phi_{k,n}(x) phi_{k+2,n}(y) to the other.
+    """
+    levels = _slot_levels(dims_by_level)
+    parts = [2.0 * window_by_level[0] * x[0, 0] * y[0, 0], 0.0]     # plus, minus
+    for n in range(1, len(levels)):
+        f = float(window_by_level[levels[n]])
+        phi_x, phi_y = phis(x, n), phis(y, n)
+        paired = sum(phi_x[k] * phi_y[k] for k in range(4))
+        crossed = sum(phi_x[k] * phi_y[(k + 2) % 4] for k in range(4))
+        parts[f < 0.0] += abs(f) / 2.0 * paired
+        parts[f >= 0.0] += abs(f) / 2.0 * crossed
+    return complex(parts[0]), complex(parts[1])
+
+
+def theta_direct(dims_by_level: tuple[int, ...], window_by_level: np.ndarray,
+                 x: np.ndarray, y: np.ndarray) -> complex:
+    """theta_delta(x (x) y) from its definition: the vacuum row and column sums
+    sum_j x_0j f(delta l_j) y_j0 + sum_j y_0j f(delta l_j) x_j0."""
+    f = np.asarray(window_by_level)[_slot_levels(dims_by_level)]
+    return complex(np.sum(x[0] * f * y[:, 0]) + np.sum(y[0] * f * x[:, 0]))
 
 
 @lru_cache(maxsize=None)

@@ -19,14 +19,12 @@ from entrocut import (
     make_synthetic_pair,
     model_dims,
     oracle_vs_bounds,
-    polarization_check,
-    theta_product_identity_check,
     verify_spectral_identity,
     verify_trace_bound,
     cutoff_bound,
     eta,
 )
-from entrocut.energy import window
+from entrocut.energy import f_delta_batch, window
 
 
 def _report(ok: bool, line: str) -> None:
@@ -70,16 +68,18 @@ def test_criterion_02_spectral_identity_synthetic_pairs(ef075):
 def test_criterion_03_polarization_and_product_identities(ef075):
     t0 = time.perf_counter()
     space = build_truncated_space(model_dims("u1", 3), 3)   # D = 7 <= 10
+    d = space.dim
+    window_by_level = f_delta_batch(ef075, 0.7, 0, 3)[0]
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(100):
-        x = rng.normal(size=(space.dim, space.dim)) \
-            + 1j * rng.normal(size=(space.dim, space.dim))
-        for n in range(1, space.dim):
-            r1, r2 = polarization_check(space, x, n)
-            worst = max(worst, r1, r2)
-    worst = max(worst, theta_product_identity_check(space, ef075, 0.7,
-                                                    n_trials=50, seed=2024))
+    for _ in range(50):           # 100 observables, in pairs x (x) y
+        x, y = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+        for n in range(1, d):
+            worst = max(worst, *oracles.polarization_residuals(x, n),
+                        *oracles.polarization_residuals(y, n))
+        plus, minus = oracles.theta_parts(space.dims_by_level, window_by_level, x, y)
+        direct = oracles.theta_direct(space.dims_by_level, window_by_level, x, y)
+        worst = max(worst, abs((plus - minus) - direct) / (np.linalg.norm(x) * np.linalg.norm(y)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed <= 30.0
     _report(ok, f"criterion 3 polarization/product identities: worst residual "

@@ -250,19 +250,21 @@ def test_cli_trace_table(capsys):
 
 
 def test_cli_verify_all_pass_and_filter(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "polarization"])
+    code, out, _ = _run(capsys, ["verify", "--only", "spectral"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "check_name,param_summary,residual_or_gap,pass"
-    assert len(lines) == 2 and lines[1].startswith("polarization,seed=7 D=7 trials=25,")
+    assert [line.rsplit(",", 2)[0] for line in lines[1:]] == [
+        "spectral,seed=7 delta=0.5 pairs=5", "spectral,seed=7 delta=1 pairs=5"]
 
 
 def test_cli_verify_multi_seed_blocks(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "product", "--delta", "0.5",
+    code, out, _ = _run(capsys, ["verify", "--only", "spectral", "--delta", "0.5",
                                  "--seed", "2", "--seed", "5"])
     assert code == 0
     lines = out.strip().split("\n")[1:]
-    assert [l.split(",")[1] for l in lines] == ["seed=2 delta=0.5 E=4", "seed=5 delta=0.5 E=4"]
+    assert [l.split(",")[1] for l in lines] == ["seed=2 delta=0.5 pairs=5",
+                                                "seed=5 delta=0.5 pairs=5"]
 
 
 def test_cli_verify_prints_seed_free_suites_once(capsys):
@@ -273,15 +275,13 @@ def test_cli_verify_prints_seed_free_suites_once(capsys):
     # repeats only the seeded suites, not concavity and trace
     assert two.startswith(one)
     rest = two[len(one):].strip().split("\n")
-    assert [r.split(",")[0] for r in rest] == [
-        "polarization", "product", "product", "spectral", "spectral"]
+    assert [r.split(",")[0] for r in rest] == ["spectral", "spectral"]
     assert all(",seed=2 " in r for r in rest)
 
 
 @pytest.mark.parametrize("suite,windows,fits", [
-    ("polarization", 0, 0),
     ("trace", 0, 1),
-    ("product", 1, 0),
+    ("spectral", 1, 0),
 ])
 def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite, windows, fits):
     calls = {"window": 0, "fit": 0}
@@ -300,10 +300,10 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
-    def fake_check(space, ef, delta, n_trials=0, seed=0):
-        return 1.0                  # a worst residual far above the 1e-10 mark
-    monkeypatch.setattr(cli, "theta_product_identity_check", fake_check)
-    code, out, _ = _run(capsys, ["verify", "--only", "product", "--delta", "0.5"])
+    def fake_check(ef, pair):
+        return 1.0                  # a relative residual far above the 1e-5 mark
+    monkeypatch.setattr(cli, "verify_spectral_identity", fake_check)
+    code, out, _ = _run(capsys, ["verify", "--only", "spectral", "--delta", "0.5"])
     assert code == 1
     assert out.strip().split("\n")[1].endswith(",0")
 
@@ -325,6 +325,17 @@ def test_cli_verify_has_no_quasinorm_suite(capsys, tmp_path, monkeypatch, argv, 
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["polarization", "product"])
+def test_cli_verify_has_no_identity_suites(capsys, suite):
+    # both held for every matrix and every window, whatever the user passed;
+    # they are property tests on a dense oracle now
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--only", suite])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"invalid choice: '{suite}'" in err and "Traceback" not in err
 
 
 def test_cli_out_file_deterministic(tmp_path, capsys):
@@ -463,6 +474,20 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
     assert err.startswith("entrocut: divergence:") and "beta = 0.05" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--kappa", "0.005"],
+    ["trace", "--kappa", "1e-300"],
+    ["verify", "--only", "trace", "--kappa", "0.005"],
+])
+def test_cli_trace_series_beyond_float_range_exits_three(capsys, argv):
+    # below kappa = 0.00586 the tail Gamma(1/kappa)/kappa of sum_N e^{-N^kappa}
+    # is past the float range; math.gamma once raised OverflowError below 0.00583
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("entrocut: divergence: sum_N e^(-N^kappa) at kappa = ")
+    assert err.endswith(", beyond the float range\n") and err.count("\n") == 1
+
+
 def test_cli_trace_covers_the_exact_trace(capsys):
     # the kappa = 0.45 fit's tail once printed 4.4814e22, under the exact 4.4853e22
     code, out, err = _run(capsys, ["trace", "--kappa", "0.45", "--beta", "0.03"])
@@ -492,7 +517,7 @@ def test_cli_trace_reads_a_custom_file_whole(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["energy-function", "--alpha", "0.98", "--points", "3"],
     ["bounds", "--alpha", "0.99", "--E", "2"],
-    ["verify", "--alpha", "0.999", "--only", "product"],
+    ["verify", "--alpha", "0.999", "--only", "spectral"],
 ])
 def test_cli_steep_window_prints_no_numpy_warning(capsys, argv):
     # ghat's q^{-rho} overflows near the ends of (0, 1), where exp(-inf) = 0.0
@@ -596,8 +621,7 @@ def _numpy_on_openblas_x86() -> bool:
 @pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS on x86-64")
 def test_cli_bytes_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names a set;
-    # Prescott is its oldest x86-64 one.  The product suite once went through
-    # zgemm and LAPACK norms, and its residuals changed in the last digits
+    # Prescott is its oldest x86-64 one.  The CSV must not change with the set
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -1,23 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 import oracles
 from entrocut import (
     OracleLimitError,
-    assemble_theta,
     build_truncated_space,
     cutoff_bound,
     model_dims,
     oracle_vs_bounds,
-    polarization_check,
-    pure_state_vector,
-    theta_eval,
-    theta_product_identity_check,
 )
 from entrocut.energy import f_delta_batch, window
-from entrocut.pairing import phi_values, theta_direct
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +20,6 @@ def space4(u1_small):
 def test_space_layout(u1_small):
     sp = build_truncated_space(u1_small, 4)
     assert sp.dim == sum(u1_small.dims[:5]) == 12
-    assert list(sp.labels[:4]) == [0, 1, 2, 2]
     assert sp.dims_by_level == (1, 1, 2, 3, 5)
 
 
@@ -37,94 +28,38 @@ def test_space_dim_limit(u1_small):
         build_truncated_space(u1_small, 30, dim_limit=400)
 
 
-def test_pure_state_vectors_unit_with_phase_structure(space4):
-    e_0 = np.zeros(space4.dim, dtype=complex)
-    e_0[0] = 1.0
-    for n in (1, 5, 11):
-        e_n = np.zeros(space4.dim, dtype=complex)
-        e_n[n] = 1.0
-        for k in range(4):
-            v = pure_state_vector(space4, k, n)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
-            assert np.allclose(v, (e_0 + 1j**k * e_n) / math.sqrt(2), atol=1e-15)
-        # opposite phases cancel the vacuum component
-        diff = pure_state_vector(space4, 0, n) - pure_state_vector(space4, 2, n)
-        assert np.allclose(diff, math.sqrt(2) * e_n)
-    with pytest.raises(ValueError):
-        pure_state_vector(space4, 0, 0)
-    with pytest.raises(ValueError):
-        pure_state_vector(space4, 4, 1)
-
-
 def test_polarization_identities(space4):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(space4.dim, space4.dim)) + 1j * rng.normal(size=(space4.dim, space4.dim))
     worst = 0.0
     for n in range(1, space4.dim):
-        r1, r2 = polarization_check(space4, x, n)
+        r1, r2 = oracles.polarization_residuals(x, n)
         worst = max(worst, r1, r2)
     assert worst <= 1e-12
 
 
 def test_theta_split_matches_direct(space4, ef075):
-    assert theta_product_identity_check(space4, ef075, 0.5) <= 1e-10
-    assert theta_product_identity_check(space4, ef075, 1.0) <= 1e-10
+    # f(delta l_n) > 0 throughout at delta = 0.5, and of both signs at 1.0
+    rng = np.random.default_rng(0)
+    d = space4.dim
+    for delta in (0.5, 1.0):
+        window_by_level = f_delta_batch(ef075, delta, 0, 4)[0]
+        for _ in range(20):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            plus, minus = oracles.theta_parts(space4.dims_by_level, window_by_level, x, y)
+            direct = oracles.theta_direct(space4.dims_by_level, window_by_level, x, y)
+            assert abs((plus - minus) - direct) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_theta_on_identity_recovers_norm(space4, ef075):
-    dec = assemble_theta(space4, ef075, 0.7)
+    window_by_level = f_delta_batch(ef075, 0.7, 0, 4)[0]
     one = np.eye(space4.dim, dtype=complex)
-    plus, _ = theta_eval(dec, one, one)
+    plus, _ = oracles.theta_parts(space4.dims_by_level, window_by_level, one, one)
     # theta_plus(1 (x) 1) = vacuum + 4 |f|/2 per excited slot = c_{delta,E}
     oc = oracle_vs_bounds(space4, ef075, 0.7)
     assert abs(plus.real - oc.c_deltaE) <= 1e-12
     assert abs(plus.imag) <= 1e-15
-
-
-def test_theta_direct_on_identity(space4, ef075):
-    dec = assemble_theta(space4, ef075, 0.7)
-    one = np.eye(space4.dim, dtype=complex)
-    # both tensor slots at the vacuum row: f(0) twice
-    assert abs(theta_direct(dec, one, one) - 1.0) <= 1e-12
-
-
-def test_phi_closed_form_matches_the_pure_state_vectors(space4):
-    # phi_{k,n}(x) = (x_00 + x_nn + i^k x_0n + i^-k x_n0)/2 is <v_{k,n}, x v_{k,n}>
-    rng = np.random.default_rng(43)
-    d = space4.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    slots = np.repeat(np.arange(1, d), 4)
-    ks = np.tile(np.arange(4), d - 1)
-    for phi, n, k in zip(phi_values(x, slots, ks), slots, ks):
-        v = pure_state_vector(space4, int(k), int(n))
-        assert abs(phi - np.vdot(v, x @ v)) <= 1e-14, (k, n)
-    # slot 0 is the vacuum term, whatever its phase
-    assert np.array_equal(phi_values(x, np.zeros(4, dtype=int), np.arange(4)), [x[0, 0]] * 4)
-
-
-def test_theta_weights_and_sign_routing(space4, ef075):
-    # every excited slot contributes its 4 phases to each part
-    n_excited = space4.dim - 1
-    phases = np.tile(np.arange(4), n_excited)
-    slots = np.repeat(np.arange(1, space4.dim), 4)
-    for delta in (0.5, 1.0):             # f(delta l_n) > 0 throughout, then of both signs
-        dec = assemble_theta(space4, ef075, delta)
-        assert (dec.plus_weights[0], dec.plus_slots[0]) == (1.0, 0)
-        assert np.array_equal(dec.plus_slots[1:], slots) and np.array_equal(dec.minus_slots, slots)
-        assert np.array_equal(dec.plus_left_k[1:], phases)
-        assert np.array_equal(dec.minus_left_k, phases)
-        assert dec.dropped_count == 0
-        fd = dec.window_by_level[space4.labels[slots]]
-        assert np.all(np.abs(dec.plus_weights[1:] - np.abs(fd) / 2.0) <= 1e-17)
-        assert np.array_equal(dec.minus_weights, dec.plus_weights[1:])
-        # plus part: left phase == right phase exactly when f(delta l_n) > 0;
-        # the minus part takes the other pairing, and a pair that differs is k, k + 2
-        assert np.array_equal(dec.plus_left_k[1:] == dec.plus_right_k[1:], fd > 0.0)
-        assert np.array_equal(dec.minus_left_k == dec.minus_right_k, fd < 0.0)
-        for left, right in ((dec.plus_left_k, dec.plus_right_k),
-                            (dec.minus_left_k, dec.minus_right_k)):
-            assert set((right - left) % 4) <= {0, 2}
-        assert (delta == 1.0) == bool(np.any(fd < 0.0))
 
 
 def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
@@ -140,9 +75,7 @@ def test_tau_total_is_weighted_multiplicity_sum(space4, ef075, u1_small):
 
 def test_quadrature_range_guard(space4, ef075):
     with pytest.raises(ValueError):
-        assemble_theta(space4, ef075, 60.0)   # delta * E = 240 > 200
-    with pytest.raises(ValueError):
-        oracle_vs_bounds(space4, ef075, 60.0)
+        oracle_vs_bounds(space4, ef075, 60.0)   # delta * E = 240 > 200
 
 
 def test_oracle_comparison_vacuum_degenerate(u1_small, ef075):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entrocut import eta, parse_spectrum_file, polarization_check
+from entrocut import eta, parse_spectrum_file
 from entrocut.energy import window
-from entrocut.pairing import build_truncated_space
 from entrocut.spectra import model_dims
 
 _P500 = model_dims("u1", 500).dims
@@ -92,18 +91,50 @@ def test_spectrum_file_round_trip(tmp_path_factory, extra):
     assert parse_spectrum_file(str(path)) == dims
 
 
-_SPACE3 = build_truncated_space(model_dims("u1", 3), 3)
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_polarization_identity_random_observables(seed):
+    # the vectors v_{k,n} = (e0 + i^k e_n)/sqrt(2) are unit vectors, and their
+    # four phases recover the vacuum row and column of x (D = 7, u1 at E = 3)
     rng = np.random.default_rng(seed)
-    d = _SPACE3.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    d = 7
+    x = _draw(rng, d, d)
     for n in range(1, d):
-        r1, r2 = polarization_check(_SPACE3, x, n)
+        for k in range(4):
+            assert abs(np.linalg.norm(oracles.phase_vector(d, k, n)) - 1.0) <= 1e-15
+        r1, r2 = oracles.polarization_residuals(x, n)
         assert max(r1, r2) <= 1e-10
+
+
+# signed window values f(delta N) for N >= 1, exact zeros and subnormals among them
+_WINDOW_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+                          st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _levels_and_window(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    values = draw(st.lists(_WINDOW_VALUE, min_size=len(dims), max_size=len(dims)))
+    return (1, *dims), np.array([0.5, *values])
+
+
+@given(_levels_and_window(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_theta_sign_split_is_the_vacuum_pairing(levels, seed):
+    dims, f = levels
+    d = sum(dims)
+    rng = np.random.default_rng(seed)
+    x, y = _draw(rng, d, d), _draw(rng, d, d)
+    plus, minus = oracles.theta_parts(dims, f, x, y)
+    direct = oracles.theta_direct(dims, f, x, y)
+    assert abs((plus - minus) - direct) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+    # theta_plus(1 (x) 1) = 1 + 2 sum_N d_N |f(delta N)|, which oracle_vs_bounds
+    # reports as c_deltaE; theta_minus(1 (x) 1) is the same sum without the vacuum
+    one = np.eye(d, dtype=complex)
+    plus, minus = oracles.theta_parts(dims, f, one, one)
+    weight = 2.0 * math.fsum(dn * abs(fn) for dn, fn in zip(dims[1:], f[1:]))
+    assert abs(plus - (1.0 + weight)) <= 1e-12 * (1.0 + weight)
+    assert abs(minus - weight) <= 1e-12 * (1.0 + weight)
 
 
 @given(st.floats(0.0, 200.0))
