@@ -91,8 +91,11 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not math.isfinite(args.t_max):
         raise ConfigError(f"--t-max must be finite, got {args.t_max}")
+    try:
+        ts = np.linspace(0.0, args.t_max, args.points)
+    except MemoryError:
+        raise ConfigError(f"--points {args.points} is more samples than memory holds") from None
     ef = build_energy_function(cfg.alpha)
-    ts = np.linspace(0.0, args.t_max, args.points)
     values, _, flags = window(ef, ts)
     rows = [[float(t), float(v), bool(flag)]
             for t, v, flag in zip(ts, values, flags)]

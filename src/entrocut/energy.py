@@ -36,29 +36,29 @@ at four alphas), and t = 0 returns 1/2 exactly.  A build computes 283
 quadrature rows: the 201 Chebyshev points and the doubled-density
 self-check's 2 x 41 probes.
 
-Every weighted sum feeding the window (the IJ0 table steps, the bump
-normalization, the sum over i above and the interpolant's DCT-I
-coefficients) is reduced in an order the package fixes, numpy's pairwise
-sum along one contiguous row, never a BLAS matrix-vector product or a least
-squares fit, and the Clenshaw recurrence is elementwise, so a value does not
-depend on how many other points it is evaluated alongside, on thread count
-or on the BLAS build.
+Every weighted sum feeding the window (the bump normalization, the sum
+over i above and the interpolant's DCT-I coefficients) is reduced in an
+order the package fixes, numpy's pairwise sum along one contiguous row,
+never a BLAS matrix-vector product or a least squares fit, and the
+Clenshaw recurrence is elementwise, so a value does not depend on how many
+other points it is evaluated alongside, on thread count or on the BLAS
+build.
 
 The quadrature range T0 = 200 and the certified tolerance ABS_TOL = 1e-12
 are fixed: the window is one function for each alpha, and the cutoff caps
-need only its closed-form suprema.  IJ0 is read from the table shipped with
-the package (`ij0_table.npy`, checked against a sha256 on load), once per
-window build and held only until the build returns, since readers evaluate
-the interpolant and never IJ0.  The table is a cubic Hermite interpolant on
-[0, T0] with knots 0.002 apart, read by direct index with the same bits as
-scipy's CubicHermiteSpline, so no scipy import is needed and the values do
-not depend on the local scipy build.  The tests certify the file against
-the Struve-function identity
-IJ0(x) = x J0(x) + (pi x / 2)(J1(x) H0(x) - J0(x) H1(x)) and rebuild it
-from scipy's J0.  IJ0 is taken only on the bump's support, the tau nodes
-whose coefficient is not exactly 0.0, in blocks small enough to stay in
-cache.  Tests cross-check the window against the direct nested s x tau
-quadrature of the definition.
+need only its closed-form suprema.  IJ0 is entire of exponential type 1,
+like h, so it too is a Chebyshev interpolant: degree 14 on each of the
+interpolant's 100 panels of [0, T0], 1,500 coefficients committed as
+`float.hex` text in `_constants`, with the 16-point Gauss-Legendre rule of
+the tau panels.  tests/oracles.py generates that module in mpmath, from
+IJ0(x) = x 1F2(1/2; 1, 3/2; -x^2/4) at 30 digits, and rounds each
+constant once, so no constant depends on libm, LAPACK or the CPU; a test
+regenerates it bit for bit.  The panels are within 2.2e-16 of mpmath on
+seeded points, and the tests keep a cubic Hermite table of IJ0 as a second
+route to the window.  IJ0 is taken only on
+the bump's support, the tau nodes whose coefficient is not exactly 0.0, in
+blocks small enough to stay in cache.  Tests cross-check the window
+against the direct nested s x tau quadrature of the definition.
 
 Guaranteed facts, all verified against the construction: f is real and even,
 f(0) = 1/2, |f(t)| <= 1/2, and |f(t)| e^{|t|^alpha} stays bounded because the
@@ -82,117 +82,23 @@ the oracle makes at the same E.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-import numpy.lib.format as npy
-from numpy.polynomial.legendre import leggauss
 
+from . import _constants
 from .errors import ConstructionError
 
 
 # The window's two numerical choices, the same for every alpha.  T0 is the
 # quadrature range: f is computed on [0, T0] and the envelope takes over
-# beyond; the shipped IJ0 table covers exactly [0, T0].  ABS_TOL is the
+# beyond; the committed IJ0 panels cover exactly [0, T0].  ABS_TOL is the
 # certified absolute tolerance of a computed f on [0, T0]: the doubled-density
 # self-check sits near 2e-15, so 1e-12 keeps a wide margin.
 T0 = 200.0
 ABS_TOL = 1e-12
-
-# the shipped table: rows ys and dydx = J0 at the knots k * 0.002 of [0, T0];
-# tests/oracles.py holds its builder, its certification and the recipe that
-# rewrites it, after which _SHIPPED_SHA256 is set to the new file's sha256
-_SHIPPED_PATH = Path(__file__).with_name("ij0_table.npy")
-_SHIPPED_SHA256 = "5df6bbb2335e31e389210a7675013362865324fb24d00d7732ed398897130e24"
-
-
-class _HermiteTable:
-    """Cubic Hermite interpolant on uniform knots, read by direct index.
-
-    The same bits as scipy's CubicHermiteSpline(xs, ys, dydx): the four
-    coefficient columns come from its formulas in its operation order, and a
-    value is taken the way its PPoly evaluates one, in the interval i with
-    xs[i] <= x < xs[i+1] (the top knot in the last interval), at s = x - xs[i],
-    as ((c3 + c2 s) + c1 s^2) + c0 (s^2 s).  On uniform knots floor(x n / top)
-    is within one of i, so one comparison with each neighbouring knot replaces
-    the binary search.  Arguments must lie in [0, top].
-    """
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, dydx: np.ndarray) -> None:
-        # c0 = t / dx and c1 = (slope - dydx[:-1]) / dx - t, with
-        # t = (dydx[:-1] + dydx[1:] - 2 slope) / dx, each rounded as scipy
-        # rounds it but computed in place: four arrays of the interval count
-        # live at once, not the six that the plain expressions allocate
-        dx = np.diff(xs)
-        slope = np.diff(ys)
-        slope /= dx
-        c1 = slope - dydx[:-1]
-        c1 /= dx
-        slope *= 2                      # exact: 2 slope as scipy takes it
-        t = np.add(dydx[:-1], dydx[1:])
-        t -= slope
-        t /= dx
-        c1 -= t
-        t /= dx
-        self.xs, self.ys, self.dydx = xs, ys, dydx
-        self.c0 = t
-        self.c1 = c1
-        self.c2 = dydx[:-1]
-        self.c3 = ys[:-1]
-        self.last = len(xs) - 2
-        self.scale = (len(xs) - 1) / float(xs[-1])
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray:
-        shape = np.shape(x)
-        x = np.asarray(x, dtype=float).ravel()
-        xs = self.xs
-        i = np.minimum((x * self.scale).astype(np.intp), self.last)
-        i -= x < xs.take(i)
-        i += (x >= xs.take(i + 1)) & (i < self.last)
-        s = x - xs.take(i)
-        s2 = s * s
-        val = ((self.c3.take(i) + self.c2.take(i) * s) + self.c1.take(i) * s2) \
-            + self.c0.take(i) * (s2 * s)
-        return val.reshape(shape)
-
-
-def _load_ij0(path: Path) -> np.ndarray:
-    """The shipped (ys, dydx) rows, after checking the file's sha256.
-
-    The rows are a read-only view of the bytes that were hashed: the .npy
-    header is parsed from them and nothing is copied.
-    """
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConstructionError(f"cannot read the integral-J0 table {path}: {exc}") from None
-    if hashlib.sha256(raw).hexdigest() != _SHIPPED_SHA256:
-        raise ConstructionError(f"integral-J0 table {path} does not match its sha256")
-    head = io.BytesIO(raw)
-    npy.read_magic(head)            # version 1.0, as np.save writes this header
-    shape, fortran_order, dtype = npy.read_array_header_1_0(head)
-    rows = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=head.tell())
-    return rows.reshape(shape, order="F" if fortran_order else "C")
-
-
-def _ij0_table() -> _HermiteTable:
-    """Int_0^x J0 on [0, T0], read from the shipped file on each call.
-
-    scipy's Struve functions cost microseconds per point, too slow for the
-    hundreds of thousands of arguments a window build needs, so IJ0 is
-    tabulated and read by direct index (`_HermiteTable`) from the shipped
-    knot values, which the tests certify against the Struve route.  Only a
-    window build reads IJ0, and it holds the table until it returns: the
-    table's 3.9 MB of arrays are not kept for the life of the process, and
-    a read costs a few milliseconds.
-    """
-    ys, dydx = _load_ij0(_SHIPPED_PATH)
-    return _HermiteTable(np.linspace(0.0, T0, len(ys)), ys, dydx)
 
 
 def _weighted_row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,17 +123,16 @@ def _ghat_raw(tau: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-# tau rule: Gauss-Legendre points per panel, and panels per oscillation of
-# the largest argument (panel width <= 2 pi / (_PANELS_PER_OSC * T0))
-_POINTS_PER_PANEL = 16
+# tau rule: panels per oscillation of the largest argument (panel width
+# <= 2 pi / (_PANELS_PER_OSC * T0)), each with the 16-point Gauss-Legendre rule
 _PANELS_PER_OSC = 4
 # the envelope fit samples |f| at this many points of [0, T0]
 _GRID_POINTS = 1601
-# elements per evaluation block of _f_on_rule (128 KB of doubles): with the
-# table, the block and its temporaries set a build's peak, 5.6 MB allocated
-# (tracemalloc) at this size against 7.5 MB at 1 << 16; the process of
-# `energy-function --t-max 250 --points 401` peaks at 39.9 MB of RSS, 42.6 MB
-# at 1 << 16 and 58.5 MB with no block (every row at once)
+# elements per evaluation block of _f_on_rule (128 KB of doubles): the block
+# and its Clenshaw arrays set a build's peak, 1.0 MB allocated (tracemalloc)
+# at this size against 3.8 MB at 1 << 16; the process of
+# `energy-function --t-max 250 --points 401` peaks at 30.4 MB of RSS, 32.4 MB
+# at 1 << 16 and 48.8 MB at 1 << 20
 _BLOCK_ELEMS = 1 << 14
 # the interpolant: _f_on_rule at the Chebyshev-Lobatto points of one
 # degree-_CHEB_DEGREE polynomial on [0, T0], re-expanded into _PANEL_COUNT
@@ -236,6 +141,18 @@ _BLOCK_ELEMS = 1 << 14
 _CHEB_DEGREE = 200
 _PANEL_COUNT = 100
 _PANEL_DEGREE = 16
+
+
+def _hex_rows(text: str, rows: int) -> np.ndarray:
+    """The float.hex values of text as a float array of `rows` rows."""
+    return np.array([float.fromhex(h) for h in text.split()]).reshape(rows, -1)
+
+
+# the committed constants (`_constants`, generated in mpmath by
+# tests/oracles.py): the 16-point Gauss-Legendre rule, and IJ0 on the same
+# _PANEL_COUNT panels as the interpolant, row k holding the T_k coefficients
+_GAUSS_NODES, _GAUSS_WEIGHTS = _hex_rows(_constants.GAUSS_LEGENDRE, 2)
+_IJ0_PANELS = np.ascontiguousarray(_hex_rows(_constants.IJ0_PANELS, _PANEL_COUNT).T)
 
 
 @dataclass(frozen=True)
@@ -294,29 +211,28 @@ def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarr
     # enough panels that the largest argument sweeps <= 2pi/osc_panels of
     # phase per panel; a floor of 24 panels resolves the bump itself
     n_panels = max(24, int(math.ceil(abs(t_cap) * osc_panels / (2.0 * math.pi))) + 1)
-    xg, wg = leggauss(_POINTS_PER_PANEL)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
-def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray,
-               ij0: _HermiteTable) -> np.ndarray:
+def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """f(t) = 1/2 - 1/2 sum_i c_i IJ0(|t| tau_i) on a fixed tau rule, |t| <= T0,
-    with IJ0 read from the table `ij0` (`_ij0_table`).
+    with IJ0 from its committed Chebyshev panels (`_ij0`).
 
     IJ0 is taken only on the bump's support: exp underflows towards both
     ends of (0, 1), so the coefficients there are exactly 0.0 (454 of 2064
-    at alpha = 0.75).  The values fill the support columns of a zero-filled
-    block of full width, so the fixed-order row sum (`_weighted_row_sums`)
-    reduces the same row, bit for bit, as it would with every column
-    computed.  A block holds about _BLOCK_ELEMS elements, so its temporaries
-    stay in cache; each row is reduced on its own, so each value is the
-    same bit for bit whatever else is evaluated in the call, and f(0) = 1/2
-    exactly because IJ0(0) = 0.
+    at alpha = 0.75).  Each IJ0 value is one degree-14 Clenshaw recurrence,
+    about 30 ns, and a build takes about 520,000 of them.  The values fill
+    the support columns of a zero-filled block of full width, so the
+    fixed-order row sum (`_weighted_row_sums`) reduces the same row, bit for
+    bit, as it would with every column computed.  A block holds about
+    _BLOCK_ELEMS elements, so its temporaries stay in cache; each row is
+    reduced on its own, so each value is the same bit for bit whatever else
+    is evaluated in the call, and f(0) = 1/2 exactly because IJ0(0) = 0.
     """
     ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
@@ -328,7 +244,7 @@ def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray,
     for start in range(0, len(ts), rows):
         t = ts[start : start + rows]
         m = block[: len(t)]
-        m[:, lo:hi] = ij0(t[:, None] * tau)
+        m[:, lo:hi] = _ij0(t[:, None] * tau)
         out[start : start + rows] = 0.5 - 0.5 * _weighted_row_sums(m, coeffs)
     return out
 
@@ -359,20 +275,28 @@ def _clenshaw(cols: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each step gathers one coefficient row, cols[k].take(p), for all points
     (a gather of whole panels would hold deg+1 values per point), and uses
     only elementwise + and x, so a value depends on its own p and x alone.
+    The steps write into five arrays made once per call: with a fresh array
+    for each of a block's 60 or so operations, the allocator hands pages
+    back and faults them in again, and a window build takes about 40%
+    longer.
     """
     x2 = x + x
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
-    for c in cols[:0:-1]:
-        b = x2 * b1
-        b += c.take(p)
+    b = np.empty_like(x)
+    c = np.empty_like(x)
+    for row in cols[:0:-1]:
+        np.multiply(x2, b1, out=b)
+        b += row.take(p, out=c, mode="clip")        # p is in range; "clip" skips a copy
         b -= b2
-        b1, b2 = b, b1
-    return x * b1 + cols[0].take(p) - b2
+        b1, b2, b = b, b1, b2
+    np.multiply(x, b1, out=b)
+    b += cols[0].take(p, out=c, mode="clip")
+    b -= b2
+    return b
 
 
-def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray,
-                        ij0: _HermiteTable) -> np.ndarray:
+def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The window's interpolant on [0, T0], as `EnergyFunction.panels`.
 
     _f_on_rule at the _CHEB_DEGREE + 1 Chebyshev-Lobatto points of [0, T0]
@@ -382,7 +306,7 @@ def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray,
     """
     n, d = _CHEB_DEGREE, _PANEL_DEGREE
     xs = np.cos(np.pi * np.arange(n + 1) / n)
-    glob = _chebyshev_coefficients(_f_on_rule(0.5 * T0 * (1.0 + xs), nodes, coeffs, ij0))
+    glob = _chebyshev_coefficients(_f_on_rule(0.5 * T0 * (1.0 + xs), nodes, coeffs))
     ys = np.cos(np.pi * np.arange(d + 1) / d)
     # panel i's Lobatto points i + (1 + y)/2 in panel widths, mapped onto [-1, 1]
     at = (np.arange(_PANEL_COUNT)[:, None] + 0.5 * (1.0 + ys)) * (2.0 / _PANEL_COUNT) - 1.0
@@ -390,12 +314,29 @@ def _panel_coefficients(nodes: np.ndarray, coeffs: np.ndarray,
     return np.ascontiguousarray(_chebyshev_coefficients(vals.reshape(at.shape)).T)
 
 
+def _on_panels(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The panel polynomials `cols` (row k: T_k on each of the _PANEL_COUNT
+    panels of [0, T0]) at each 0 <= at <= T0."""
+    s = at * (_PANEL_COUNT / T0)
+    p = s.astype(np.intp)
+    np.minimum(p, _PANEL_COUNT - 1, out=p)
+    s -= p                          # the point's place on its panel, mapped onto [-1, 1]
+    s *= 2.0
+    s -= 1.0
+    return _clenshaw(cols, p, s)
+
+
+def _ij0(x: np.ndarray) -> np.ndarray:
+    """IJ0(x) = Int_0^x J0 at each 0 <= x <= T0; IJ0(0) = 0 exactly."""
+    out = _on_panels(_IJ0_PANELS, x)
+    out[x == 0.0] = 0.0
+    return out
+
+
 def _interpolate(panels: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """f at each |t| <= T0 from the panel interpolant; f(0) = 1/2 exactly."""
     at = np.abs(np.asarray(ts, dtype=float))
-    s = at * (_PANEL_COUNT / T0)
-    p = np.minimum(s.astype(np.intp), _PANEL_COUNT - 1)
-    out = _clenshaw(panels, p, 2.0 * (s - p) - 1.0)
+    out = _on_panels(panels, at)
     out[at == 0.0] = 0.5
     return out
 
@@ -424,17 +365,15 @@ def build_energy_function(alpha: float) -> EnergyFunction:
         return nodes, coeffs / norm
 
     nodes, coeffs = rule(_PANELS_PER_OSC)
-    # the build's three quadratures read one table, dropped when it returns
-    ij0 = _ij0_table()
     # self-check: doubled panel density on a probe grid
     fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
     probe = np.linspace(0.0, T0, 41)
-    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs, ij0)
-                              - _f_on_rule(probe, fnodes, fcoeffs, ij0))))
+    resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs)
+                              - _f_on_rule(probe, fnodes, fcoeffs))))
     if resid > ABS_TOL:
         raise ConstructionError("tau quadrature did not converge at the configured density", resid)
 
-    panels = _panel_coefficients(nodes, coeffs, ij0)
+    panels = _panel_coefficients(nodes, coeffs)
     # envelope: e^{-c t^{beta'}} >= |f|+tol at every positive grid point;
     # 0.75 safety factor guards the extrapolation beyond T0
     grid = np.linspace(0.0, T0, _GRID_POINTS)[1:]

@@ -4,19 +4,19 @@ Everything here deliberately avoids the package's algorithms: partition
 counts come from exhaustive generation and a coin-change table instead of
 the pentagonal recurrence, the oracle entropy from a dense tau density
 diagonalized by LAPACK instead of the package's closed form over the level
-basis, the Bessel antiderivative from 40-digit piecewise quadrature
-instead of the Struve identity or the tabulated spline, and the window from
-the literal nested s x tau quadrature of its definition instead of the
-closed-form inner integral.  The split theta_plus - theta_minus of the
-vacuum pairing is summed over the dense pure-state vectors of its
-derivation, which the package never builds.  The tabulated spline itself
-is pinned, bit for bit, by scipy's CubicHermiteSpline through the same
-knots, evaluated at every tau node of the rule.
+basis, the Bessel antiderivative from 40-digit piecewise quadrature, a
+Struve identity and a cubic Hermite table of scipy's J0 instead of the
+package's Chebyshev panels, and the window from the literal nested s x tau
+quadrature of its definition instead of the closed-form inner integral.
+The split theta_plus - theta_minus of the vacuum pairing is summed over the
+dense pure-state vectors of its derivation, which the package never builds.
 
-The one exception is the builder of the shipped integral-of-J0 table,
-`build_ij0`: it is the recipe the file was written with, so it reuses the
-package's Hermite reader and fixed-order row sum, and it certifies its
-table against the Struve-function route `integral_j0`.
+The one exception is the generator of the package's constants module,
+`constants_module`: it is the recipe `src/entrocut/_constants.py` is
+written with, its integral of J0 from mpmath's hypergeometric 1F2.  The
+Hermite table `build_ij0`, which the window was once built on, reuses the
+package's fixed-order row sum and certifies itself against the
+Struve-function route `integral_j0`.
 """
 
 from __future__ import annotations
@@ -245,6 +245,44 @@ IJ0_TOL = 2e-13
 IJ0_BLIP_TOL = 3e-12
 
 
+class HermiteTable:
+    """Cubic Hermite interpolant on uniform knots, read by direct index.
+
+    The same bits as scipy's CubicHermiteSpline(xs, ys, dydx): the four
+    coefficient columns come from its formulas in its operation order, and a
+    value is taken the way its PPoly evaluates one, in the interval i with
+    xs[i] <= x < xs[i+1] (the top knot in the last interval), at s = x - xs[i],
+    as ((c3 + c2 s) + c1 s^2) + c0 (s^2 s).  On uniform knots floor(x n / top)
+    is within one of i, so one comparison with each neighbouring knot replaces
+    the binary search.  Arguments must lie in [0, top].
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, dydx: np.ndarray) -> None:
+        dx = np.diff(xs)
+        slope = np.diff(ys) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.xs, self.ys, self.dydx = xs, ys, dydx
+        self.c0 = t / dx
+        self.c1 = (slope - dydx[:-1]) / dx - t
+        self.c2 = dydx[:-1]
+        self.c3 = ys[:-1]
+        self.last = len(xs) - 2
+        self.scale = (len(xs) - 1) / float(xs[-1])
+
+    def __call__(self, x: np.ndarray | float) -> np.ndarray:
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).ravel()
+        xs = self.xs
+        i = np.minimum((x * self.scale).astype(np.intp), self.last)
+        i -= x < xs.take(i)
+        i += (x >= xs.take(i + 1)) & (i < self.last)
+        s = x - xs.take(i)
+        s2 = s * s
+        val = ((self.c3.take(i) + self.c2.take(i) * s) + self.c1.take(i) * s2) \
+            + self.c0.take(i) * (s2 * s)
+        return val.reshape(shape)
+
+
 def certify_ij0(table) -> tuple[float, float]:
     """Largest gaps between the table and the Struve route, outside and
     inside x in (20, 30).  Probe points include interval midpoints, where
@@ -259,22 +297,19 @@ def certify_ij0(table) -> tuple[float, float]:
     return float(np.max(diff[~blip])), float(np.max(diff[blip]))
 
 
-def build_ij0():
+def build_ij0() -> HermiteTable:
     """The integral-of-J0 table on [0, T0] from scipy's J0, certified.
 
     Step integrals of J0 over the knots k * 0.002 by 8-point Gauss-Legendre
     (error per step far below eps), accumulated in extended precision, then
-    the Hermite interpolant with the exact derivative IJ0' = J0.  This is
-    how `src/entrocut/ij0_table.npy` was written; from the repository root,
-
-        PYTHONPATH=src:tests python -c "import numpy as np, oracles; t = oracles.build_ij0(); np.save('src/entrocut/ij0_table.npy', np.stack((t.ys, t.dydx)))"
-
-    rewrites it, after which `energy._SHIPPED_SHA256` is set to the new
-    file's sha256.
+    the Hermite interpolant with the exact derivative IJ0' = J0.  The window
+    build once read IJ0 from this table, shipped as a 1.6 MB binary file;
+    the committed Chebyshev panels of `constants_module` replaced it.  The
+    tests keep it as a second route to the window.
     """
     from scipy.special import j0
 
-    from entrocut.energy import T0, _HermiteTable, _weighted_row_sums
+    from entrocut.energy import T0, _weighted_row_sums
 
     step = 0.002
     n_steps = round(T0 / step)
@@ -283,7 +318,7 @@ def build_ij0():
     mids = xs[:-1, None] + 0.5 * step * (1.0 + gx[None, :])
     steps = (0.5 * step) * _weighted_row_sums(j0(mids), gw)
     ys = np.concatenate(([0.0], np.cumsum(steps.astype(np.longdouble)))).astype(float)
-    table = _HermiteTable(xs, ys, j0(xs))
+    table = HermiteTable(xs, ys, j0(xs))
     err_out, err_in = certify_ij0(table)
     if err_out > IJ0_TOL or err_in > IJ0_BLIP_TOL:
         raise ValueError(f"integral-J0 table disagrees with the Struve route by "
@@ -291,16 +326,102 @@ def build_ij0():
     return table
 
 
-def ij0_scipy_spline(table):
-    """scipy's CubicHermiteSpline through the knots, values and derivatives
-    (J0 at the knots) of a package integral-of-J0 table.
+# the generated module src/entrocut/_constants.py: its constants are computed
+# at CONSTANTS_DPS digits and each is rounded to a double once
+CONSTANTS_DPS = 30
+GAUSS_POINTS = 16
+IJ0_PANEL_DEGREE = 14
 
-    Interval search and polynomial evaluation are scipy's (PPoly), so this
-    pins the package's direct-index reading of the same interpolant.
+
+def ij0_mp(x) -> mp.mpf:
+    """Int_0^x J0 = x 1F2(1/2; 1, 3/2; -x^2/4) at the working precision."""
+    x = mp.mpf(x)
+    return x * mp.hyp1f2(mp.mpf(1) / 2, 1, mp.mpf(3) / 2, -x * x / 4)
+
+
+def gauss_legendre_mp(n: int) -> tuple[list, list]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1] at the working precision: Newton's method on P_n, taken by its
+    three-term recurrence, from cos(pi (i - 1/4) / (n + 1/2))."""
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)          # P_n, P_n'
+
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) < 4 * mp.eps:
+                break
+        _, dp = legendre(x)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes[::-1], weights[::-1]
+
+
+def ij0_panel_coefficients_mp(count: int, width, degree: int) -> list[list]:
+    """Per panel [p width, (p+1) width], p < count, the T_0..T_degree
+    coefficients of the interpolant of IJ0 at the panel's degree + 1
+    Chebyshev-Lobatto points, by the DCT-I at the working precision."""
+    d = degree
+    ys = [mp.cos(mp.pi * j / d) for j in range(d + 1)]
+    cos = [[mp.cos(mp.pi * ((j * k) % (2 * d)) / d) for j in range(d + 1)] for k in range(d + 1)]
+    panels = []
+    for p in range(count):
+        vals = [ij0_mp(width * (p + (1 + y) / 2)) for y in ys]
+        vals[0] /= 2
+        vals[d] /= 2
+        coeffs = [2 * mp.fsum(v * c for v, c in zip(vals, row)) / d for row in cos]
+        coeffs[0] /= 2
+        coeffs[d] /= 2
+        panels.append(coeffs)
+    return panels
+
+
+def _hex_lines(rows) -> str:
+    return "".join(" ".join(float(v).hex() for v in row) + "\n" for row in rows)
+
+
+def constants_module() -> str:
+    """The text of `src/entrocut/_constants.py`, from mpmath alone.
+
+    Nothing here reads libm, LAPACK or the CPU, so the text is the same on
+    every machine.  From the repository root,
+
+        PYTHONPATH=src:tests python -c "import oracles, pathlib; pathlib.Path('src/entrocut/_constants.py').write_text(oracles.constants_module())"
+
+    rewrites the file.
     """
-    from scipy.interpolate import CubicHermiteSpline
+    from entrocut.energy import _PANEL_COUNT, T0
 
-    return CubicHermiteSpline(table.xs, table.ys, table.dydx)
+    with mp.workdps(CONSTANTS_DPS):
+        nodes, weights = gauss_legendre_mp(GAUSS_POINTS)
+        width = mp.mpf(T0) / _PANEL_COUNT
+        panels = ij0_panel_coefficients_mp(_PANEL_COUNT, width, IJ0_PANEL_DEGREE)
+    return f'''"""Constants of the window build, generated by `tests/oracles.py`.
+
+Do not edit: `oracles.constants_module()` computes this text in mpmath at
+{CONSTANTS_DPS} digits, rounding each constant to a double once, and a test
+compares it with this file.  `entrocut.energy` reads the `float.hex` values.
+"""
+
+# the {GAUSS_POINTS}-point Gauss-Legendre rule on [-1, 1]: the nodes in
+# ascending order, then their weights
+GAUSS_LEGENDRE = """
+{_hex_lines((nodes, weights))}"""
+
+# IJ0(x) = Int_0^x J0 on the {_PANEL_COUNT} panels of width {float(width):g} of [0, {T0:g}]:
+# line p holds the T_0..T_{IJ0_PANEL_DEGREE} coefficients of its interpolant at the
+# {IJ0_PANEL_DEGREE + 1} Chebyshev-Lobatto points of panel p, with IJ0 taken as
+# x 1F2(1/2; 1, 3/2; -x^2/4)
+IJ0_PANELS = """
+{_hex_lines(panels)}"""
+'''
 
 
 def f_on_rule_full_width(ts, nodes: np.ndarray, coeffs: np.ndarray, spline) -> np.ndarray:

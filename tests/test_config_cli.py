@@ -412,6 +412,16 @@ def test_cli_energy_function_non_finite_t_max_exits_two(capsys):
         assert out == "" and err.startswith("entrocut: ") and "Traceback" not in err
 
 
+def test_cli_energy_function_too_many_points_exits_two(capsys):
+    # 8e15 bytes of samples lie past the address space, so the allocation
+    # fails at once and touches no memory; it once ended in numpy's
+    # _ArrayMemoryError traceback with exit 1
+    code, out, err = _run(capsys, ["energy-function", "--points", "1000000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err == "entrocut: --points 1000000000000000 is more samples than memory holds\n"
+
+
 @pytest.mark.parametrize("line", ["t_cap = 300", "quad_tol = 1e-11", "t_cap = inf"])
 def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
     # T0 = 200 and the 1e-12 tolerance are constants of the window, not settings

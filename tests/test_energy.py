@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,37 +19,54 @@ from entrocut import (
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from entrocut import energy
-from entrocut.energy import _f_on_rule, _ij0_table, f_delta_batch, window
+from entrocut import _constants, energy
+from entrocut.energy import _f_on_rule, _ij0, f_delta_batch, window
 
 
 def test_ij0_table_matches_highprec_quadrature():
-    sp = _ij0_table()
     # include the x ~ 25.5 region where scipy's Struve route loses accuracy
     pts = [0.3, 1.0, 7.7, 25.3, 25.5, 25.9, 26.3, 77.7, 123.4, 199.5]
-    worst = max(abs(float(sp(x)) - oracles.ij0_highprec(x)) for x in pts)
-    assert worst <= 5e-14
+    got = _ij0(np.array(pts))
+    worst = max(abs(float(v) - oracles.ij0_highprec(x)) for v, x in zip(got, pts))
+    assert worst <= 2e-15
+
+
+def test_panel_ij0_matches_mpmath():
+    # seeded points and every panel's midpoint, edges and both ends
+    width = energy.T0 / energy._PANEL_COUNT
+    pts = np.concatenate([np.random.default_rng(11).uniform(0.0, energy.T0, 400),
+                          width * (np.arange(energy._PANEL_COUNT) + 0.5),
+                          width * np.arange(energy._PANEL_COUNT + 1)])
+    with mp.workdps(oracles.CONSTANTS_DPS):
+        want = np.array([float(oracles.ij0_mp(x)) for x in pts])
+    assert float(np.max(np.abs(_ij0(pts) - want))) <= 2e-15
+    assert _ij0(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_constants_module_is_regenerated_bit_for_bit():
+    # the generator reads mpmath alone, so the file is the same on every machine
+    assert oracles.constants_module() == Path(_constants.__file__).read_text(encoding="utf-8")
+
+
+def test_gauss_legendre_constants_are_correctly_rounded():
+    nodes, weights = energy._GAUSS_NODES, energy._GAUSS_WEIGHTS
+    # an independent route: mpmath's own Legendre polynomials, at 50 digits,
+    # with w_i = 2 (1 - x_i^2) / (n P_{n-1}(x_i))^2
+    n = len(nodes)
+    with mp.workdps(50):
+        xs = [mp.findroot(lambda x: mp.legendre(n, x), float(x)) for x in nodes]
+        ws = [2 * (1 - x * x) / (n * mp.legendre(n - 1, x)) ** 2 for x in xs]
+        assert nodes.tolist() == [float(x) for x in xs]
+        assert weights.tolist() == [float(w) for w in ws]
+    # numpy's leggauss: the same nodes to 1 ulp; its weights, rescaled to sum
+    # to 2, sit up to 63 ulps from the correctly rounded ones
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(nodes - xg) <= np.spacing(np.abs(xg)))
+    assert np.all(np.abs(weights - wg) <= 64 * np.spacing(wg))
 
 
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
-
-
-def test_ij0_table_matches_scipy_hermite_bit_for_bit():
-    table = _ij0_table()
-    spline = oracles.ij0_scipy_spline(table)
-    xs = table.xs
-    top = xs[-1]
-    pts = np.concatenate([
-        [0.0, top],
-        xs,                                         # every knot
-        np.nextafter(xs[1:], -np.inf),              # one ulp below each knot
-        np.nextafter(xs[:-1], np.inf),              # one ulp above each knot
-        0.5 * (xs[1:] + xs[:-1]),                   # midpoints
-        np.random.default_rng(3).uniform(0.0, top, 200_000),
-    ])
-    assert _bits(table(pts)) == _bits(spline(pts))
-    assert float(table(top)) == float(spline(top))
 
 
 @pytest.fixture(scope="module")
@@ -59,23 +78,63 @@ def window_by_alpha():
 @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
 def test_window_matches_full_width_scipy_route(window_by_alpha, alpha, t_max):
     # alpha = 0.3 leaves almost every coefficient nonzero, 0.95 zeroes most;
-    # t_max = T0 samples the whole quadrature range, 50 its start more densely
+    # t_max = T0 samples the whole quadrature range, 50 its start more
+    # densely.  The full-width route takes IJ0 at every node, zero
+    # coefficients included, in one block: the same bits
     ef = window_by_alpha[alpha]
     assert np.count_nonzero(ef.coeffs == 0.0) > 0
     ts = np.concatenate([np.linspace(0.0, t_max, 301),
                          np.random.default_rng(5).uniform(0.0, t_max, 100)])
-    table = _ij0_table()
-    spline = oracles.ij0_scipy_spline(table)
-    want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, spline)
-    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs, table)) == _bits(want)
+    want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, _ij0)
+    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs)) == _bits(want)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
 def test_interpolant_matches_the_quadrature(window_by_alpha, alpha):
     ef = window_by_alpha[alpha]
     ts = np.linspace(0.0, energy.T0, 20_001)
-    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs, _ij0_table()))
+    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs))
     assert float(np.max(err)) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def hermite_route():
+    """The window at alpha 0.75 as built on the old cubic Hermite IJ0 table,
+    with that table."""
+    table = oracles.build_ij0()
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(energy, "_ij0", table)
+        old = build_energy_function(0.75)
+    return old, table
+
+
+def _rule(ef, osc_panels):
+    """The tau rule of a build at the given panel density, normalized as the build does."""
+    nodes, weights = energy._tau_rule(energy.T0, osc_panels)
+    coeffs = weights * energy._ghat_raw(nodes, ef.rho)
+    return nodes, coeffs / float(coeffs.sum())
+
+
+def test_window_matches_the_hermite_route(ef075, hermite_route):
+    old, table = hermite_route
+    # the build's 283 quadrature rows: its 201 Chebyshev points and the
+    # self-check's 41 probes on both tau rules
+    cheb = 0.5 * energy.T0 * (1.0 + np.cos(np.pi * np.arange(energy._CHEB_DEGREE + 1)
+                                            / energy._CHEB_DEGREE))
+    probe = np.linspace(0.0, energy.T0, 41)
+    rows = [(cheb, *_rule(ef075, energy._PANELS_PER_OSC)),
+            (probe, *_rule(ef075, energy._PANELS_PER_OSC)),
+            (probe, *_rule(ef075, 2 * energy._PANELS_PER_OSC))]
+    assert _bits(rows[0][2]) == _bits(ef075.coeffs)
+    new = [_f_on_rule(*row) for row in rows]
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(energy, "_ij0", table)
+        was = [_f_on_rule(*row) for row in rows]
+    assert sum(len(v) for v in new) == 283
+    for a, b in zip(new, was):
+        assert 0.0 < float(np.max(np.abs(a - b))) <= 1e-14
+    grid = np.linspace(0.0, energy.T0, 20_001)
+    assert 0.0 < float(np.max(np.abs(eval_f_many(ef075, grid) - eval_f_many(old, grid)))) <= 1e-14
 
 
 def test_interpolant_half_at_zero_and_even_at_panel_edges(window_by_alpha):
@@ -106,9 +165,9 @@ def test_build_computes_283_quadrature_rows(monkeypatch):
     rows = []
     real = energy._f_on_rule
 
-    def counted(ts, nodes, coeffs, ij0):
+    def counted(ts, nodes, coeffs):
         rows.append(len(ts))
-        return real(ts, nodes, coeffs, ij0)
+        return real(ts, nodes, coeffs)
 
     monkeypatch.setattr(energy, "_f_on_rule", counted)
     ef = build_energy_function(0.75)
@@ -139,8 +198,8 @@ print("clean")
 
 
 def test_cli_runs_leave_scipy_out():
-    # the default runs read the shipped IJ0 table, a numpy logsumexp and the
-    # closed-form bound on the trace constants' tail: nothing imports scipy
+    # the default runs read the committed IJ0 panels, a numpy logsumexp and
+    # the closed-form bound on the trace constants' tail: nothing imports scipy
     src = os.path.dirname(os.path.dirname(energy.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
@@ -149,53 +208,23 @@ def test_cli_runs_leave_scipy_out():
     assert out.stdout.strip() == "clean"
 
 
-def test_shipped_ij0_table_passes_the_struve_certification():
-    err_out, err_in = oracles.certify_ij0(_ij0_table())
-    assert err_out <= oracles.IJ0_TOL and err_in <= oracles.IJ0_BLIP_TOL
-
-
-def test_shipped_ij0_table_matches_a_fresh_build():
-    shipped, built = _ij0_table(), oracles.build_ij0()
-    assert _bits(shipped.xs) == _bits(built.xs)
-    # equal bit for bit where libm rounds J0 as the machine that wrote the file
-    assert np.max(np.abs(shipped.ys - built.ys)) <= 1e-15
-    assert np.max(np.abs(shipped.dydx - built.dydx)) <= 1e-15
-
-
-def test_corrupted_ij0_table_is_refused(tmp_path):
-    raw = bytearray(energy._SHIPPED_PATH.read_bytes())
-    raw[-8] ^= 1                                # one bit of the last dydx value
-    bad = tmp_path / "ij0_table.npy"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ConstructionError, match="sha256"):
-        energy._load_ij0(bad)
-    with pytest.raises(ConstructionError, match="cannot read"):
-        energy._load_ij0(tmp_path / "gone.npy")
-    assert energy._load_ij0(energy._SHIPPED_PATH).shape == (2, 100_001)
-
-
-def test_load_ij0_returns_the_bits_of_np_load():
-    got, want = energy._load_ij0(energy._SHIPPED_PATH), np.load(energy._SHIPPED_PATH)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-
-
 _BUILD_PROBE = """
-import gc, json, tracemalloc
+import gc, json, sys, tracemalloc
+import entrocut.cli
 from entrocut import energy
 tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
 ef = energy.build_energy_function(0.75)
 gc.collect()
-grown = tracemalloc.get_traced_memory()[0] - before
-tables = sum(isinstance(o, energy._HermiteTable) for o in gc.get_objects())
-print(json.dumps({"grown": grown, "tables": tables}))
+now, peak = tracemalloc.get_traced_memory()
+modules = [m for m in ("_hashlib", "numpy.polynomial") if m in sys.modules]
+print(json.dumps({"grown": now - before, "peak": peak - before, "modules": modules}))
 """
 
 
 @pytest.fixture(scope="module")
 def first_build():
-    # a fresh process: the first window build, with no table read before it
+    # a fresh process: the CLI's imports, then the first window build
     src = os.path.dirname(os.path.dirname(energy.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", _BUILD_PROBE], capture_output=True,
@@ -205,13 +234,22 @@ def first_build():
 
 
 def test_build_leaves_no_ij0_table_behind(first_build):
-    assert first_build["tables"] == 0
+    # IJ0 comes from committed constants: no table file is read, so nothing
+    # loads OpenSSL for its sha256 (`_hashlib`, 3.5 MB resident), and the
+    # tau rule needs no numpy.polynomial
+    assert first_build["modules"] == []
 
 
 def test_build_keeps_under_a_megabyte(first_build):
     # the window itself is the tau rule and a 17 x 100 interpolant, about
     # 50 KB; a table kept past the build would hold 3.9 MB
     assert first_build["grown"] < 1 << 20
+
+
+def test_build_peaks_under_two_megabytes(first_build):
+    # a block of IJ0 arguments and its Clenshaw arrays, and the interpolant's
+    # DCT matrices, about 1.2 MB; the Hermite table's arrays took it to 5.4 MB
+    assert first_build["peak"] < 2 << 20
 
 
 def test_struve_route_matches_highprec_outside_blip():
