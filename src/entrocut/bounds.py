@@ -437,7 +437,11 @@ def _sum_exp_neg_power(kappa: float) -> float:
     = Gamma(1/kappa, (M-1)^kappa) / kappa.  With s = 1/kappa > 1 and
     x = (M-1)^kappa > s - 1, Gamma(s, x) <= x^{s-1} e^{-x} x / (x - s + 1);
     when that majorant is negligible against the partial sum (kappa >= 0.32)
-    the tail cannot change its bits and is not evaluated.  Raises
+    the tail cannot change its bits and is not evaluated.  Otherwise
+    Gamma(s, x) = Gamma(s) - gamma(s, x), gamma from its positive series
+    x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)): cut short, it errs low and the
+    tail high, and the cancellation costs a few ulps of the sum (at most 15
+    from scipy's gammaincc route, kappa 0.006 to 0.32).  Raises
     DivergenceError when the tail passes the float range (kappa below about
     0.00586).
     """
@@ -457,17 +461,20 @@ def _sum_exp_neg_power(kappa: float) -> float:
         if log_tail < math.log(partial) + _LOG_NEGLIGIBLE:
             return partial
     # Gamma(s) leaves the float range at s > 171.6 (kappa < 0.00583); there
-    # x < 1.08, so gammaincc(s, x) is 1 to double precision and the tail
+    # x < 1.08, so Gamma(s, x) is Gamma(s) to double precision and the tail
     # Gamma(s)/kappa is past the range with it
     log_tail = math.lgamma(s) - math.log(kappa)
     if log_tail >= _LOG_FLOAT_MAX:
         raise DivergenceError(
             f"sum_N e^(-N^kappa) at kappa = {kappa:g} is e^{log_tail:.6g}, beyond the float range"
         )
-    from scipy.special import gammaincc
-
-    tail = float(math.gamma(s) * gammaincc(s, x) / kappa)
-    return partial + tail
+    term = series = 1.0 / s
+    sk = s                       # s + k: the terms rise while it is below x
+    while sk < x or term > series * 2.0**-60:
+        sk += 1.0
+        term *= x / sk
+        series += term
+    return partial + (math.gamma(s) - math.exp(s * math.log(x) - x) * series) / kappa
 
 
 def trace_bound_constants(kappa: float, C_growth: float) -> TraceBoundConstants:

@@ -30,7 +30,6 @@ class RunConfig:
     E: list[int] = field(default_factory=lambda: [0, 2, 4, 6])
     beta: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
     kappa: float = 0.6
-    seed: list[int] = field(default_factory=lambda: [7])
     out: str | None = None
     fit_n_max: int = 3000
 
@@ -43,7 +42,7 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (0.0 < self.kappa < 1.0):
             raise ConfigError(f"kappa must lie in (0, 1), got {self.kappa}")
-        for name in ("delta", "E", "beta", "seed"):
+        for name in ("delta", "E", "beta"):
             if not getattr(self, name):
                 raise ConfigError(f"list {name!r} must be nonempty")
         if any(d <= 0 for d in self.delta):

@@ -464,11 +464,18 @@ def eval_f_many(ef: EnergyFunction, ts: np.ndarray) -> np.ndarray:
 
 # FFT samples of a pair's difference G; a pair keeps N = 0.._FREQ_CUT, or
 # fewer where delta * N would leave [0, T0], and the tail check reads its
-# _TAIL_COEFFS highest kept coefficients against _PAIR_TAIL_TOL
+# _TAIL_COEFFS highest kept coefficients against _PAIR_TAIL_TOL: wherever it
+# passes, the residuals of SPECTRAL_BUMPS stay under the suite's 1e-5 (worst
+# 7.0e-6), which a tail near 1e-4 no longer ensures (1.7e-5 at delta = 2.27)
 _PAIR_SAMPLES = 8192
 _FREQ_CUT = 128
 _TAIL_COEFFS = 12
-_PAIR_TAIL_TOL = 1e-4
+_PAIR_TAIL_TOL = 5e-5
+
+# the spectral suite's pairs, one bump each: centred at 0.38-0.62 of the band
+# on alternating sides, 0.75 of the room to its nearer end wide
+SPECTRAL_BUMPS = tuple((1.0, (-1.0) ** k, at, 0.75)
+                       for k, at in enumerate((0.38, 0.44, 0.5, 0.56, 0.62)))
 
 
 @dataclass(frozen=True)
@@ -493,35 +500,31 @@ def _smooth_bump(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_synthetic_pair(delta: float, seed: int = 0) -> SyntheticPair:
-    """Seeded pair whose difference is a smooth 2pi-periodic G supported in
-    delta <= |t| <= pi.
+def make_synthetic_pair(delta: float, bumps: tuple | list) -> SyntheticPair:
+    """Pair whose difference is a smooth 2pi-periodic G supported in
+    delta <= |t| <= pi: the sum of the C-infinity bumps
+    amp * bump((t - side c) / w) over the (amp, side, at, width) of `bumps`,
+    centred at c = delta + at (pi - delta) and w = width min(c - delta, pi - c)
+    wide, so 0 < at < 1 and 0 < width <= 1 keep each in the band.
 
-    G is a sum of 2-4 scaled C-infinity bumps placed in the middle of the
-    support band (centers at 0.38-0.62 of the span, widths 0.65-0.85 of the
-    available room) so its Fourier coefficients die well before the cut.
     Coefficients are taken by FFT on _PAIR_SAMPLES points (spectrally accurate
     for smooth G).  The cut is the largest N <= _FREQ_CUT with delta * N <= T0,
     the comparison `verify_spectral_identity` makes: 128 up to delta = 1.5625,
     and at least 63 below pi.  Raises ValueError when the discarded tail mass
-    exceeds _PAIR_TAIL_TOL, which a wide delta's narrow bumps can bring about
-    (8 of 200 seeds at delta = 2.0, 109 at 2.2).
+    exceeds _PAIR_TAIL_TOL, as the bumps narrow towards delta = pi: each bump
+    of SPECTRAL_BUMPS passes up to delta = 2.07, and one fails from 2.08 on.
     """
     if not (0.0 < delta < math.pi):
         raise ValueError("delta must lie in (0, pi)")
     freq_cut = next(n for n in range(_FREQ_CUT, 0, -1) if delta * n <= T0)
-    rng = np.random.default_rng(seed)
     t = 2.0 * np.pi * np.arange(_PAIR_SAMPLES) / _PAIR_SAMPLES
     ts = np.where(t > np.pi, t - 2.0 * np.pi, t)
 
     span = math.pi - delta
     g_vals = np.zeros(_PAIR_SAMPLES)
-    for _ in range(int(rng.integers(2, 5))):
-        side = 1.0 if rng.random() < 0.5 else -1.0
-        center = delta + span * rng.uniform(0.38, 0.62)
-        width = rng.uniform(0.65, 0.85) * min(center - delta, math.pi - center)
-        amp = rng.normal()
-        g_vals += amp * _smooth_bump((ts - side * center) / width)
+    for amp, side, at, width in bumps:
+        c = delta + span * at
+        g_vals += amp * _smooth_bump((ts - side * c) / (width * min(c - delta, math.pi - c)))
 
     ghat = np.fft.fft(g_vals) / _PAIR_SAMPLES   # ghat[k] = (2pi)^-1 Int G e^{-ikt}
     tail_mass = float(np.max(np.abs(ghat[freq_cut + 1 - _TAIL_COEFFS : freq_cut + 1])))

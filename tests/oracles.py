@@ -525,6 +525,23 @@ def boundary_gap(pair, points: int = 501) -> float:
     return float(np.max(np.abs(a_side - b_side)))
 
 
+def random_bumps(seed: int) -> list[tuple]:
+    """2-4 bumps for `make_synthetic_pair`, drawn from `seed` as the spectral
+    suite once drew its pairs: random sides, centres at 0.38-0.62 of the band
+    [delta, pi], widths 0.65-0.85 of the room to its nearer end and normal
+    amplitudes.  The package checks one fixed family of single bumps; by the
+    sum rule's linearity a mix of them checks nothing more, which these
+    random mixes show."""
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for _ in range(int(rng.integers(2, 5))):
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        centre = rng.uniform(0.38, 0.62)
+        width = rng.uniform(0.65, 0.85)
+        bumps.append((rng.normal(), side, centre, width))
+    return bumps
+
+
 def schatten_sum_direct(matrix: np.ndarray, p: float, cut: float = 1e-12) -> float:
     """sum sigma^p through numpy's SVD with a plain relative cutoff."""
     sigma = np.linalg.svd(np.asarray(matrix), compute_uv=False)

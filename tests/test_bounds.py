@@ -317,16 +317,24 @@ def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, m
         assert _bits(logsumexp_np(a)) == _bits(logsumexp(a))
 
 
-@pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2, 0.3, 0.32, 0.45, 0.5, 0.6, 0.9])
+@pytest.mark.parametrize("kappa", [0.006, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.31, 0.3199,
+                                   0.32, 0.45, 0.5, 0.6, 0.9])
 def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
-    # the closed-form majorant skips the tail only where adding it could not
-    # change a bit: the result equals partial sum + scipy's tail
+    # the result is the partial sum + scipy's tail: to the bit from kappa =
+    # 0.32 on, where the closed-form majorant skips the tail (adding it could
+    # not change a bit), and within 1e-14 below, where the package takes
+    # Gamma(s) - gamma(s, x) from the lower function's series (15 ulps
+    # measured, at kappa = 0.31)
     from scipy.special import gammaincc
     m = 200_000
     partial = float(np.sum(np.exp(-np.arange(m, dtype=float) ** kappa)))
     s = 1.0 / kappa
     want = partial + float(math.gamma(s) * gammaincc(s, (m - 1.0) ** kappa) / kappa)
-    assert _bits(bounds._sum_exp_neg_power(kappa)) == _bits(want)
+    got = bounds._sum_exp_neg_power(kappa)
+    if kappa >= 0.32:
+        assert _bits(got) == _bits(want)
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_sum_exp_neg_power_peaks_under_two_and_a_half_megabytes():

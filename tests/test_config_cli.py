@@ -22,12 +22,12 @@ from entrocut.entropy import eta
 def test_config_file_parses_lists_scalars_comments(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
-        "# sweep\nalpha = 0.6\ndelta = 0.1, 0.4\nE = 0, 2\nseed = 1, 9\n"
+        "# sweep\nalpha = 0.6\ndelta = 0.1, 0.4\nE = 0, 2\nbeta = 1, 9\n"
         "model = virasoro\nkappa = 0.45\n"
     )
     got = parse_config_file(str(path))
     assert got == {
-        "alpha": 0.6, "delta": [0.1, 0.4], "E": [0, 2], "seed": [1, 9],
+        "alpha": 0.6, "delta": [0.1, 0.4], "E": [0, 2], "beta": [1.0, 9.0],
         "model": "virasoro", "kappa": 0.45,
     }
 
@@ -36,14 +36,14 @@ def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text(
         "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
-        "delta = 1, 0.5\nE = 0, 4\nbeta = 2\nkappa = 0.5\nseed = 3\n"
+        "delta = 1, 0.5\nE = 0, 4\nbeta = 2\nkappa = 0.5\n"
         "out = o.csv\nfit_n_max = 800\n"
     )
     got = parse_config_file(str(path))
     want = {
         "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
         "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "kappa": 0.5,
-        "seed": [3], "out": "o.csv", "fit_n_max": 800,
+        "out": "o.csv", "fit_n_max": 800,
     }
     assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
     assert got == want
@@ -94,7 +94,7 @@ def test_load_config_precedence(tmp_path):
         ("model", "heterotic"),
         ("delta", []),
         ("E", [-1]),
-        ("seed", []),
+        ("beta", []),
         ("power", 0),
         ("kappa", 0.0),
         ("delta", [math.nan]),
@@ -255,28 +255,7 @@ def test_cli_verify_all_pass_and_filter(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "check_name,param_summary,residual_or_gap,pass"
     assert [line.rsplit(",", 2)[0] for line in lines[1:]] == [
-        "spectral,seed=7 delta=0.5 pairs=5", "spectral,seed=7 delta=1 pairs=5"]
-
-
-def test_cli_verify_multi_seed_blocks(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "spectral", "--delta", "0.5",
-                                 "--seed", "2", "--seed", "5"])
-    assert code == 0
-    lines = out.strip().split("\n")[1:]
-    assert [l.split(",")[1] for l in lines] == ["seed=2 delta=0.5 pairs=5",
-                                                "seed=5 delta=0.5 pairs=5"]
-
-
-def test_cli_verify_prints_seed_free_suites_once(capsys):
-    _, one, _ = _run(capsys, ["verify", "--seed", "1"])
-    code, two, _ = _run(capsys, ["verify", "--seed", "1", "--seed", "2"])
-    assert code == 0
-    # the first seed's block is the single-seed output, row for row; the second
-    # repeats only the seeded suites, not concavity and trace
-    assert two.startswith(one)
-    rest = two[len(one):].strip().split("\n")
-    assert [r.split(",")[0] for r in rest] == ["spectral", "spectral"]
-    assert all(",seed=2 " in r for r in rest)
+        "spectral,delta=0.5 pairs=5", "spectral,delta=1 pairs=5"]
 
 
 @pytest.mark.parametrize("suite,windows,fits", [
@@ -435,13 +414,29 @@ def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
 
 
 def test_cli_verify_spectral_tail_mass_exits_two(capsys):
-    # at delta = 3.0 the pairs' bumps are too narrow for the cut of 66: the
+    # at delta = 3.0 the family's bumps are too narrow for the cut of 66: the
     # input is at fault, so exit 2, in one line naming delta and the limit
     code, out, err = _run(capsys, ["verify", "--only", "spectral", "--delta", "3.0"])
     assert code == 2
     assert out == "" and "Traceback" not in err and "freq_cut" not in err
     assert err == ("entrocut: delta=3.0 is too wide for the spectral suite: the pair's "
-                   "Fourier tail mass 3.417e-03 exceeds the suite's limit 1e-04\n")
+                   "Fourier tail mass 1.883e-03 exceeds the suite's limit 5e-05\n")
+
+
+@pytest.mark.parametrize("delta,code", [("2.0", 0), ("2.07", 0), ("2.08", 2)])
+def test_cli_verify_spectral_reach_is_one_delta(capsys, delta, code):
+    # the pairs are one fixed family, so the reach in delta is one number:
+    # 2.0 once exited 2 for some seeds, and past 2.07 every run exits 2 in a
+    # line that names delta and no seed
+    got, out, err = _run(capsys, ["verify", "--only", "spectral", "--delta", delta])
+    assert got == code
+    if code == 0:
+        (row,) = [line.split(",") for line in out.splitlines()[1:]]
+        assert err == "" and row[1] == f"delta={float(delta):g} pairs=5" and row[3] == "1"
+    else:
+        assert out == "" and err == (f"entrocut: delta={delta} is too wide for the spectral suite: "
+                                     "the pair's Fourier tail mass 5.191e-05 exceeds the suite's "
+                                     "limit 5e-05\n")
 
 
 @pytest.mark.parametrize("deltas", ["1.6", "0.5,1.8"])
@@ -450,7 +445,7 @@ def test_cli_verify_spectral_cut_follows_delta(capsys, deltas):
     code, out, err = _run(capsys, ["verify", "--delta", deltas])
     assert code == 0 and err == ""
     spectral = [line.split(",") for line in out.split("\n") if line.startswith("spectral,")]
-    assert [(r[1], r[3]) for r in spectral] == [(f"seed=7 delta={d} pairs=5", "1")
+    assert [(r[1], r[3]) for r in spectral] == [(f"delta={d} pairs=5", "1")
                                                 for d in deltas.split(",")]
 
 
@@ -459,13 +454,16 @@ def test_cli_verify_spectral_cut_follows_delta(capsys, deltas):
     (["--oracle-limit", "50"], "unrecognized arguments: --oracle-limit 50"),
     (["--config", "freq_cut"], "entrocut: line 1: unknown key 'freq_cut'"),
     (["--config", "oracle_limit"], "entrocut: line 1: unknown key 'oracle_limit'"),
+    (["--seed", "7"], "unrecognized arguments: --seed 7"),
+    (["--config", "seed"], "entrocut: line 1: unknown key 'seed'"),
 ])
 def test_cli_verify_has_no_tuning_settings(capsys, tmp_path, monkeypatch, argv, message):
-    # the spectral cut follows delta and the dense suites use the limit of
-    # 400 states in build_truncated_space, so neither is a flag or a config key
+    # the spectral cut follows delta, the dense suites use the limit of 400
+    # states in build_truncated_space and the spectral pairs are one fixed
+    # family, so none of the three is a flag or a config key
     monkeypatch.chdir(tmp_path)
-    for key in ("freq_cut", "oracle_limit"):
-        (tmp_path / key).write_text(f"{key} = 64\n")
+    for key, value in (("freq_cut", 64), ("oracle_limit", 64), ("seed", 7)):
+        (tmp_path / key).write_text(f"{key} = {value}\n")
     try:
         code = cli.main(["verify", *argv])
     except SystemExit as exc:       # argparse refuses the flag itself
@@ -588,6 +586,16 @@ def test_cli_verify_concavity_skips_oversized_cuts(capsys):
     assert [l.split(",")[1] for l in lines] == [
         "delta=0.5 E=2", "delta=0.5 E=40", "delta=0.5 E=90", "delta=2.5 E=2", "delta=2.5 E=40"]
     assert all(l.endswith(",1") for l in lines)
+
+
+@pytest.mark.parametrize("argv", [["--only", "concavity"], []])
+def test_cli_verify_concavity_with_nothing_to_check_exits_two(capsys, argv):
+    # every (delta, E) past T0 once printed the header alone and exited 0,
+    # a pass that checked nothing
+    code, out, err = _run(capsys, ["verify", *argv, "--E", "100000"])
+    assert code == 2 and out == ""
+    assert err == ("entrocut: the concavity suite has nothing to check: every delta * E "
+                   "lies past T0 = 200\n")
 
 
 def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):

@@ -20,7 +20,7 @@ from entrocut import (
     verify_spectral_identity,
 )
 from entrocut import _constants, energy
-from entrocut.energy import _f_on_rule, _ij0, f_delta_batch, window
+from entrocut.energy import SPECTRAL_BUMPS, _f_on_rule, _ij0, f_delta_batch, window
 
 
 def test_ij0_table_matches_highprec_quadrature():
@@ -197,15 +197,36 @@ print("clean")
 """
 
 
+def _fresh_process(script: str, *argv: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(energy.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return out
+
+
 def test_cli_runs_leave_scipy_out():
     # the default runs read the committed IJ0 panels, a numpy logsumexp and
     # the closed-form bound on the trace constants' tail: nothing imports scipy
-    src = os.path.dirname(os.path.dirname(energy.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "clean"
+    assert _fresh_process(_SCIPY_PROBE).stdout.strip() == "clean"
+
+
+_MODULES_PROBE = """
+import contextlib, io, sys
+import entrocut.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entrocut.cli.main(sys.argv[1:])
+print(code, *[m for m in ("numpy.random", "_hashlib", "scipy") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["trace", "--kappa", "0.1"]])
+def test_cli_process_runs_on_numpy_alone(argv):
+    # the spectral pairs once drew on numpy.random (5.5 MB resident, and
+    # OpenSSL's _hashlib through secrets), and the trace constant's tail
+    # below kappa = 0.32 on scipy.special.gammaincc
+    assert _fresh_process(_MODULES_PROBE, *argv).stdout.split() == ["0"]
 
 
 _BUILD_PROBE = """
@@ -225,12 +246,7 @@ print(json.dumps({"grown": now - before, "peak": peak - before, "modules": modul
 @pytest.fixture(scope="module")
 def first_build():
     # a fresh process: the CLI's imports, then the first window build
-    src = os.path.dirname(os.path.dirname(energy.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _BUILD_PROBE], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+    return json.loads(_fresh_process(_BUILD_PROBE).stdout)
 
 
 def test_build_leaves_no_ij0_table_behind(first_build):
@@ -434,12 +450,13 @@ def test_build_fails_on_unreachable_tolerance(monkeypatch):
 
 
 def test_synthetic_pair_deterministic_and_certified():
-    p1 = make_synthetic_pair(0.3, seed=5)
-    p2 = make_synthetic_pair(0.3, seed=5)
-    assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b)
-    # the boundary gap tracks the discarded Fourier mass at freq_cut
-    assert oracles.boundary_gap(p1) <= 1e-5
-    assert p1.tail_mass <= 1e-4
+    for bump in SPECTRAL_BUMPS:
+        p1 = make_synthetic_pair(0.3, [bump])
+        p2 = make_synthetic_pair(0.3, [bump])
+        assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b)
+        # the boundary gap tracks the discarded Fourier mass at freq_cut
+        assert oracles.boundary_gap(p1) <= 1e-5
+        assert p1.tail_mass <= 5e-5
 
 
 def test_synthetic_pair_cut_follows_delta():
@@ -447,14 +464,15 @@ def test_synthetic_pair_cut_follows_delta():
     # identity check makes: 128 up to delta = 1.5625, and 125 at 1.6, where
     # 1.6 * 125 rounds to 200.0
     for delta, cut in ((0.05, 128), (1.5625, 128), (1.6, 125), (1.8, 111), (2.0, 100)):
-        pair = make_synthetic_pair(delta, seed=1)
+        pair = make_synthetic_pair(delta, SPECTRAL_BUMPS[:1])
         assert pair.freq_cut == cut and len(pair.a) == len(pair.b) == cut + 1, delta
 
 
 def test_synthetic_pair_rejects_small_freq_cut():
     # at delta = 3.0 the cut is 66 and the bumps are too narrow for it
-    with pytest.raises(ValueError, match="tail mass"):
-        make_synthetic_pair(3.0, seed=0)
+    for bump in SPECTRAL_BUMPS:
+        with pytest.raises(ValueError, match="tail mass"):
+            make_synthetic_pair(3.0, [bump])
 
 
 def test_synthetic_pair_smallest_freq_cut_reaches_the_tail_check():
@@ -462,18 +480,50 @@ def test_synthetic_pair_smallest_freq_cut_reaches_the_tail_check():
     # pi); the fault lies in the input, so the error is a ValueError, and it
     # names delta and the limit, not the cut, which is no setting
     with pytest.raises(ValueError, match=r"^delta=3\.0 is too wide for the spectral suite: "
-                       r"the pair's Fourier tail mass 6\.284e-03 exceeds the suite's limit 1e-04$"):
-        make_synthetic_pair(3.0, seed=0)
+                       r"the pair's Fourier tail mass 1\.883e-03 exceeds the suite's limit 5e-05$"):
+        make_synthetic_pair(3.0, SPECTRAL_BUMPS[:1])
+
+
+def test_spectral_family_reaches_delta_2_07(ef075):
+    # the suite's outcome depends on delta alone: every pair of the family
+    # passes the tail check and the 1e-5 residual on a 0.01 grid up to 2.07,
+    # and from 2.08 on some pair's tail mass passes the limit
+    for delta in np.round(np.arange(0.01, 2.075, 0.01), 2):
+        for bump in SPECTRAL_BUMPS:
+            pair = make_synthetic_pair(float(delta), [bump])
+            assert verify_spectral_identity(ef075, pair) <= 1e-5, (delta, bump)
+    for delta in np.round(np.arange(2.08, 3.14, 0.01), 2):
+        with pytest.raises(ValueError, match="tail mass"):
+            for bump in SPECTRAL_BUMPS:
+                make_synthetic_pair(float(delta), [bump])
+
+
+def test_spectral_residual_is_linear_in_the_bumps(ef075):
+    # the sum rule's residual is linear in the pair's difference G, so a
+    # random mix of bumps is bounded by its single bumps' residuals, each
+    # weighted by its |amplitude|: the fixed family misses nothing a mix finds
+    def absolute_residual(pair):
+        fv = eval_f_many(ef075, pair.delta * np.arange(pair.freq_cut + 1))
+        return abs(np.sum((pair.a + pair.b) * fv) - np.sum(pair.a))
+
+    for delta in (0.3, 1.0):
+        for seed in range(10):
+            bumps = oracles.random_bumps(seed)
+            mixed = absolute_residual(make_synthetic_pair(delta, bumps))
+            singles = sum(abs(amp) * absolute_residual(make_synthetic_pair(delta, [(1.0, *rest)]))
+                          for amp, *rest in bumps)
+            assert mixed <= singles + 1e-15, (delta, seed)
 
 
 def test_spectral_identity_residual(ef075):
-    pair = make_synthetic_pair(0.3, seed=0)
-    assert verify_spectral_identity(ef075, pair) <= 1e-5
-    assert np.sum(np.abs(pair.a)) + np.sum(np.abs(pair.b)) > 0
+    for bump in SPECTRAL_BUMPS:
+        pair = make_synthetic_pair(0.3, [bump])
+        assert verify_spectral_identity(ef075, pair) <= 1e-5
+        assert np.sum(np.abs(pair.a)) + np.sum(np.abs(pair.b)) > 0
 
 
 def test_spectral_identity_rejects_out_of_range(ef075):
-    pair = make_synthetic_pair(1.6, seed=0)
+    pair = make_synthetic_pair(1.6, SPECTRAL_BUMPS[:1])
     big = pair.__class__(**{**pair.__dict__, "delta": 3.0})
     with pytest.raises(ValueError):
         verify_spectral_identity(ef075, big)
