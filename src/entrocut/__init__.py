@@ -14,6 +14,7 @@ from .bounds import (
     TraceBoundConstants,
     cutoff_bound,
     distance_regularized_bound,
+    eta,
     trace_bound_constants,
     trace_partition,
     verify_trace_bound,
@@ -28,7 +29,6 @@ from .energy import (
     make_synthetic_pair,
     verify_spectral_identity,
 )
-from .entropy import eta
 from .errors import (
     ConfigError,
     ConstructionError,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyFunction, f_delta_batch
-from .entropy import eta
 from .errors import DivergenceError
 from .spectra import GrowthFit, SpectrumModel, log_trace_coefficient
 
@@ -92,6 +91,24 @@ class BoundReport:
             raise DivergenceError(
                 f"S_deltaE = {self.S_deltaE!r} exceeds S_E = {self.S_E!r}"
             )
+
+
+def eta(x: np.ndarray | float) -> np.ndarray | float:
+    """-x log x elementwise, with eta(0) = 0; requires x >= 0 (NaN raises).
+
+    A von Neumann entropy is the sum of eta over a spectrum; the caps here
+    and the oracle of `pairing` sum it over window weights.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr >= 0.0):
+        raise ValueError("eta needs nonnegative arguments, not NaN")
+    pos = arr > 0.0
+    if pos.all():
+        out = -arr * np.log(arr)
+    else:
+        out = np.zeros_like(arr)
+        out[pos] = -arr[pos] * np.log(arr[pos])
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _eta_upper(x: np.ndarray) -> np.ndarray:

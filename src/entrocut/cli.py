@@ -2,15 +2,15 @@
 
 Subcommands: `model` (multiplicity tables), `energy-function` (window
 samples), `bounds` (cutoff-bound sweep with oracle columns), `trace`
-(partition-trace bound checks), `verify` (checks of the window, the ensemble
-bound and the trace bound at the given settings).
+(partition-trace bound checks), `verify` (checks of the window's sum rule
+and of the trace bound at the given settings).
 The parser is built from one table, `_COMMANDS`: each subcommand offers
 `--config`, `--out` and a flag for each setting it reads, spelled after its
-`RunConfig` field (`_` as `-`) and typed by the field's annotation.  The
-special cases are `model --kind` (that subcommand's spelling of `--model`)
-and `--t-max`, `--points` and `--only`, which are not settings.  `verify`
-checks the window on one fixed family of synthetic pairs, so its outcome
-depends on the settings alone.
+`RunConfig` field (`_` as `-`), typed by the field's annotation and
+never abbreviated.  The special cases are `model --kind` (that subcommand's
+spelling of `--model`) and `--t-max`, `--points` and `--only`, which are not
+settings.  `verify` checks the window on one fixed family of synthetic
+pairs, so its outcome depends on the settings alone.
 Output is deterministic CSV: LF line endings, repr() floats, '.' decimals,
 empty strings for absent optionals.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error or an `--out` path that cannot be written,
@@ -30,14 +30,13 @@ from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
 from .energy import (
     SPECTRAL_BUMPS,
     T0,
-    EnergyFunction,
     build_energy_function,
     make_synthetic_pair,
     verify_spectral_identity,
     window,
 )
 from .errors import ConfigError, DivergenceError, EntrocutError, SpectrumFileError
-from .pairing import OracleComparison, TruncatedSpace, oracle_vs_bounds
+from .pairing import TruncatedSpace, oracle_vs_bounds
 from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
@@ -45,7 +44,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DIVERGE = 3
 
-VERIFY_SUITES = ("spectral", "concavity", "trace")
+VERIFY_SUITES = ("spectral", "trace")
 
 
 def _fmt(value) -> str:
@@ -105,16 +104,6 @@ def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _oracle_row(model: SpectrumModel, ef: EnergyFunction, delta: float,
-                energy_cut: int) -> OracleComparison | None:
-    """The oracle at (delta, E), or None when delta*E leaves the quadrature
-    range.  It reads only the level dimensions, so it needs no oracle limit."""
-    if delta * energy_cut > T0:
-        return None
-    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
-    return oracle_vs_bounds(space, ef, delta)
-
-
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     ef = build_energy_function(cfg.alpha)
@@ -127,12 +116,14 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     for delta in cfg.delta:
         for energy_cut in cfg.E:
             rep = cutoff_bound(model, ef, delta, energy_cut)
-            oc = _oracle_row(model, ef, delta, energy_cut)
-            if oc is None:
-                oracle_entropy, oracle_pass = "", ""
-            else:
-                oracle_entropy = oc.exact_entropy
-                oracle_pass = oc.ok and oc.c_deltaE * oc.exact_entropy <= rep.HE_bound + 1e-9
+            # the oracle reads only level dimensions, so it needs no dimension
+            # limit; its columns stay empty where delta*E leaves the quadrature range
+            oracle_entropy, oracle_pass = "", ""
+            if delta * energy_cut <= T0:
+                space = TruncatedSpace(model.label, energy_cut,
+                                       tuple(model.dims_upto(energy_cut)))
+                oc = oracle_vs_bounds(space, ef, delta)
+                oracle_entropy, oracle_pass = oc.exact_entropy, oc.ok
             rows.append([
                 model.label, cfg.alpha, delta, energy_cut,
                 rep.c_deltaE, rep.S_deltaE, rep.C_E, rep.S_E, rep.HE_bound,
@@ -155,30 +146,17 @@ def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     suites = VERIFY_SUITES if not args.only else tuple(args.only)
-    model = _build_model(cfg)
-    # the window is built only for the suites that read it
-    ef = (build_energy_function(cfg.alpha)
-          if {"spectral", "concavity"} & set(suites) else None)
     rows: list[list] = []
     if "spectral" in suites:
+        ef = build_energy_function(cfg.alpha)
         for delta in cfg.delta:
             worst = max(verify_spectral_identity(ef, make_synthetic_pair(delta, [bump]))
                         for bump in SPECTRAL_BUMPS)
             rows.append(["spectral", f"delta={delta:g} pairs={len(SPECTRAL_BUMPS)}",
                          worst, worst <= 1e-5])
 
-    if "concavity" in suites:
-        for delta in cfg.delta:
-            for energy_cut in cfg.E:
-                oc = _oracle_row(model, ef, delta, energy_cut)
-                if oc is not None:
-                    rows.append(["concavity", f"delta={delta:g} E={energy_cut}",
-                                 oc.slack, oc.ok])
-        if not any(r[0] == "concavity" for r in rows):
-            raise ConfigError(f"the concavity suite has nothing to check: every delta * E "
-                              f"lies past T0 = {T0:g}")
-
     if "trace" in suites:
+        model = _build_model(cfg)
         fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
         for r in verify_trace_bound(model, fit, cfg.beta):
             rows.append(["trace", f"beta={r.beta:g}", r.ratio, r.ok])
@@ -198,8 +176,9 @@ _COMMANDS = {
                ("model", "file", "power", "alpha", "delta", "E", "kappa")),
     "trace": (cmd_trace, "partition trace against the explicit bound",
               ("model", "file", "power", "kappa", "beta", "fit_n_max")),
-    "verify": (cmd_verify, "run the spectral, concavity and trace checks",
-               ("only", "model", "file", "alpha", "delta", "E", "beta", "kappa")),
+    "verify": (cmd_verify, "run the spectral and trace checks",
+               ("only", "model", "file", "power", "alpha", "delta", "beta", "kappa",
+                "fit_n_max")),
 }
 
 _FLAG_OPTIONS = {
@@ -221,7 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     for command, (_, help_text, flags) in _COMMANDS.items():
-        p_cmd = sub.add_parser(command, help=help_text)
+        # a flag is spelled whole: a prefix such as --p would otherwise read
+        # as the only flag it begins, here --power
+        p_cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in ("config", "out", *flags):
             options = {"dest": name, "type": FIELD_PARSERS.get(name),
                        **_FLAG_OPTIONS.get(name, {})}

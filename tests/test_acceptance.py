@@ -96,7 +96,7 @@ def test_criterion_04_oracle_vs_bound_chain(ef075, u1_small):
         rep = cutoff_bound(u1_small, ef075, 1.0, energy_cut)
         for delta in (0.1, 0.5, 1.0):
             oc = oracle_vs_bounds(space, ef075, delta)
-            worst_slack = min(worst_slack, oc.slack)
+            worst_slack = min(worst_slack, oc.entropy_bound - oc.exact_entropy)
             worst_chain = max(worst_chain,
                               oc.c_deltaE * oc.exact_entropy - rep.HE_bound)
             if energy_cut == 0:

@@ -20,8 +20,8 @@ from entrocut import (
     verify_trace_bound,
 )
 from entrocut import bounds
+from entrocut.bounds import eta
 from entrocut.energy import build_energy_function, window
-from entrocut.entropy import eta
 
 
 def _custom(dims):

@@ -13,8 +13,8 @@ import pytest
 import entrocut.cli as cli
 import oracles
 from entrocut import ConfigError, RunConfig, load_config, parse_config_file, spectra
+from entrocut.bounds import eta
 from entrocut.energy import window
-from entrocut.entropy import eta
 
 
 # --- config file layer ------------------------------------------------------
@@ -271,11 +271,14 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
             return fn(*args, **kwargs)
         return wrapper
 
+    calls["model"] = 0
     monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
     monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
+    monkeypatch.setattr(cli, "_build_model", counted("model", cli._build_model))
     code, _, _ = _run(capsys, ["verify", "--only", suite, "--delta", "0.5"])
     assert code == 0
-    assert calls == {"window": windows, "fit": fits}
+    # only the trace suite reads the spectrum, and it fits it once
+    assert calls == {"window": windows, "fit": fits, "model": fits}
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
@@ -568,7 +571,12 @@ def test_cli_rejects_unknown_flag_value(capsys):
                  ["bounds", "--n-max", "3"], ["bounds", "--fit-n-max", "5"],
                  ["model", "--seed", "1"], ["energy-function", "--seed", "1"],
                  ["bounds", "--seed", "1"], ["trace", "--seed", "1"],
-                 ["bounds", "--oracle-limit", "5"]):
+                 ["bounds", "--oracle-limit", "5"],
+                 # the ensemble inequality holds for every input, so verify
+                 # has no concavity suite and reads no E
+                 ["verify", "--only", "concavity"], ["verify", "--E", "4"],
+                 # a flag is spelled whole; --pow once read as --power
+                 ["trace", "--pow", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -576,26 +584,28 @@ def test_cli_rejects_unknown_flag_value(capsys):
         assert out.out == "" and "Traceback" not in out.err, argv
 
 
-def test_cli_verify_concavity_skips_oversized_cuts(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "concavity",
-                                 "--delta", "0.5,2.5", "--E", "2,40,90"])
+def test_cli_bounds_oracle_skips_oversized_cuts(capsys):
+    code, out, _ = _run(capsys, ["bounds", "--delta", "0.5,2.5", "--E", "2,40,90"])
     assert code == 0
-    lines = out.strip().split("\n")[1:]
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[2], r[3]) for r in rows] == [
+        ("0.5", "2"), ("0.5", "40"), ("0.5", "90"), ("2.5", "2"), ("2.5", "40"), ("2.5", "90")]
     # the oracle reads only level dimensions, so E = 40 (dimension 215,308)
-    # gets a row; only a cut with delta*E beyond T0 = 200 is skipped
-    assert [l.split(",")[1] for l in lines] == [
-        "delta=0.5 E=2", "delta=0.5 E=40", "delta=0.5 E=90", "delta=2.5 E=2", "delta=2.5 E=40"]
-    assert all(l.endswith(",1") for l in lines)
+    # gets its columns; only a cut with delta*E beyond T0 = 200 leaves them empty
+    assert all(float(r[9]) > 0.0 and r[10] == "1" for r in rows[:5])
+    assert rows[5][9:] == ["", ""]
 
 
-@pytest.mark.parametrize("argv", [["--only", "concavity"], []])
-def test_cli_verify_concavity_with_nothing_to_check_exits_two(capsys, argv):
-    # every (delta, E) past T0 once printed the header alone and exited 0,
-    # a pass that checked nothing
-    code, out, err = _run(capsys, ["verify", *argv, "--E", "100000"])
-    assert code == 2 and out == ""
-    assert err == ("entrocut: the concavity suite has nothing to check: every delta * E "
-                   "lies past T0 = 200\n")
+def test_cli_verify_trace_reads_the_power_and_fit_settings(capsys):
+    # verify's trace rows are trace's ratios at the same settings; power and
+    # fit_n_max were once read from a config file but refused as flags
+    for extra in (["--power", "2"], ["--fit-n-max", "500"]):
+        code, out, _ = _run(capsys, ["trace", *extra])
+        assert code == 0
+        want = [line.split(",")[6] for line in out.strip().split("\n")[1:]]
+        code, out, _ = _run(capsys, ["verify", "--only", "trace", *extra])
+        assert code == 0
+        assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] == want, extra
 
 
 def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):

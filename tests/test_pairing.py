@@ -92,7 +92,7 @@ def test_oracle_comparison_pinned_values(u1_small, ef075):
     oc = oracle_vs_bounds(sp, ef075, 0.1)
     assert abs(oc.exact_entropy - 1.059874) <= 1e-5
     assert abs(oc.entropy_bound - 2.401960) <= 1e-5
-    assert oc.slack > 0 and oc.ok
+    assert oc.entropy_bound - oc.exact_entropy > 0 and oc.ok
 
 
 def _dense_entropy(space, ef, delta):
@@ -134,4 +134,4 @@ def test_oracle_grid_slack_positive(u1_small, ef075):
         sp = build_truncated_space(u1_small, E)
         for delta in (0.1, 0.5, 1.0):
             oc = oracle_vs_bounds(sp, ef075, delta)
-            assert oc.slack >= -1e-9
+            assert oc.entropy_bound - oc.exact_entropy >= -1e-9

@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from entrocut import eta, parse_spectrum_file
+from entrocut.bounds import _cutoff_caps
 from entrocut.energy import window
+from entrocut.pairing import _tau_entropies
 from entrocut.spectra import model_dims
 
 _P500 = model_dims("u1", 500).dims
@@ -135,6 +138,54 @@ def test_theta_sign_split_is_the_vacuum_pairing(levels, seed):
     weight = 2.0 * math.fsum(dn * abs(fn) for dn, fn in zip(dims[1:], f[1:]))
     assert abs(plus - (1.0 + weight)) <= 1e-12 * (1.0 + weight)
     assert abs(minus - weight) <= 1e-12 * (1.0 + weight)
+
+
+# |f(delta N)| as the oracle's formula takes it: exact zeros, the least
+# subnormal, and weights past the window's 1/2, which the inequality does not need
+_ABS_WEIGHT = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-12, 10.0))
+
+
+@st.composite
+def _levels_and_weights(draw):
+    dims = draw(st.lists(st.integers(1, 49), min_size=1, max_size=19))
+    absf = draw(st.lists(_ABS_WEIGHT, min_size=len(dims), max_size=len(dims)))
+    return dims, absf
+
+
+def _tau_entropies_mp(dims, absf):
+    """`_tau_entropies` at 50 digits on the same float inputs."""
+    def eta_mp(x):
+        return -x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
+
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(n) for n in dims]
+        a = [mpmath.mpf(x) for x in absf]
+        s = mpmath.fsum(dn * an for dn, an in zip(d, a))
+        c = 1 + 2 * s
+        exact = eta_mp((1 + s) / c) + mpmath.fsum(dn * eta_mp(an / c) for dn, an in zip(d, a))
+        bound = mpmath.log(c) + mpmath.fsum(4 * dn * eta_mp(an / 2) for dn, an in zip(d, a)) / c
+    return c, exact, bound
+
+
+@given(_levels_and_weights())
+@settings(max_examples=300)
+def test_ensemble_bound_caps_the_tau_entropy(ef075, levels):
+    # S(sum_i p_i psi_i) <= H(p) for pure psi_i, whatever the weights: the
+    # oracle's bound log c + S_{delta,E}/c is H(p) of the tau state's
+    # pure-state weights, so it caps the exact entropy for every input
+    dims, absf = levels
+    got = _tau_entropies(np.array(dims, dtype=float), np.array(absf))
+    want = _tau_entropies_mp(dims, absf)
+    c, exact, bound = got
+    assert bound - exact >= -1e-9
+    assert want[2] >= want[1]
+    for value, ref in zip(got, want):
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+    # with |f| <= 1/2, as the window has, c <= C_E and S_{delta,E} <= S_E, so
+    # c exact <= c log c + S_{delta,E} <= C_E log C_E + S_E = HE_bound
+    c, exact, _ = _tau_entropies(np.array(dims, dtype=float), np.minimum(absf, 0.5))
+    c_e, s_e = _cutoff_caps(ef075, [1, *dims])
+    assert c * exact <= c_e * math.log(c_e) + s_e
 
 
 @given(st.floats(0.0, 200.0))

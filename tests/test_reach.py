@@ -8,7 +8,8 @@ the same module, or imported there from a sibling module.  A reached class
 counts with its whole body, methods included.  A name in `entrocut.__all__`
 that the walk never reaches is run by nothing but the tests, and belongs in
 `tests/` or nowhere.  A walk of the same kind, over `cli.py` alone, checks
-that each command reads every setting it offers.
+that each command reads every setting it offers and offers every setting
+it reads.
 """
 
 import ast
@@ -102,7 +103,8 @@ def test_every_public_name_is_reached_by_a_command_or_the_benchmark():
 
 def test_a_handler_reads_every_setting_it_offers():
     # cli.py's rule: a flag named after a RunConfig field goes only to a
-    # command whose handler, or a cli function it calls, reads cfg.<field>
+    # command whose handler, or a cli function it calls, reads cfg.<field>;
+    # and each field it reads is offered as a flag, not only as a config key
     defs = _module_tables()[0]["cli"]
 
     def reads(name: str, seen: set) -> set[str]:
@@ -122,6 +124,7 @@ def test_a_handler_reads_every_setting_it_offers():
         offered = fields & {cli._FLAG_OPTIONS.get(flag, {}).get("dest", flag)
                             for flag in ("config", "out", *flags)}
         offered_anywhere |= offered
-        unread = offered - reads(handler.__name__, set())
-        assert not unread, f"{command} offers but never reads {sorted(unread)}"
+        read = reads(handler.__name__, set())
+        assert not offered - read, f"{command} offers but never reads {sorted(offered - read)}"
+        assert not read - offered, f"{command} reads but never offers {sorted(read - offered)}"
     assert offered_anywhere == fields, f"offered by no command: {sorted(fields - offered_anywhere)}"
