@@ -525,21 +525,18 @@ class TraceCheckRow:
 
 
 def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
-                       beta_grid: list[float] | tuple[float, ...],
-                       n_trunc: int | None = None) -> tuple[TraceCheckRow, ...]:
+                       beta_grid: list[float] | tuple[float, ...]) -> tuple[TraceCheckRow, ...]:
     """Check trace <= a exp(b beta^{-c}) on the grid; a failed row does not raise.
 
     The fit gives only the constants a, b and c; the trace itself is
-    `trace_partition` to n_trunc (the end of the fit's scan by default),
-    closed by the partition-lemma tail.  Raises DivergenceError when the
-    bound or the tail at some beta exceeds the float range.
+    `trace_partition` to the end of the fit's scan, closed by the
+    partition-lemma tail.  Raises DivergenceError when the bound or the tail
+    at some beta exceeds the float range.
     """
     constants = trace_bound_constants(fit.kappa, fit.C)
-    if n_trunc is None:
-        n_trunc = fit.certified_range[1]
     rows = []
     for beta in beta_grid:
-        value, tail_bound = trace_partition(model, beta, n_trunc)
+        value, tail_bound = trace_partition(model, beta, fit.certified_range[1])
         bound = constants.bound(beta)
         total = value + tail_bound
         rows.append(TraceCheckRow(

@@ -440,7 +440,12 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
         raise ValueError("delta must be positive and finite")
     if n_lo < 0:
         raise ValueError("n_lo must be >= 0")
-    ts = delta * np.arange(n_lo, n_hi + 1)
+    if delta * n_hi < math.inf:
+        ts = delta * np.arange(n_lo, n_hi + 1)
+    else:
+        # delta*N past the float range is t = inf, where the envelope is 0
+        with np.errstate(over="ignore"):
+            ts = delta * np.arange(n_lo, n_hi + 1)
     n_quad = int(np.count_nonzero(ts <= T0))   # a prefix: delta*N grows with N
     memo = ef.cache.get(delta, _NO_VALUES)
     if n_quad and len(memo) < n_lo + n_quad:

@@ -12,7 +12,7 @@ import pytest
 
 import entrocut.cli as cli
 import oracles
-from entrocut import ConfigError, RunConfig, load_config, parse_config_file, spectra
+from entrocut import ConfigError, RunConfig, bounds, load_config, parse_config_file, spectra
 from entrocut.bounds import eta
 from entrocut.energy import window
 
@@ -249,21 +249,31 @@ def test_cli_trace_table(capsys):
         assert r[7] == "1"
 
 
-def test_cli_verify_all_pass_and_filter(capsys):
-    code, out, _ = _run(capsys, ["verify", "--only", "spectral"])
+def test_cli_trace_failure_exits_one(capsys, monkeypatch):
+    # a bound of 2 at every beta: the trace 7.4 at beta = 0.5 breaks it, the
+    # other three rows keep it; trace once exited 0 with a failed row
+    monkeypatch.setattr(bounds, "trace_bound_constants",
+                        lambda kappa, C: bounds.TraceBoundConstants(a=2.0, b=0.0, c=1.0))
+    code, out, err = _run(capsys, ["trace"])
+    assert code == 1 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "model,kappa,C,beta,trace,bound,ratio,pass"
+    assert [(r.split(",")[3], r.split(",")[7]) for r in lines[1:]] == [
+        ("0.5", "0"), ("1.0", "1"), ("2.0", "1"), ("4.0", "1")]
+
+
+def test_cli_verify_all_pass(capsys):
+    code, out, _ = _run(capsys, ["verify"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "check_name,param_summary,residual_or_gap,pass"
     assert [line.rsplit(",", 2)[0] for line in lines[1:]] == [
         "spectral,delta=0.5 pairs=5", "spectral,delta=1 pairs=5"]
+    assert all(line.endswith(",1") for line in lines[1:])
 
 
-@pytest.mark.parametrize("suite,windows,fits", [
-    ("trace", 0, 1),
-    ("spectral", 1, 0),
-])
-def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite, windows, fits):
-    calls = {"window": 0, "fit": 0}
+def test_cli_verify_builds_one_window_and_no_model(capsys, monkeypatch):
+    calls = {"window": 0, "fit": 0, "model": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -271,27 +281,26 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
             return fn(*args, **kwargs)
         return wrapper
 
-    calls["model"] = 0
     monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
     monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
     monkeypatch.setattr(cli, "_build_model", counted("model", cli._build_model))
-    code, _, _ = _run(capsys, ["verify", "--only", suite, "--delta", "0.5"])
+    code, _, _ = _run(capsys, ["verify", "--delta", "0.5,1.0"])
     assert code == 0
-    # only the trace suite reads the spectrum, and it fits it once
-    assert calls == {"window": windows, "fit": fits, "model": fits}
+    # the sum rule reads the window alone; the trace bound is trace's
+    assert calls == {"window": 1, "fit": 0, "model": 0}
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
     def fake_check(ef, pair):
         return 1.0                  # a relative residual far above the 1e-5 mark
     monkeypatch.setattr(cli, "verify_spectral_identity", fake_check)
-    code, out, _ = _run(capsys, ["verify", "--only", "spectral", "--delta", "0.5"])
+    code, out, _ = _run(capsys, ["verify", "--delta", "0.5"])
     assert code == 1
     assert out.strip().split("\n")[1].endswith(",0")
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--only", "quasinorm"], "invalid choice: 'quasinorm'"),
+    (["--only", "quasinorm"], "unrecognized arguments: --only"),
     (["--p", "0.5"], "unrecognized arguments: --p 0.5"),
     (["--config", "p.cfg"], "entrocut: line 1: unknown key 'p'"),
 ])
@@ -317,7 +326,7 @@ def test_cli_verify_has_no_identity_suites(capsys, suite):
         cli.main(["verify", "--only", suite])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert f"invalid choice: '{suite}'" in err and "Traceback" not in err
+    assert f"unrecognized arguments: --only {suite}" in err and "Traceback" not in err
 
 
 def test_cli_out_file_deterministic(tmp_path, capsys):
@@ -419,7 +428,7 @@ def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
 def test_cli_verify_spectral_tail_mass_exits_two(capsys):
     # at delta = 3.0 the family's bumps are too narrow for the cut of 66: the
     # input is at fault, so exit 2, in one line naming delta and the limit
-    code, out, err = _run(capsys, ["verify", "--only", "spectral", "--delta", "3.0"])
+    code, out, err = _run(capsys, ["verify", "--delta", "3.0"])
     assert code == 2
     assert out == "" and "Traceback" not in err and "freq_cut" not in err
     assert err == ("entrocut: delta=3.0 is too wide for the spectral suite: the pair's "
@@ -431,7 +440,7 @@ def test_cli_verify_spectral_reach_is_one_delta(capsys, delta, code):
     # the pairs are one fixed family, so the reach in delta is one number:
     # 2.0 once exited 2 for some seeds, and past 2.07 every run exits 2 in a
     # line that names delta and no seed
-    got, out, err = _run(capsys, ["verify", "--only", "spectral", "--delta", delta])
+    got, out, err = _run(capsys, ["verify", "--delta", delta])
     assert got == code
     if code == 0:
         (row,) = [line.split(",") for line in out.splitlines()[1:]]
@@ -488,11 +497,13 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
 @pytest.mark.parametrize("argv", [
     ["trace", "--kappa", "0.005"],
     ["trace", "--kappa", "1e-300"],
-    ["verify", "--only", "trace", "--kappa", "0.005"],
+    ["trace", "--config", "kappa.cfg"],
 ])
-def test_cli_trace_series_beyond_float_range_exits_three(capsys, argv):
+def test_cli_trace_series_beyond_float_range_exits_three(capsys, tmp_path, monkeypatch, argv):
     # below kappa = 0.00586 the tail Gamma(1/kappa)/kappa of sum_N e^{-N^kappa}
     # is past the float range; math.gamma once raised OverflowError below 0.00583
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kappa.cfg").write_text("kappa = 0.005\n")
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("entrocut: divergence: sum_N e^(-N^kappa) at kappa = ")
@@ -528,7 +539,7 @@ def test_cli_trace_reads_a_custom_file_whole(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["energy-function", "--alpha", "0.98", "--points", "3"],
     ["bounds", "--alpha", "0.99", "--E", "2"],
-    ["verify", "--alpha", "0.999", "--only", "spectral"],
+    ["verify", "--alpha", "0.999"],
 ])
 def test_cli_steep_window_prints_no_numpy_warning(capsys, argv):
     # ghat's q^{-rho} overflows near the ends of (0, 1), where exp(-inf) = 0.0
@@ -537,6 +548,18 @@ def test_cli_steep_window_prints_no_numpy_warning(capsys, argv):
         warnings.simplefilter("always")
         code, out, err = _run(capsys, argv)
     assert code == 0 and out and err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+def test_cli_delta_past_the_float_range_prints_no_numpy_warning(capsys):
+    # delta * N for N >= 2 overflows to t = inf, where the envelope is 0; numpy
+    # once warned about the product on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["bounds", "--delta", "1e308", "--E", "3"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == ("u1,0.75,1e+308,3,1.0,0.0,7.0000000000139995,8.317766166743343,"
+                                   "21.93913721017178,,")
     assert [str(w.message) for w in caught] == []
 
 
@@ -575,6 +598,12 @@ def test_cli_rejects_unknown_flag_value(capsys):
                  # the ensemble inequality holds for every input, so verify
                  # has no concavity suite and reads no E
                  ["verify", "--only", "concavity"], ["verify", "--E", "4"],
+                 # the trace bound is trace's check alone, so verify reads
+                 # no spectrum and has no suites to choose from
+                 ["verify", "--only", "trace", "--power", "2"], ["verify", "--only", "spectral"],
+                 ["verify", "--model", "virasoro"], ["verify", "--file", "spec.txt"],
+                 ["verify", "--power", "2"], ["verify", "--beta", "1.0"],
+                 ["verify", "--kappa", "0.6"], ["verify", "--fit-n-max", "500"],
                  # a flag is spelled whole; --pow once read as --power
                  ["trace", "--pow", "2"]):
         with pytest.raises(SystemExit) as exc:
@@ -596,16 +625,17 @@ def test_cli_bounds_oracle_skips_oversized_cuts(capsys):
     assert rows[5][9:] == ["", ""]
 
 
-def test_cli_verify_trace_reads_the_power_and_fit_settings(capsys):
-    # verify's trace rows are trace's ratios at the same settings; power and
-    # fit_n_max were once read from a config file but refused as flags
-    for extra in (["--power", "2"], ["--fit-n-max", "500"]):
+def test_cli_trace_reads_the_power_and_fit_settings(capsys):
+    # trace's ratios are verify_trace_bound's at the settings it is given
+    for extra, power, fit_n_max in (([], 1, 3000), (["--power", "2"], 2, 3000),
+                                    (["--fit-n-max", "500"], 1, 500)):
         code, out, _ = _run(capsys, ["trace", *extra])
         assert code == 0
-        want = [line.split(",")[6] for line in out.strip().split("\n")[1:]]
-        code, out, _ = _run(capsys, ["verify", "--only", "trace", *extra])
-        assert code == 0
-        assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] == want, extra
+        model = spectra.model_dims("u1", 12, power=power)
+        fit = spectra.fit_growth_constants(model, 0.6, n_max=fit_n_max)
+        want = [repr(r.ratio)
+                for r in bounds.verify_trace_bound(model, fit, (0.5, 1.0, 2.0, 4.0))]
+        assert [line.split(",")[6] for line in out.strip().split("\n")[1:]] == want, extra
 
 
 def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):
