@@ -272,7 +272,13 @@ def test_cli_verify_all_pass(capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_cli_verify_builds_one_window_and_no_model(capsys, monkeypatch):
+@pytest.mark.parametrize("suite,windows,fits", [
+    ("trace", 0, 1),
+    ("spectral", 1, 0),
+])
+def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite, windows, fits):
+    # the sum rule is verify's and reads the window alone, for every delta;
+    # the trace bound is trace's and reads one model and its fit, no window
     calls = {"window": 0, "fit": 0, "model": 0}
 
     def counted(key, fn):
@@ -284,10 +290,10 @@ def test_cli_verify_builds_one_window_and_no_model(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
     monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
     monkeypatch.setattr(cli, "_build_model", counted("model", cli._build_model))
-    code, _, _ = _run(capsys, ["verify", "--delta", "0.5,1.0"])
+    argv = {"spectral": ["verify", "--delta", "0.5,1.0"], "trace": ["trace"]}[suite]
+    code, _, _ = _run(capsys, argv)
     assert code == 0
-    # the sum rule reads the window alone; the trace bound is trace's
-    assert calls == {"window": 1, "fit": 0, "model": 0}
+    assert calls == {"window": windows, "fit": fits, "model": fits}
 
 
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
