@@ -168,15 +168,14 @@ class QuadratureConfig:
 
 @dataclass
 class EnergyFunction:
-    """Window f for one alpha: tau rule, interpolant, suprema and decay envelope.
+    """Window f for one alpha: interpolant, suprema and decay envelope.
 
     Fields are filled by build_energy_function.  `panels` is the Chebyshev
     interpolant of f on [0, T0] that every reader evaluates: row k holds the
-    T_k coefficient on each of the _PANEL_COUNT panels.  The tau rule
-    (`nodes`, `coeffs`) is kept for the build's quadrature rows.  The
-    suprema are theorems of the construction, not samples: |f| <= f(0) = 1/2
-    and, since eta increases below 1/e, sup eta(|f|/2) = eta(1/4) =
-    log(4)/4; each carries ABS_TOL, the distance of a computed value from f.
+    T_k coefficient on each of the _PANEL_COUNT panels.  The suprema are
+    theorems of the construction, not samples: |f| <= f(0) = 1/2 and, since
+    eta increases below 1/e, sup eta(|f|/2) = eta(1/4) = log(4)/4; each
+    carries ABS_TOL, the distance of a computed value from f.
     `cache` holds one delta, {delta: f(delta*N) for N = 0, 1, ...}, the
     array `f_delta_batch` grows on demand; a new delta replaces it.
     """
@@ -184,8 +183,6 @@ class EnergyFunction:
     alpha: float
     rho: float
     beta_prime: float              # envelope decay exponent (1+alpha)/2
-    nodes: np.ndarray              # tau quadrature nodes
-    coeffs: np.ndarray             # weight * ghat(node) / normalization
     panels: np.ndarray             # (_PANEL_DEGREE + 1, _PANEL_COUNT) Chebyshev coefficients
     envelope_c: float
     cache: dict = field(default_factory=dict)
@@ -217,6 +214,17 @@ def _tau_rule(t_cap: float, osc_panels: int = _PANELS_PER_OSC) -> tuple[np.ndarr
     nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
     weights = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def _rule(rho: float, osc_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tau rule on [0, T0] at the given panel density: its nodes tau_i and
+    coefficients c_i = w_i ghat(tau_i), normalized to sum to 1."""
+    nodes, weights = _tau_rule(T0, osc_panels)
+    coeffs = weights * _ghat_raw(nodes, rho)
+    norm = float(coeffs.sum())
+    if not (norm > 0.0):
+        raise ConstructionError("bump normalization integral vanished")
+    return nodes, coeffs / norm
 
 
 def _f_on_rule(ts: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -356,17 +364,9 @@ def build_energy_function(alpha: float) -> EnergyFunction:
     rho = (1.0 + alpha) / (1.0 - alpha)
     beta_prime = 0.5 * (1.0 + alpha)
 
-    def rule(osc_panels: int) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = _tau_rule(T0, osc_panels)
-        coeffs = weights * _ghat_raw(nodes, rho)
-        norm = float(coeffs.sum())
-        if not (norm > 0.0):
-            raise ConstructionError("bump normalization integral vanished")
-        return nodes, coeffs / norm
-
-    nodes, coeffs = rule(_PANELS_PER_OSC)
+    nodes, coeffs = _rule(rho, _PANELS_PER_OSC)
     # self-check: doubled panel density on a probe grid
-    fnodes, fcoeffs = rule(2 * _PANELS_PER_OSC)
+    fnodes, fcoeffs = _rule(rho, 2 * _PANELS_PER_OSC)
     probe = np.linspace(0.0, T0, 41)
     resid = float(np.max(np.abs(_f_on_rule(probe, nodes, coeffs)
                               - _f_on_rule(probe, fnodes, fcoeffs))))
@@ -387,8 +387,6 @@ def build_energy_function(alpha: float) -> EnergyFunction:
         alpha=alpha,
         rho=rho,
         beta_prime=beta_prime,
-        nodes=nodes,
-        coeffs=coeffs,
         panels=panels,
         envelope_c=env_c,
     )

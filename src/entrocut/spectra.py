@@ -27,11 +27,12 @@ reader holds stays valid.  `model_dims` hands out a fresh copy of the
 integers (callers may mutate it) and a reference to the shared log column.
 Custom (file) models are not cached.
 
-Tensor powers are one exact big-integer product (Kronecker substitution):
+Tensor powers are exact big-integer arithmetic (Kronecker substitution):
 the base column is packed into a single int with one wide slot per
-coefficient, raised to the m-th power modulo the slots beyond N, and
-unpacked.  The slots are wide enough that no coefficient carries into the
-next, so the result is exactly the truncated m-fold convolution.
+coefficient, raised to the m-th power by repeated squaring modulo the slots
+beyond N, and unpacked.  The slots are wide enough that no coefficient
+carries into the next, so the result is exactly the truncated m-fold
+convolution.
 
 A model answers for every N >= 0.  Up to its n_max it reads its own dims,
 so a model built by hand keeps its data.  Past n_max a built-in reads the
@@ -53,7 +54,6 @@ built-in is bounded in closed form instead, by the partition lemma
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 import threading
@@ -94,22 +94,30 @@ _TABLES_LOCK = threading.Lock()
 
 
 def _extend_partitions(p: list[int], n_max: int) -> None:
-    """Append p(len(p)), ..., p(n_max) to p by the pentagonal recurrence.
+    """Append p(len(p)), ..., p(n_max) to p by Euler's pentagonal recurrence.
 
     p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
-    The generalized pentagonal offsets up to n_max are listed once, in
-    ascending order 1, 2, 5, 7, 12, 15, ...: offsets 4j and 4j+1 of the list
-    carry the sign +, offsets 4j+2 and 4j+3 the sign -.
+    The generalized pentagonal offsets up to n_max are listed once, by sign:
+    odd k adds (1, 2, 12, 15, ...), even k subtracts (5, 7, 22, 26, ...).
+    Each list ascends, so a sum stops at its first offset past n.
     """
-    offsets = []
+    plus: list[int] = []
+    minus: list[int] = []
     k = 1
     while k * (3 * k - 1) // 2 <= n_max:
-        offsets.append(k * (3 * k - 1) // 2)
-        offsets.append(k * (3 * k + 1) // 2)
+        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
     for n in range(len(p), n_max + 1):
-        terms = [p[n - g] for g in offsets[: bisect.bisect_right(offsets, n)]]
-        p.append(sum(terms[0::4]) + sum(terms[1::4]) - sum(terms[2::4]) - sum(terms[3::4]))
+        total = 0
+        for g in plus:
+            if g > n:
+                break
+            total += p[n - g]
+        for g in minus:
+            if g > n:
+                break
+            total -= p[n - g]
+        p.append(total)
 
 
 def _grow(kind: str, power: int, n_max: int) -> _Table:
@@ -149,7 +157,6 @@ class SpectrumModel:
     kind: str                      # "u1" | "virasoro" | "custom"
     dims: list[int]
     power: int = 1                 # tensor power applied on top of `kind`
-    source: str | None = None      # file path for custom models
     label: str = ""
     # log d_N for N >= 0, possibly longer than dims: the shared column of a
     # built-in table, or taken from dims on first use
@@ -215,16 +222,25 @@ def _convolve_power(base: list[int], m: int) -> list[int]:
     base[i].  A truncated m-fold coefficient is at most
     len(base)^(m-1) max(base)^m, so a slot of
     m (bitlen(max(base)) + bitlen(len(base))) bits, rounded up to whole
-    bytes, holds it without carrying into the next.
+    bytes, holds it without carrying into the next; the j-fold coefficients
+    of a smaller power j obey the same bound.  The power is taken by
+    repeated squaring, floor(log2 m) squarings and popcount(m) - 1 products,
+    each cut to the slots below len(base).
     """
     size = len(base)
     slot = (m * (max(base).bit_length() + size.bit_length()) + 7) // 8
     width = size * slot
     packed = int.from_bytes(b"".join(d.to_bytes(slot, "little") for d in base), "little")
     mask = (1 << (8 * width)) - 1
-    out = packed
-    for _ in range(m - 1):
-        out = (out * packed) & mask
+    out = None
+    square = packed
+    while True:
+        if m & 1:
+            out = square if out is None else (out * square) & mask
+        m >>= 1
+        if not m:
+            break
+        square = (square * square) & mask
     raw = out.to_bytes(width, "little")
     return [int.from_bytes(raw[i: i + slot], "little") for i in range(0, width, slot)]
 
@@ -267,7 +283,7 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
             raise SpectrumFileError(
                 f"{path}: the sum of d_N of tensor power {power} passes the float limit "
                 f"{sys.float_info.max:.6e}") from None
-    return SpectrumModel(kind=kind, dims=dims, power=power, source=path)
+    return SpectrumModel(kind=kind, dims=dims, power=power)
 
 
 def extend_model(model: SpectrumModel, n_max: int) -> SpectrumModel:
@@ -279,7 +295,7 @@ def extend_model(model: SpectrumModel, n_max: int) -> SpectrumModel:
     """
     if model.n_max >= n_max or model.kind == "custom":
         return model
-    return model_dims(model.kind, n_max, power=model.power, path=model.source)
+    return model_dims(model.kind, n_max, power=model.power)
 
 
 def parse_spectrum_file(path: str) -> list[int]:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -322,9 +323,9 @@ def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, m
 def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
     # the result is the partial sum + scipy's tail: to the bit from kappa =
     # 0.32 on, where the closed-form majorant skips the tail (adding it could
-    # not change a bit), and within 1e-14 below, where the package takes
-    # Gamma(s) - gamma(s, x) from the lower function's series (15 ulps
-    # measured, at kappa = 0.31)
+    # not change a bit), and below it never under that sum and over it by at
+    # most the tail's lift to an upper value, 2^-45, and its rounding (the
+    # cancelling series once put it 15 ulps under, at kappa = 0.31)
     from scipy.special import gammaincc
     m = 200_000
     partial = float(np.sum(np.exp(-np.arange(m, dtype=float) ** kappa)))
@@ -334,7 +335,24 @@ def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
     if kappa >= 0.32:
         assert _bits(got) == _bits(want)
     else:
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert want <= got <= want * (1.0 + 2.0**-44)
+
+
+def test_gamma_upper_is_an_upper_value_within_1e_13():
+    # the (s, x) the trace constant passes on its kappa grid, through both
+    # routes: the continued fraction where x > s + 1, the series below
+    m = 200_000
+    kappas = [0.006 + (0.3199 - 0.006) * i / 199 for i in range(200)]
+    routes = set()
+    with mp.workdps(30):
+        for kappa in kappas:
+            s = 1.0 / kappa
+            x = (m - 1.0) ** kappa
+            routes.add(x > s + 1.0)
+            got = bounds._gamma_upper(s, x)
+            want = mp.gammainc(mp.mpf(s), mp.mpf(x))
+            assert want <= got <= want * (1 + mp.mpf("1e-13")), kappa
+    assert routes == {True, False}
 
 
 def test_sum_exp_neg_power_peaks_under_two_and_a_half_megabytes():

@@ -81,19 +81,20 @@ def test_window_matches_full_width_scipy_route(window_by_alpha, alpha, t_max):
     # t_max = T0 samples the whole quadrature range, 50 its start more
     # densely.  The full-width route takes IJ0 at every node, zero
     # coefficients included, in one block: the same bits
-    ef = window_by_alpha[alpha]
-    assert np.count_nonzero(ef.coeffs == 0.0) > 0
+    nodes, coeffs = energy._rule(window_by_alpha[alpha].rho, energy._PANELS_PER_OSC)
+    assert np.count_nonzero(coeffs == 0.0) > 0
     ts = np.concatenate([np.linspace(0.0, t_max, 301),
                          np.random.default_rng(5).uniform(0.0, t_max, 100)])
-    want = oracles.f_on_rule_full_width(ts, ef.nodes, ef.coeffs, _ij0)
-    assert _bits(_f_on_rule(ts, ef.nodes, ef.coeffs)) == _bits(want)
+    want = oracles.f_on_rule_full_width(ts, nodes, coeffs, _ij0)
+    assert _bits(_f_on_rule(ts, nodes, coeffs)) == _bits(want)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.75, 0.95])
 def test_interpolant_matches_the_quadrature(window_by_alpha, alpha):
     ef = window_by_alpha[alpha]
     ts = np.linspace(0.0, energy.T0, 20_001)
-    err = np.abs(eval_f_many(ef, ts) - _f_on_rule(ts, ef.nodes, ef.coeffs))
+    err = np.abs(eval_f_many(ef, ts)
+                 - _f_on_rule(ts, *energy._rule(ef.rho, energy._PANELS_PER_OSC)))
     assert float(np.max(err)) <= 1e-14
 
 
@@ -108,11 +109,26 @@ def hermite_route():
     return old, table
 
 
-def _rule(ef, osc_panels):
-    """The tau rule of a build at the given panel density, normalized as the build does."""
-    nodes, weights = energy._tau_rule(energy.T0, osc_panels)
-    coeffs = weights * energy._ghat_raw(nodes, ef.rho)
-    return nodes, coeffs / float(coeffs.sum())
+def test_rule_reproduces_the_builds_tau_rule(monkeypatch):
+    # the build reads _rule at the panel density and at twice it; a fresh
+    # call returns the same nodes and coefficients, bit for bit, and those
+    # give the build's interpolant
+    seen = []
+    real = energy._rule
+
+    def recorded(rho, osc_panels):
+        seen.append(((rho, osc_panels), real(rho, osc_panels)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(energy, "_rule", recorded)
+    ef = build_energy_function(0.75)
+    monkeypatch.undo()
+    osc = energy._PANELS_PER_OSC
+    assert [args for args, _ in seen] == [(ef.rho, osc), (ef.rho, 2 * osc)]
+    for args, (nodes, coeffs) in seen:
+        again = energy._rule(*args)
+        assert _bits(again[0]) == _bits(nodes) and _bits(again[1]) == _bits(coeffs)
+    assert _bits(energy._panel_coefficients(*energy._rule(ef.rho, osc))) == _bits(ef.panels)
 
 
 def test_window_matches_the_hermite_route(ef075, hermite_route):
@@ -122,10 +138,9 @@ def test_window_matches_the_hermite_route(ef075, hermite_route):
     cheb = 0.5 * energy.T0 * (1.0 + np.cos(np.pi * np.arange(energy._CHEB_DEGREE + 1)
                                             / energy._CHEB_DEGREE))
     probe = np.linspace(0.0, energy.T0, 41)
-    rows = [(cheb, *_rule(ef075, energy._PANELS_PER_OSC)),
-            (probe, *_rule(ef075, energy._PANELS_PER_OSC)),
-            (probe, *_rule(ef075, 2 * energy._PANELS_PER_OSC))]
-    assert _bits(rows[0][2]) == _bits(ef075.coeffs)
+    rows = [(cheb, *energy._rule(ef075.rho, energy._PANELS_PER_OSC)),
+            (probe, *energy._rule(ef075.rho, energy._PANELS_PER_OSC)),
+            (probe, *energy._rule(ef075.rho, 2 * energy._PANELS_PER_OSC))]
     new = [_f_on_rule(*row) for row in rows]
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(energy, "_ij0", table)

@@ -311,7 +311,9 @@ def _power(base, m):
     return out
 
 
-@pytest.mark.parametrize("kind,power", [("u1", 2), ("u1", 3), ("virasoro", 2), ("custom", 2)])
+@pytest.mark.parametrize("kind,power", [("u1", 2), ("u1", 3), ("virasoro", 2), ("custom", 2),
+                                        ("u1", 4), ("u1", 5), ("u1", 7), ("u1", 8),
+                                        ("virasoro", 5), ("custom", 7)])
 def test_tensor_power_matches_convolution_to_300(tmp_path, kind, power):
     path = None
     if kind == "custom":
