@@ -28,13 +28,15 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # series truncation: streaming stops after _CONSECUTIVE successive terms fall
 # below _REL_EPS times the running sum, read in blocks of _BLOCK terms; the
-# analytic tail scans at most _TAIL_BLOCKS chunks of _TAIL_CHUNK terms
+# analytic tail scans at most _TAIL_BLOCKS chunks of _TAIL_CHUNK terms; a
+# built-in's stream ends by N = _N_CAP or raises
 _REL_EPS = 1e-18
 _LOG_REL_EPS = math.log(_REL_EPS)
 _CONSECUTIVE = 10
 _BLOCK = 2048
 _TAIL_CHUNK = 4096
 _TAIL_BLOCKS = 64
+_N_CAP = 20000
 # room for the rounding of a tail bound's terms, taken in scalar floats
 _TAIL_SLACK = 1e-6
 # a report's chain c_{delta,E} <= C_E, S_{delta,E} <= S_E holds to this slack
@@ -43,10 +45,10 @@ _CHAIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TailConfig:
-    """Series truncation policy: n_cap bounds the streamed range, and fit
-    (required for built-in spectra) certifies the analytic tail."""
+    """Series truncation policy: fit (required for built-in spectra)
+    certifies the analytic tail past the streamed range, which ends by
+    N = _N_CAP."""
 
-    n_cap: int = 20000
     fit: GrowthFit | None = None
 
 
@@ -237,7 +239,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     n_stop: int | None = None
     envelope_used = False
     n = 0
-    hard_cap = model.n_max if finite_support else tail.n_cap
+    hard_cap = model.n_max if finite_support else _N_CAP
     lt_c = np.zeros(0)
     while n <= hard_cap and n_stop is None:
         hi = min(n + _BLOCK - 1, hard_cap)
@@ -268,14 +270,13 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         else:
             if len(lt_c) and float(np.argmax(lt_c)) >= 0.9 * len(lt_c):
                 raise DivergenceError(
-                    f"series terms still growing at N = {tail.n_cap}: fitted growth "
+                    f"series terms still growing at N = {_N_CAP}: fitted growth "
                     f"kappa = {fit.kappa:g} is too close to the decay exponent "
                     f"alpha = {ef.alpha:g}"
                 )
             raise DivergenceError(
                 f"series decays too slowly to meet the termination rule by "
-                f"N = {tail.n_cap} (kappa = {fit.kappa:g} < alpha = {ef.alpha:g}); "
-                "raise TailConfig.n_cap"
+                f"N = {_N_CAP} (kappa = {fit.kappa:g} < alpha = {ef.alpha:g})"
             )
 
     tail_log_c = -np.inf
@@ -397,7 +398,7 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[fl
         sum_{N >= n1} d_N e^{-beta N} <= exp(-(1-theta) beta n1 + b/(theta beta)),
 
     least at theta = min(1, sqrt(b/n1)/beta).  Raises DivergenceError naming
-    beta when that bound leaves the float range.
+    beta when the partial sum or that bound leaves the float range.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -407,10 +408,18 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[fl
     if finite_support:
         n_trunc = model.n_max
     value = 0.0
-    for nn, ld in enumerate(model.log_dims(0, n_trunc)):
-        if ld == -np.inf:
-            continue
-        value += math.exp(ld - beta * nn)
+    try:
+        for nn, ld in enumerate(model.log_dims(0, n_trunc)):
+            if ld == -np.inf:
+                continue
+            value += math.exp(ld - beta * nn)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        logs = model._log_column(0, n_trunc) - beta * np.arange(n_trunc + 1)
+        log_value = np.logaddexp.reduce(logs)
+        raise DivergenceError(
+            f"trace partial sum at beta = {beta:g} is e^{log_value:.6g}, beyond the float range")
 
     if finite_support:
         return value, 0.0
@@ -439,11 +448,6 @@ class TraceBoundConstants:
             raise ValueError("beta must be positive")
         return _a_exp(self.a, self.b * _pow_or_inf(beta, -self.c),
                       f"trace bound at beta = {beta:g}")
-
-
-# a nonnegative term below e^-40 of a sum (2^-54 is e^-37.4) is under half
-# its ulp and leaves it unchanged; the margin covers the rounding of the logs
-_LOG_NEGLIGIBLE = -40.0
 
 
 # relative lift that makes a computed Gamma(s, x) an upper value: both routes
@@ -496,13 +500,12 @@ def _sum_exp_neg_power(kappa: float) -> float:
 
     Integral comparison for the decreasing remainder:
     sum_{N>=M} e^{-N^kappa} <= int_{M-1}^inf e^{-x^kappa} dx
-    = Gamma(1/kappa, (M-1)^kappa) / kappa.  With s = 1/kappa > 1 and
-    x = (M-1)^kappa > s - 1, Gamma(s, x) <= x^{s-1} e^{-x} x / (x - s + 1);
-    when that majorant is negligible against the partial sum (kappa >= 0.32)
-    the tail cannot change its bits and is not evaluated.  Otherwise the
-    tail is an upper value of Gamma(s, x) (`_gamma_upper`) over kappa.
-    Raises DivergenceError when the tail passes the float range (kappa below
-    about 0.00586).
+    = Gamma(1/kappa, (M-1)^kappa) / kappa, with s = 1/kappa > 1, taken as an
+    upper value of Gamma(s, x) (`_gamma_upper`) over kappa.  From about
+    kappa = 0.32 on the tail is under half an ulp of the partial sum and
+    leaves its bits unchanged, and from about 0.6 on its prefactor
+    x^s e^{-x} underflows to 0.0.  Raises DivergenceError when the tail passes
+    the float range (kappa below about 0.00586).
     """
     m = 200_000
     # the terms e^{-N^kappa} built in one array, in place: the same array,
@@ -515,10 +518,6 @@ def _sum_exp_neg_power(kappa: float) -> float:
     partial = float(np.sum(terms))
     s = 1.0 / kappa
     x = (m - 1.0) ** kappa
-    if x > s - 1.0:
-        log_tail = s * math.log(x) - x - math.log(x - s + 1.0) - math.log(kappa)
-        if log_tail < math.log(partial) + _LOG_NEGLIGIBLE:
-            return partial
     # Gamma(s) leaves the float range at s > 171.6 (kappa < 0.00583); there
     # x < 1.08, so Gamma(s, x) is Gamma(s) to double precision and the tail
     # Gamma(s)/kappa is past the range with it
@@ -530,24 +529,29 @@ def _sum_exp_neg_power(kappa: float) -> float:
     return partial + _gamma_upper(s, x) / kappa
 
 
-def trace_bound_constants(kappa: float, C_growth: float) -> TraceBoundConstants:
-    """Constants of the explicit trace bound for growth d_N <= C e^{N^kappa}.
+def trace_bound_constants(kappa: float, log_C: float) -> TraceBoundConstants:
+    """Constants of the explicit trace bound for growth d_N <= C e^{N^kappa},
+    given log C (`GrowthFit.log_C`).
 
     b1 caps the exponent supremum sup_N (N^kappa - beta N) as
     b1 * beta^{-c1}; a collects the series sum_N e^{-N^kappa}, summed with
-    decaying exponents so that it converges, against a2 with
+    decaying exponents so that it converges, times C, against a2 with
     log a2 = 1 + b1^{(c0-c1+1)/(c0-c1)}, and c = c0 = 1/(1 - kappa), the
     larger of c0 and c1 = kappa/(1 - kappa) for every kappa in (0, 1).
+    Raises DivergenceError naming log C when C times the series leaves the
+    float range.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if C_growth <= 0.0:
-        raise ValueError("C_growth must be positive")
+    if not math.isfinite(log_C):
+        raise ValueError(f"log_C must be finite, got {log_C}")
     b1 = (1.0 - kappa) * kappa ** (-kappa / (1.0 - kappa))
     c0 = 1.0 / (1.0 - kappa)
     c1 = kappa / (1.0 - kappa)
     a2 = math.exp(1.0 + b1 ** ((c0 - c1 + 1.0) / (c0 - c1)))
-    return TraceBoundConstants(a=C_growth * _sum_exp_neg_power(kappa) + a2, b=1.0, c=c0)
+    a1 = _a_exp(_sum_exp_neg_power(kappa), log_C,
+                f"C sum_N e^(-N^kappa) at kappa = {kappa:g}, with log C = {log_C:.6g},")
+    return TraceBoundConstants(a=a1 + a2, b=1.0, c=c0)
 
 
 @dataclass(frozen=True)
@@ -569,7 +573,7 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
     partition-lemma tail.  Raises DivergenceError when the bound or the tail
     at some beta exceeds the float range.
     """
-    constants = trace_bound_constants(fit.kappa, fit.C)
+    constants = trace_bound_constants(fit.kappa, fit.log_C)
     rows = []
     for beta in beta_grid:
         value, tail_bound = trace_partition(model, beta, fit.certified_range[1])

@@ -36,7 +36,7 @@ from .energy import (
     window,
 )
 from .errors import ConfigError, DivergenceError, EntrocutError, SpectrumFileError
-from .pairing import TruncatedSpace, oracle_vs_bounds
+from .pairing import build_truncated_space, oracle_vs_bounds
 from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
@@ -114,13 +114,10 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     for delta in cfg.delta:
         for energy_cut in cfg.E:
             rep = cutoff_bound(model, ef, delta, energy_cut)
-            # the oracle reads only level dimensions, so it needs no dimension
-            # limit; its columns stay empty where delta*E leaves the quadrature range
+            # the oracle's columns stay empty where delta*E leaves the quadrature range
             oracle_entropy, oracle_pass = "", ""
             if delta * energy_cut <= T0:
-                space = TruncatedSpace(model.label, energy_cut,
-                                       tuple(model.dims_upto(energy_cut)))
-                oc = oracle_vs_bounds(space, ef, delta)
+                oc = oracle_vs_bounds(build_truncated_space(model, energy_cut), ef, delta)
                 oracle_entropy, oracle_pass = oc.exact_entropy, oc.ok
             rows.append([
                 model.label, cfg.alpha, delta, energy_cut,

@@ -68,8 +68,9 @@ The suprema the cutoff caps need are therefore closed forms: sup |f| = 1/2
 (eta increases below 1/e), each plus ABS_TOL for the computed values.
 
 One evaluator, `window`, returns the signed value, a certified upper bound
-on |f| and an envelope flag, the regime decided on |t|.  Beyond the
-quadrature range [0, T0] it returns the envelope e^{-c |t|^{beta'}}, fitted
+on |f| and an envelope flag, the regime decided on |t|.  On [0, T0] the
+bound is |f| + ABS_TOL, the certified tolerance of the interpolant.  Beyond
+the quadrature range it returns the envelope e^{-c |t|^{beta'}}, fitted
 on a grid over [0, T0] to overestimate |f| (a fit, not a proof), and flags
 it; every bound formula consumes |f|, so overestimates keep the inequalities
 valid.  The lattice form `f_delta_batch` (t = delta*N) keeps one growing
@@ -397,19 +398,20 @@ def window(ef: EnergyFunction, ts, known: np.ndarray | None = None
     """The window at each t: (signed value, certified upper bound on |f|,
     envelope flag), the regime decided on |t|.
 
-    |t| <= T0: the interpolant's value, bounded by min(|f| + ABS_TOL,
-    envelope).  |t| > T0: the fitted envelope as both value and bound,
-    flagged; it is meant to overestimate |f| and leaves the sign unresolved,
-    which every upper-bound consumer tolerates.  `known`, when the caller
+    |t| <= T0: the interpolant's value, bounded by |f| + ABS_TOL; the
+    fitted envelope lies above that bound there (by 1.60 times or more on
+    2,000,001 points at 17 alphas from 0.001 to 0.995).  |t| > T0: the
+    fitted envelope as both value and bound, flagged; it is meant to
+    overestimate |f| and leaves the sign unresolved, which every
+    upper-bound consumer tolerates.  `known`, when the caller
     holds them, are the interpolant's values at the |t| <= T0 entries, in
     order.
     """
     at = np.abs(np.asarray(ts, dtype=float))
     flags = at > T0
-    env = ef.envelope(at)
-    vals = env.copy()
+    vals = ef.envelope(at)
     vals[~flags] = _interpolate(ef.panels, at[~flags]) if known is None else known
-    up = np.where(flags, env, np.minimum(np.abs(vals) + ABS_TOL, env))
+    up = np.where(flags, vals, np.abs(vals) + ABS_TOL)
     return vals, up, flags
 
 
@@ -438,12 +440,9 @@ def f_delta_batch(ef: EnergyFunction, delta: float, n_lo: int, n_hi: int
         raise ValueError("delta must be positive and finite")
     if n_lo < 0:
         raise ValueError("n_lo must be >= 0")
-    if delta * n_hi < math.inf:
+    # delta*N past the float range is t = inf, where the envelope is 0
+    with np.errstate(over="ignore"):
         ts = delta * np.arange(n_lo, n_hi + 1)
-    else:
-        # delta*N past the float range is t = inf, where the envelope is 0
-        with np.errstate(over="ignore"):
-            ts = delta * np.arange(n_lo, n_hi + 1)
     n_quad = int(np.count_nonzero(ts <= T0))   # a prefix: delta*N grows with N
     memo = ef.cache.get(delta, _NO_VALUES)
     if n_quad and len(memo) < n_lo + n_quad:
@@ -512,7 +511,7 @@ def make_synthetic_pair(delta: float, bumps: tuple | list) -> SyntheticPair:
 
     Coefficients are taken by FFT on _PAIR_SAMPLES points (spectrally accurate
     for smooth G).  The cut is the largest N <= _FREQ_CUT with delta * N <= T0,
-    the comparison `verify_spectral_identity` makes: 128 up to delta = 1.5625,
+    the range `eval_f_many` reads: 128 up to delta = 1.5625,
     and at least 63 below pi.  Raises ValueError when the discarded tail mass
     exceeds _PAIR_TAIL_TOL, as the bumps narrow towards delta = pi: each bump
     of SPECTRAL_BUMPS passes up to delta = 2.07, and one fails from 2.08 on.
@@ -553,10 +552,10 @@ def verify_spectral_identity(ef: EnergyFunction, pair: SyntheticPair) -> float:
     agreeing on (-delta, delta)) the window satisfies
     sum_N (a_N + b_N) f(delta N) = sum_N a_N.  The residual, over
     sum |a_N| + sum |b_N|, scales with the boundary gap max |A - B| on
-    (-delta, delta) for imperfect pairs.
+    (-delta, delta) for imperfect pairs.  A pair whose lattice delta N leaves
+    [0, T0] raises ValueError (`eval_f_many`); `make_synthetic_pair` builds
+    none.
     """
-    if pair.delta * pair.freq_cut > T0:
-        raise ValueError("delta * freq_cut exceeds the quadrature range")
     fv = eval_f_many(ef, pair.delta * np.arange(pair.freq_cut + 1))
     residual = abs(np.sum((pair.a + pair.b) * fv) - complex(np.sum(pair.a)))
     scale = float(np.sum(np.abs(pair.a)) + np.sum(np.abs(pair.b)))

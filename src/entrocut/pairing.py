@@ -53,16 +53,19 @@ class TruncatedSpace:
         return sum(self.dims_by_level)
 
 
-def build_truncated_space(model: SpectrumModel, energy_cut: int, dim_limit: int = 400) -> TruncatedSpace:
+def build_truncated_space(model: SpectrumModel, energy_cut: int,
+                          dim_limit: int | None = None) -> TruncatedSpace:
     """All spectrum slots with eigenvalue <= energy_cut.
 
-    Raises OracleLimitError when the total dimension exceeds dim_limit, a
-    cap for callers that go on to build dense operators on the space.
+    The oracle reads only level dimensions, so by default the space has no
+    dimension limit.  Raises OracleLimitError when the total dimension
+    exceeds a given dim_limit, a cap for callers that go on to build dense
+    operators on the space.
     """
     if energy_cut < 0:
         raise ValueError("energy_cut must be >= 0")
     space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
-    if space.dim > dim_limit:
+    if dim_limit is not None and space.dim > dim_limit:
         raise OracleLimitError(
             f"truncated dimension {space.dim} exceeds the oracle limit {dim_limit}"
         )

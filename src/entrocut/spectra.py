@@ -358,14 +358,21 @@ def parse_spectrum_file(path: str) -> list[int]:
 class GrowthFit:
     """Certified constant C with dims[N] <= C * exp(N^kappa) on a scanned range.
 
-    C is the exact maximum of dims[N] / exp(N^kappa) over the range, so the
+    log C is the exact maximum of log dims[N] - N^kappa over the range, so the
     inequality holds there by construction.
     """
 
     kappa: float
-    C: float
     log_C: float
     certified_range: tuple[int, int]
+
+    @property
+    def C(self) -> float:
+        """e^{log C}, or inf where that leaves the float range."""
+        try:
+            return math.exp(self.log_C)
+        except OverflowError:
+            return math.inf
 
 
 def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None = None) -> GrowthFit:
@@ -382,12 +389,7 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
     for n, ld in enumerate(model.log_dims(0, hi)):
         if ld != -math.inf:
             best = max(best, ld - float(n) ** kappa)
-    return GrowthFit(
-        kappa=kappa,
-        C=math.exp(best),
-        log_C=best,
-        certified_range=(0, hi),
-    )
+    return GrowthFit(kappa=kappa, log_C=best, certified_range=(0, hi))
 
 
 def log_trace_coefficient(model: SpectrumModel) -> float:

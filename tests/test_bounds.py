@@ -100,10 +100,10 @@ def test_distance_bound_builtin_terminates(u1_3000, u1_fit, ef075):
     assert rep.tail_estimate < 1e-9 * rep.C_delta
 
 
-def test_distance_bound_stable_under_cap_doubling(u1_3000, u1_fit, ef075):
+def test_distance_bound_stable_under_cap_doubling(u1_3000, u1_fit, ef075, monkeypatch):
     r1 = distance_regularized_bound(u1_3000, ef075, 1.0, TailConfig(fit=u1_fit))
-    r2 = distance_regularized_bound(u1_3000, ef075, 1.0,
-                                    TailConfig(fit=u1_fit, n_cap=40000))
+    monkeypatch.setattr(bounds, "_N_CAP", 40000)
+    r2 = distance_regularized_bound(u1_3000, ef075, 1.0, TailConfig(fit=u1_fit))
     assert r1.C_delta == pytest.approx(r2.C_delta, rel=1e-9)
     assert r1.H_delta_bound == pytest.approx(r2.H_delta_bound, rel=1e-9)
 
@@ -121,15 +121,15 @@ def test_distance_bound_requires_fit(u1_3000, ef075):
         distance_regularized_bound(u1_3000, ef075, 1.0)
 
 
-def test_distance_bound_cap_too_small_messages(u1_3000, u1_fit, ef075):
+def test_distance_bound_cap_too_small_messages(u1_3000, u1_fit, ef075, monkeypatch):
+    monkeypatch.setattr(bounds, "_N_CAP", 500)
     with pytest.raises(DivergenceError) as exc:
-        distance_regularized_bound(u1_3000, ef075, 0.5,
-                                   TailConfig(fit=u1_fit, n_cap=500))
-    assert "still growing" in str(exc.value)
+        distance_regularized_bound(u1_3000, ef075, 0.5, TailConfig(fit=u1_fit))
+    assert "still growing at N = 500" in str(exc.value)
+    monkeypatch.setattr(bounds, "_N_CAP", 5000)
     with pytest.raises(DivergenceError) as exc:
-        distance_regularized_bound(u1_3000, ef075, 0.5,
-                                   TailConfig(fit=u1_fit, n_cap=5000))
-    assert "raise TailConfig.n_cap" in str(exc.value)
+        distance_regularized_bound(u1_3000, ef075, 0.5, TailConfig(fit=u1_fit))
+    assert "decays too slowly to meet the termination rule by N = 5000" in str(exc.value)
 
 
 def test_distance_bound_rejects_bad_delta(u1_3000, u1_fit, ef075):
@@ -229,6 +229,27 @@ def test_trace_partition_diverges_at_tiny_beta(u1_3000, u1_fit):
         trace_partition(u1_3000, 1e-300, 3000)
 
 
+@pytest.mark.parametrize("dims,beta", [
+    ([1, 10**320], 0.001),                   # the term e^{log d_1 - beta} overflows
+    ([1, 10**308, 10**308], 1e-9),           # two finite terms add up to inf
+])
+def test_trace_partition_past_the_float_range_raises_divergence(dims, beta):
+    # an OverflowError traceback once, or an inf partial sum in the trace column
+    model = SpectrumModel(kind="u1", dims=dims)
+    with pytest.raises(DivergenceError, match=f"trace partial sum at beta = {beta:g} is e\\^7"):
+        trace_partition(model, beta, len(dims) - 1)
+
+
+def test_trace_constant_past_the_float_range_names_log_c():
+    # log C = log(10^320) - 2^0.01 = 735.82 is past the float range, so C
+    # reads inf; the fit once ended in an OverflowError traceback
+    model = SpectrumModel(kind="u1", dims=[1, 0, 10**320])
+    fit = fit_growth_constants(model, 0.01)
+    assert fit.C == math.inf and fit.log_C == pytest.approx(735.82, abs=0.01)
+    with pytest.raises(DivergenceError, match=r"with log C = 735\.82, is e\^"):
+        verify_trace_bound(model, fit, [1.0])
+
+
 _EXACT_BETAS = (0.01, 0.03, 0.05, 0.1, 0.5, 2.0)
 
 
@@ -271,14 +292,14 @@ def test_custom_spectrum_is_read_whole():
 
 def test_trace_constants_half_kappa_closed_form():
     # kappa = 1/2: b1 = 1, c0 = 2, c1 = 1, so c = 2 and log a2 = 1 + 1^2 = 2
-    tc = trace_bound_constants(0.5, 10.0)
+    tc = trace_bound_constants(0.5, math.log(10.0))
     assert tc.b == 1.0 and tc.c == 2.0
     assert tc.a == pytest.approx(10.0 * bounds._sum_exp_neg_power(0.5) + math.exp(2.0), rel=1e-12)
     assert tc.bound(2.0) == pytest.approx(tc.a * math.exp(0.25), rel=1e-12)
 
 
 def test_trace_caps_beyond_float_range_raise_divergence():
-    tc = trace_bound_constants(0.6, 10.0)
+    tc = trace_bound_constants(0.6, math.log(10.0))
     for beta in (0.05, 1e-300):              # at 1e-300, beta^{-c} alone overflows
         with pytest.raises(DivergenceError, match=f"beta = {beta:g}"):
             tc.bound(beta)
@@ -368,9 +389,9 @@ def test_sum_exp_neg_power_peaks_under_two_and_a_half_megabytes():
 
 def test_trace_constants_reject_bad_input():
     with pytest.raises(ValueError):
-        trace_bound_constants(1.0, 5.0)
+        trace_bound_constants(1.0, math.log(5.0))
     with pytest.raises(ValueError):
-        trace_bound_constants(0.5, 0.0)
+        trace_bound_constants(0.5, -math.inf)       # C = 0
 
 
 def test_trace_chain_u1(u1_3000, u1_fit):
@@ -402,7 +423,7 @@ def test_nu_p_substitution_identity(u1_3000, u1_fit):
 
 def test_nu_p_cap_dominates(u1_3000, u1_fit):
     # the p-sum cap a exp((b/p^c) beta^{-c}) is the trace bound at p * beta
-    tc = trace_bound_constants(u1_fit.kappa, u1_fit.C)
+    tc = trace_bound_constants(u1_fit.kappa, u1_fit.log_C)
     grid = [(p, beta) for p in (0.3, 0.5, 1.0) for beta in (0.5, 1.0, 2.0)]
     rows = verify_trace_bound(u1_3000, u1_fit, [p * beta for p, beta in grid])
     assert all(r.ok for r in rows)

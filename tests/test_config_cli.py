@@ -253,7 +253,7 @@ def test_cli_trace_failure_exits_one(capsys, monkeypatch):
     # a bound of 2 at every beta: the trace 7.4 at beta = 0.5 breaks it, the
     # other three rows keep it; trace once exited 0 with a failed row
     monkeypatch.setattr(bounds, "trace_bound_constants",
-                        lambda kappa, C: bounds.TraceBoundConstants(a=2.0, b=0.0, c=1.0))
+                        lambda kappa, log_C: bounds.TraceBoundConstants(a=2.0, b=0.0, c=1.0))
     code, out, err = _run(capsys, ["trace"])
     assert code == 1 and err == ""
     lines = out.strip().split("\n")
