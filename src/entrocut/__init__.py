@@ -10,11 +10,15 @@ p*beta, the p-sum of the damping map).
 
 from .bounds import (
     BoundReport,
+    OracleComparison,
     TailConfig,
     TraceBoundConstants,
+    TruncatedSpace,
+    build_truncated_space,
     cutoff_bound,
     distance_regularized_bound,
     eta,
+    oracle_vs_bounds,
     trace_bound_constants,
     trace_partition,
     verify_trace_bound,
@@ -37,7 +41,6 @@ from .errors import (
     OracleLimitError,
     SpectrumFileError,
 )
-from .pairing import OracleComparison, TruncatedSpace, build_truncated_space, oracle_vs_bounds
 from .spectra import (
     GrowthFit,
     SpectrumModel,

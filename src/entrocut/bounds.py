@@ -1,13 +1,28 @@
-"""Closed-form bound computations: entropy caps and trace bounds.
+"""Closed-form bound computations: entropy caps, their exact oracle and
+trace bounds.
 
-Two families live here.  The distance-regularized series C_delta/S_delta
-and the cutoff constants c_{delta,E}/S_{delta,E}/C_E/S_E cap the oracle's
-exact entropy; partition-trace bounds with explicit constants cap
-Tr(e^{-beta L0}), which at p*beta is also the p-sum of the damping map
-e^{-beta L0} (its singular values are e^{-beta N}, d_N times each).
-Series are accumulated in log space so fast-growing spectra cannot
-silently overflow, and every truncation is closed with a certified
-analytic tail.
+The distance-regularized series C_delta/S_delta and the cutoff constants
+c_{delta,E}/S_{delta,E}/C_E/S_E cap the entropy of the tau state, which the
+oracle computes exactly on a truncated space: one basis vector e_n per
+spectrum slot with integer label l_n <= E, the vacuum e0 at index 0.  The
+smeared vacuum pairing
+
+    theta_delta(x (x) y) = <e0, x f_delta(L) y e0> + <e0, y f_delta(L) x e0>,
+    L = diag(l_n),  f_delta(t) = f(delta t),
+
+splits into theta_plus - theta_minus, sums of products of the pure states of
+v_{k,n} = (e0 + i^k e_n)/sqrt(2) with weights |f_delta(l_n)|/2, the sign of
+f_delta(l_n) picking the partner index k or k+2 (mod 4).  The tau state is
+theta_plus(. (x) 1).  Its four phase vectors per slot sum to
+2(|e0><e0| + |e_n><e_n|), so it is diagonal in the level basis and its
+entropy has a closed form (`_tau_entropies`); the decomposition itself is
+built densely only in the tests (`tests/oracles.py`).
+
+Partition-trace bounds with explicit constants cap Tr(e^{-beta L0}), which
+at p*beta is also the p-sum of the damping map e^{-beta L0} (its singular
+values are e^{-beta N}, d_N times each).  Series are accumulated in log
+space so fast-growing spectra cannot silently overflow, and every
+truncation is closed with a certified analytic tail.
 """
 
 from __future__ import annotations
@@ -17,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyFunction, f_delta_batch
-from .errors import DivergenceError
+from .energy import T0, EnergyFunction, f_delta_batch
+from .errors import DivergenceError, OracleLimitError
 from .spectra import GrowthFit, SpectrumModel, log_trace_coefficient
 
 _INV_E = 1.0 / math.e
@@ -41,6 +56,8 @@ _N_CAP = 20000
 _TAIL_SLACK = 1e-6
 # a report's chain c_{delta,E} <= C_E, S_{delta,E} <= S_E holds to this slack
 _CHAIN_TOL = 1e-9
+# the oracle passes when its entropy bound falls short of the exact value by at most this
+_SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,8 +73,7 @@ class TailConfig:
 class BoundReport:
     """All closed-form bound outputs for one (model, alpha, delta, E) cell.
 
-    Fields not produced by the originating operation stay None; the CSV
-    layer prints those as empty strings.
+    Fields not produced by the originating operation stay None.
     """
 
     model_label: str
@@ -98,8 +114,8 @@ class BoundReport:
 def eta(x: np.ndarray | float) -> np.ndarray | float:
     """-x log x elementwise, with eta(0) = 0; requires x >= 0 (NaN raises).
 
-    A von Neumann entropy is the sum of eta over a spectrum; the caps here
-    and the oracle of `pairing` sum it over window weights.
+    A von Neumann entropy is the sum of eta over a spectrum; the caps and
+    the oracle here sum it over window weights.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
@@ -246,7 +262,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         _, up, flags = f_delta_batch(ef, delta, n, hi)
         # a zero level reads log d_N = -inf, which the finite or -inf logs
         # of the window bounds leave at -inf
-        ld = model._log_column(n, hi)
+        ld = model.log_dims(n, hi)
         lt_c = _LOG2 + ld + _log0(up)
         lt_s = _LOG4 + ld + _log0(_eta_upper(up / 2.0))
         if n == 0:
@@ -368,6 +384,106 @@ def cutoff_bound(model: SpectrumModel, ef: EnergyFunction, delta: float,
     return report
 
 
+@dataclass(frozen=True)
+class TruncatedSpace:
+    """The spectrum slots with eigenvalue <= E, given by their level
+    dimensions d_0 = 1 (the unique vacuum), d_1, ..., d_E.  The oracle
+    reads only these, so it runs on spaces far too large to list.
+    """
+
+    model_label: str
+    energy_cut: int
+    dims_by_level: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return sum(self.dims_by_level)
+
+
+def build_truncated_space(model: SpectrumModel, energy_cut: int,
+                          dim_limit: int | None = None) -> TruncatedSpace:
+    """All spectrum slots with eigenvalue <= energy_cut.
+
+    The oracle reads only level dimensions, so by default the space has no
+    dimension limit.  Raises OracleLimitError when the total dimension
+    exceeds a given dim_limit, a cap for callers that go on to build dense
+    operators on the space.
+    """
+    if energy_cut < 0:
+        raise ValueError("energy_cut must be >= 0")
+    space = TruncatedSpace(model.label, energy_cut, tuple(model.dims_upto(energy_cut)))
+    if dim_limit is not None and space.dim > dim_limit:
+        raise OracleLimitError(
+            f"truncated dimension {space.dim} exceeds the oracle limit {dim_limit}"
+        )
+    return space
+
+
+@dataclass(frozen=True)
+class OracleComparison:
+    """Exact entropy of the normalized tau state vs its ensemble bound."""
+
+    model_label: str
+    delta: float
+    energy_cut: int
+    dim: int
+    c_deltaE: float
+    exact_entropy: float
+    entropy_bound: float         # log c + S_{delta,E}/c via the ensemble inequality
+    ok: bool
+
+
+def _tau_entropies(dims: np.ndarray, absf: np.ndarray) -> tuple[float, float, float]:
+    """(c, exact, bound) of the tau state with d_N = dims and |f(delta N)| = absf
+    on the excited levels N = 1, 2, ...
+
+    tau_{delta,E} = theta_plus(. (x) 1) puts weight 1 on the vacuum and
+    |f(delta l_n)|/2 on each of the four phase vectors of every excited slot.
+    With S = sum_{1<=N<=E} d_N |f(delta N)| its norm is c = 1 + 2S, and the
+    normalized state is diagonal: (1 + S)/c on the vacuum and |f(delta N)|/c
+    on each of the d_N slots of level N.  So
+
+        exact = eta((1 + S)/c) + sum_N d_N eta(|f(delta N)|/c),
+        bound = log c + S_{delta,E}/c,  S_{delta,E} = sum_N 4 d_N eta(|f(delta N)|/2),
+
+    the bound being the Shannon entropy of the pure-state weights, which
+    caps the entropy of their mixture whatever the weights are.  With no
+    excited level (E = 0) the state is the pure vacuum: entropy 0, bound 0.
+    """
+    s = float(np.sum(dims * absf))
+    c = 1.0 + 2.0 * s
+    exact = eta((1.0 + s) / c) + float(np.sum(dims * eta(absf / c)))
+    bound = math.log(c) + float(np.sum(4.0 * dims * eta(absf / 2.0))) / c
+    return c, exact, bound
+
+
+def oracle_vs_bounds(
+    space: TruncatedSpace,
+    ef: EnergyFunction,
+    delta: float,
+) -> OracleComparison:
+    """Exact entropy of the normalized tau state compared with its ensemble
+    bound (`_tau_entropies`), on the window values at levels 1..E."""
+    if delta * space.energy_cut > T0:
+        raise ValueError(
+            f"delta*E = {delta * space.energy_cut:g} exceeds the quadrature range {T0:g}; "
+            "signed window values are only certified there"
+        )
+    dims = np.asarray(space.dims_by_level[1:], dtype=float)
+    absf = np.abs(f_delta_batch(ef, delta, 1, space.energy_cut)[0])
+    c, exact, bound = _tau_entropies(dims, absf)
+    return OracleComparison(
+        model_label=space.model_label,
+        delta=delta,
+        energy_cut=space.energy_cut,
+        dim=space.dim,
+        c_deltaE=c,
+        exact_entropy=exact,
+        entropy_bound=bound,
+        ok=bound - exact >= -_SLACK_TOL,
+    )
+
+
 def _pow_or_inf(x: float, e: float) -> float:
     """x^e, or inf where it leaves the float range."""
     try:
@@ -409,14 +525,14 @@ def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[fl
         n_trunc = model.n_max
     value = 0.0
     try:
-        for nn, ld in enumerate(model.log_dims(0, n_trunc)):
+        for nn, ld in enumerate(model.log_dims(0, n_trunc).tolist()):
             if ld == -np.inf:
                 continue
             value += math.exp(ld - beta * nn)
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        logs = model._log_column(0, n_trunc) - beta * np.arange(n_trunc + 1)
+        logs = model.log_dims(0, n_trunc) - beta * np.arange(n_trunc + 1)
         log_value = np.logaddexp.reduce(logs)
         raise DivergenceError(
             f"trace partial sum at beta = {beta:g} is e^{log_value:.6g}, beyond the float range")

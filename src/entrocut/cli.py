@@ -13,8 +13,9 @@ settings.  `verify` checks the window on one fixed family of synthetic
 pairs, so its outcome depends on the settings alone.
 Output is deterministic CSV: LF line endings, repr() floats, '.' decimals,
 empty strings for absent optionals.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error or an `--out` path that cannot be written,
-3 numeric divergence.
+failure or a window that fails its build check, 2 usage or parse error, more
+samples or levels than memory holds, or an `--out` path that cannot be
+written, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .bounds import cutoff_bound, verify_trace_bound
+from .bounds import build_truncated_space, cutoff_bound, oracle_vs_bounds, verify_trace_bound
 from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
 from .energy import (
     SPECTRAL_BUMPS,
@@ -36,7 +38,6 @@ from .energy import (
     window,
 )
 from .errors import ConfigError, DivergenceError, EntrocutError, SpectrumFileError
-from .pairing import build_truncated_space, oracle_vs_bounds
 from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
@@ -70,6 +71,15 @@ def _emit(out_path: str | None, header: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
+@contextmanager
+def _in_memory(setting: str, what: str):
+    """Turn a MemoryError inside into a usage error naming the setting."""
+    try:
+        yield
+    except MemoryError:
+        raise ConfigError(f"{setting} is more {what} than memory holds") from None
+
+
 def _build_model(cfg: RunConfig) -> SpectrumModel:
     """The configured spectrum: a custom file's whole support, or a built-in
     tabulated to N = 12 (its accessors answer for every N past that)."""
@@ -82,7 +92,9 @@ def _build_model(cfg: RunConfig) -> SpectrumModel:
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
     n_hi = model.n_max if cfg.n_max is None else cfg.n_max
-    rows = [[n, d] for n, d in enumerate(model.dims_upto(n_hi))]
+    with _in_memory(f"--n-max {n_hi}", "levels"):
+        dims = model.dims_upto(n_hi)
+    rows = [[n, d] for n, d in enumerate(dims)]
     _emit(cfg.out, ["N", "d_N"], rows)
     return EXIT_OK
 
@@ -90,10 +102,8 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not math.isfinite(args.t_max):
         raise ConfigError(f"--t-max must be finite, got {args.t_max}")
-    try:
+    with _in_memory(f"--points {args.points}", "samples"):
         ts = np.linspace(0.0, args.t_max, args.points)
-    except MemoryError:
-        raise ConfigError(f"--points {args.points} is more samples than memory holds") from None
     ef = build_energy_function(cfg.alpha)
     values, _, flags = window(ef, ts)
     rows = [[float(t), float(v), bool(flag)]
@@ -113,7 +123,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for delta in cfg.delta:
         for energy_cut in cfg.E:
-            rep = cutoff_bound(model, ef, delta, energy_cut)
+            with _in_memory(f"--E {energy_cut}", "levels"):
+                rep = cutoff_bound(model, ef, delta, energy_cut)
             # the oracle's columns stay empty where delta*E leaves the quadrature range
             oracle_entropy, oracle_pass = "", ""
             if delta * energy_cut <= T0:

@@ -183,7 +183,11 @@ class SpectrumModel:
         an array: zero past a custom file, else read from the shared table
         grown to hi in one call."""
         if self.kind == "custom":
-            return np.full(max(hi - lo + 1, 0), -np.inf) if logs else [0] * (hi - lo + 1)
+            size = max(hi - lo + 1, 0)
+            if size > sys.maxsize:
+                # no list or array indexes that many entries, let alone holds them
+                raise MemoryError(f"{size} levels pass the index range")
+            return np.full(size, -np.inf) if logs else [0] * size
         table = _table(self.kind, self.power, hi)
         return (table.logs if logs else table.dims)[lo: hi + 1]
 
@@ -195,16 +199,14 @@ class SpectrumModel:
             return self.dims[: hi + 1]
         return self.dims + self._past(self.n_max + 1, hi, logs=False)
 
-    def log_dims(self, lo: int, hi: int) -> list[float]:
-        """[log d_lo, ..., log d_hi] as floats, -inf where d_N = 0, for any 0 <= lo."""
-        return self._log_column(lo, hi).tolist()
-
-    def _log_column(self, lo: int, hi: int) -> np.ndarray:
-        """`log_dims` as a float64 array with the same bits: a read-only view
-        of the shared column where the range lies past n_max or the model
-        holds that column."""
+    def log_dims(self, lo: int, hi: int) -> np.ndarray:
+        """[log d_lo, ..., log d_hi] as a float64 array, -inf where d_N = 0,
+        for any lo, hi >= 0: a read-only view of the shared column where the
+        range lies past n_max or the model holds that column."""
         if lo < 0:
             raise ValueError("lo must be >= 0")
+        if hi < 0:
+            raise ValueError("hi must be >= 0")
         if lo > self.n_max:
             return self._past(lo, hi, logs=True)
         if self._logs is None:
@@ -305,7 +307,7 @@ def parse_spectrum_file(path: str) -> list[int]:
     increasing, missing N filled with d_N = 0, dims[0] must be 1, and the
     sum of the d_N must convert to a float (the bounds sum d_N |f(delta N)|
     and d_N in floats).  Any violation raises SpectrumFileError naming the
-    line.
+    line, as does a last N past the levels memory can list.
     """
     entries: list[tuple[int, int]] = []
     total = 0
@@ -344,9 +346,15 @@ def parse_spectrum_file(path: str) -> list[int]:
                     f"N must be strictly increasing (got {n} after {entries[-1][0]})", line_no
                 )
             entries.append((n, d))
+            top_line = line_no
     if not entries:
         raise SpectrumFileError("no spectrum rows found")
-    dims = [0] * (entries[-1][0] + 1)
+    top = entries[-1][0]
+    try:
+        dims = [0] * (top + 1)
+    except (MemoryError, OverflowError):     # OverflowError: past the index range
+        raise SpectrumFileError(
+            f"N = {top} is more levels than memory holds", top_line) from None
     for n, d in entries:
         dims[n] = d
     if dims[0] != 1:
@@ -386,7 +394,7 @@ def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None =
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     hi = model.n_max if n_max is None or model.kind == "custom" else n_max
     best = -math.inf
-    for n, ld in enumerate(model.log_dims(0, hi)):
+    for n, ld in enumerate(model.log_dims(0, hi).tolist()):
         if ld != -math.inf:
             best = max(best, ld - float(n) ** kappa)
     return GrowthFit(kappa=kappa, log_C=best, certified_range=(0, hi))

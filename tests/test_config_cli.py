@@ -419,6 +419,41 @@ def test_cli_energy_function_too_many_points_exits_two(capsys):
     assert err == "entrocut: --points 1000000000000000 is more samples than memory holds\n"
 
 
+# 10^18 levels are 8e18 bytes of list, past the address space, and 10^19 lie
+# past the index range, so each is refused at once and touches no memory; every
+# case once ended in a MemoryError or OverflowError traceback with exit 1
+_N18, _N19 = 10**18, 10**19
+
+
+@pytest.mark.parametrize("top,argv,named", [
+    (_N18, ["model", "--kind", "custom"], f"line 2: N = {_N18}"),
+    (_N18, ["trace", "--model", "custom"], f"line 2: N = {_N18}"),
+    (_N18, ["bounds", "--model", "custom"], f"line 2: N = {_N18}"),
+    (_N19, ["model", "--kind", "custom"], f"line 2: N = {_N19}"),
+    (2, ["model", "--kind", "custom", "--n-max", str(_N18)], f"--n-max {_N18}"),
+    (2, ["model", "--kind", "custom", "--n-max", str(_N19)], f"--n-max {_N19}"),
+    (2, ["bounds", "--model", "custom", "--E", str(_N18)], f"--E {_N18}"),
+    (2, ["bounds", "--model", "custom", "--E", str(_N19)], f"--E {_N19}"),
+], ids=["model-file-1e18", "trace-file-1e18", "bounds-file-1e18", "model-file-1e19",
+        "model-n-max-1e18", "model-n-max-1e19", "bounds-E-1e18", "bounds-E-1e19"])
+def test_cli_custom_levels_past_memory_exit_two(capsys, tmp_path, top, argv, named):
+    path = tmp_path / "spec.txt"
+    path.write_text(f"0 1\n{top} 3\n")
+    code, out, err = _run(capsys, [*argv, "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"entrocut: {named} is more levels than memory holds\n"
+
+
+def test_cli_window_past_its_alpha_limit_exits_one(capsys):
+    # the tau quadrature's self-check fails for alpha above about 0.99972
+    code, out, err = _run(capsys, ["energy-function", "--alpha", "0.9999", "--points", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("entrocut: tau quadrature did not converge at the configured density")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("line", ["t_cap = 300", "quad_tol = 1e-11", "t_cap = inf"])
 def test_cli_config_quadrature_keys_are_unknown(capsys, tmp_path, line):
     # T0 = 200 and the 1e-12 tolerance are constants of the window, not settings

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from entrocut import eta, parse_spectrum_file
-from entrocut.bounds import _cutoff_caps
+from entrocut.bounds import _cutoff_caps, _tau_entropies
 from entrocut.energy import window
-from entrocut.pairing import _tau_entropies
 from entrocut.spectra import model_dims
 
 _P500 = model_dims("u1", 500).dims

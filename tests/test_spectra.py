@@ -86,7 +86,7 @@ def test_custom_model_reads_zero_past_its_file(tmp_path):
     m = model_dims("custom", 10, path=str(path))
     assert m.dims_upto(4)[4] == 0 and m.dims_upto(1000)[1000] == 0
     assert m.dims_upto(6) == [1, 0, 0, 5, 0, 0, 0]
-    assert m.log_dims(2, 5) == [-math.inf, math.log(5), -math.inf, -math.inf]
+    assert m.log_dims(2, 5).tolist() == [-math.inf, math.log(5), -math.inf, -math.inf]
     assert m.n_max == 3
 
 
@@ -125,6 +125,18 @@ def test_spectrum_file_not_utf8_names_path_and_line(tmp_path):
     assert str(exc.value) == f"line 3: {path} is not UTF-8 text"
 
 
+@pytest.mark.parametrize("top", [10**18, 10**19], ids=["1e18", "1e19"])
+def test_spectrum_file_past_memory_names_the_line(tmp_path, top):
+    # the dense list of 10^18 levels is refused at once, 10^19 lies past the
+    # index range; they once raised MemoryError and OverflowError
+    path = tmp_path / "huge.txt"
+    path.write_text(f"0 1\n# the last level\n{top} 2\n# end\n")
+    with pytest.raises(SpectrumFileError) as exc:
+        parse_spectrum_file(str(path))
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: N = {top} is more levels than memory holds"
+
+
 def test_spectrum_file_missing_path_raises():
     with pytest.raises(SpectrumFileError) as exc:
         parse_spectrum_file("/nonexistent/spectrum.txt")
@@ -148,8 +160,18 @@ def test_growth_fit_rejects_bad_kappa(u1_small):
 
 def test_log_dim_handles_zero_dims():
     m = model_dims("virasoro", 5)
-    assert m.log_dims(1, 1) == [-math.inf]
-    assert m.log_dims(4, 4) == [math.log(2)]
+    assert m.log_dims(1, 1).tolist() == [-math.inf]
+    assert m.log_dims(4, 4).tolist() == [math.log(2)]
+
+
+def test_negative_hi_raises():
+    # log_dims once read a negative hi as a Python index from the end, and a
+    # fit then certified the range (0, -3)
+    model = model_dims("u1", 12)
+    with pytest.raises(ValueError, match="hi must be >= 0"):
+        model.log_dims(0, -3)
+    with pytest.raises(ValueError, match="hi must be >= 0"):
+        fit_growth_constants(model, 0.6, n_max=-3)
 
 
 def test_partition_log_asymptotic_within_two_percent_at_1000():
@@ -186,7 +208,7 @@ def test_table_grown_in_steps_equals_one_call(cold_tables, tables_2000, kind, po
     spectra._TABLES.clear()
     whole = model_dims(kind, 2000, power=power)
     assert stepped.dims == whole.dims == tables_2000[(kind, power)]
-    assert stepped.log_dims(0, 2000) == whole.log_dims(0, 2000)
+    assert stepped.log_dims(0, 2000).tolist() == whole.log_dims(0, 2000).tolist()
 
 
 def test_mutating_returned_lists_leaves_the_tables_alone():
@@ -212,18 +234,16 @@ def test_log_dims_stay_inside_the_model():
     wide = model_dims("u1", 40)
     assert [x.hex() for x in model.log_dims(0, 40)] == [x.hex() for x in wide.log_dims(0, 40)]
     assert model.n_max == 5 and model.dims == [1, 1, 2, 3, 5, 7]
-    assert model.log_dims(5, 5) == [math.log(7)]
+    assert model.log_dims(5, 5).tolist() == [math.log(7)]
     hand = spectra.SpectrumModel(kind="u1", dims=[1, 0, 0])   # its own data up to n_max
-    assert hand.log_dims(1, 4) == [-math.inf, -math.inf, math.log(3), math.log(5)]
+    assert hand.log_dims(1, 4).tolist() == [-math.inf, -math.inf, math.log(3), math.log(5)]
 
 
 def _reads_bits(model, lo, hi, want):
-    """The array read and `log_dims` of lo..hi both carry exactly want's bits."""
-    column = model._log_column(lo, hi)
+    """`log_dims` of lo..hi is a float64 array carrying exactly want's bits."""
+    column = model.log_dims(lo, hi)
     assert isinstance(column, np.ndarray) and column.dtype == np.float64
-    hexes = [x.hex() for x in want]
-    assert [x.hex() for x in column.tolist()] == hexes
-    assert [x.hex() for x in model.log_dims(lo, hi)] == hexes
+    assert [x.hex() for x in column.tolist()] == [x.hex() for x in want]
 
 
 def _logs(dims):
@@ -253,19 +273,19 @@ def test_log_column_equals_log_dims_bit_for_bit(cold_tables, tmp_path):
 def test_log_column_is_read_only():
     model = model_dims("u1", 20)
     with pytest.raises(ValueError):
-        model._log_column(0, 20)[3] = 0.0
+        model.log_dims(0, 20)[3] = 0.0
     with pytest.raises(ValueError):
-        model._log_column(30, 40)[0] = 0.0
-    assert model.log_dims(3, 3) == [math.log(3)]
+        model.log_dims(30, 40)[0] = 0.0
+    assert model.log_dims(3, 3).tolist() == [math.log(3)]
 
 
 @pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
 def test_grown_log_dims_reads_the_extended_model(kind, power):
     model = model_dims(kind, 12, power=power)
     ext = extend_model(model, 900)
-    assert model.log_dims(0, 12) == ext.log_dims(0, 12)
-    assert model.log_dims(300, 900) == ext.log_dims(300, 900)
-    assert model.log_dims(5, 20) == ext.log_dims(5, 20)
+    assert model.log_dims(0, 12).tolist() == ext.log_dims(0, 12).tolist()
+    assert model.log_dims(300, 900).tolist() == ext.log_dims(300, 900).tolist()
+    assert model.log_dims(5, 20).tolist() == ext.log_dims(5, 20).tolist()
     assert model.n_max == 12
     # models built by hand keep their checks
     with pytest.raises(ValueError):
