@@ -14,8 +14,17 @@ pairs, so its outcome depends on the settings alone.
 Output is deterministic CSV: LF line endings, repr() floats, '.' decimals,
 empty strings for absent optionals.  Exit codes: 0 success, 1 verification
 failure or a window that fails its build check, 2 usage or parse error, more
-samples or levels than memory holds, or an `--out` path that cannot be
-written, 3 numeric divergence.
+samples, levels or tensor factors than memory holds, or an `--out` path that
+cannot be written, 3 numeric divergence.
+
+What loads when: this module imports `config` and `errors`, and holds the
+numeric modules `energy`, `spectra` and `bounds` as references that the
+package registered without running them (see `entrocut/__init__.py`).  A
+handler reads their names at call time (`energy.build_energy_function`),
+so a process runs only the modules its command reads: `model` runs
+`spectra` alone and never loads numpy, and `--help` or a usage error runs
+none of the three.  A function replaced on its defining module, by a test
+or by the benchmark's tracer, is the one a handler calls.
 """
 
 from __future__ import annotations
@@ -25,20 +34,9 @@ import math
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
-from .bounds import build_truncated_space, cutoff_bound, oracle_vs_bounds, verify_trace_bound
+from . import bounds, energy, spectra
 from .config import FIELD_PARSERS, MODEL_KINDS, RunConfig, load_config
-from .energy import (
-    SPECTRAL_BUMPS,
-    T0,
-    build_energy_function,
-    make_synthetic_pair,
-    verify_spectral_identity,
-    window,
-)
 from .errors import ConfigError, DivergenceError, EntrocutError, SpectrumFileError
-from .spectra import SpectrumModel, fit_growth_constants, model_dims
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,9 +47,13 @@ EXIT_DIVERGE = 3
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    # no value is a numpy scalar until a command has loaded numpy, so _fmt
+    # does not import it
+    np = sys.modules.get("numpy")
+    bools, floats = (bool, float) if np is None else ((bool, np.bool_), (float, np.floating))
+    if isinstance(value, bools):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, floats):
         # repr of the builtin float: shortest round-trip digits, no numpy
         # scalar wrapper
         return repr(float(value))
@@ -80,13 +82,14 @@ def _in_memory(setting: str, what: str):
         raise ConfigError(f"{setting} is more {what} than memory holds") from None
 
 
-def _build_model(cfg: RunConfig) -> SpectrumModel:
+def _build_model(cfg: RunConfig) -> spectra.SpectrumModel:
     """The configured spectrum: a custom file's whole support, or a built-in
     tabulated to N = 12 (its accessors answer for every N past that)."""
-    if cfg.model == "custom":
-        # a huge bound keeps the file's full support; dims beyond it read 0
-        return model_dims("custom", 2**31 - 1, power=cfg.power, path=cfg.file)
-    return model_dims(cfg.model, 12, power=cfg.power)
+    with _in_memory(f"--power {cfg.power}", "tensor factors"):
+        if cfg.model == "custom":
+            # a huge bound keeps the file's full support; dims beyond it read 0
+            return spectra.model_dims("custom", 2**31 - 1, power=cfg.power, path=cfg.file)
+        return spectra.model_dims(cfg.model, 12, power=cfg.power)
 
 
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -100,12 +103,14 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
+    import numpy as np
+
     if not math.isfinite(args.t_max):
         raise ConfigError(f"--t-max must be finite, got {args.t_max}")
     with _in_memory(f"--points {args.points}", "samples"):
         ts = np.linspace(0.0, args.t_max, args.points)
-    ef = build_energy_function(cfg.alpha)
-    values, _, flags = window(ef, ts)
+    ef = energy.build_energy_function(cfg.alpha)
+    values, _, flags = energy.window(ef, ts)
     rows = [[float(t), float(v), bool(flag)]
             for t, v, flag in zip(ts, values, flags)]
     _emit(cfg.out, ["t", "f", "is_envelope"], rows)
@@ -114,7 +119,7 @@ def cmd_energy_function(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    ef = build_energy_function(cfg.alpha)
+    ef = energy.build_energy_function(cfg.alpha)
     if cfg.kappa >= cfg.alpha:
         raise DivergenceError(
             f"distance-regularized series diverges: fitted growth exponent "
@@ -124,11 +129,12 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     for delta in cfg.delta:
         for energy_cut in cfg.E:
             with _in_memory(f"--E {energy_cut}", "levels"):
-                rep = cutoff_bound(model, ef, delta, energy_cut)
+                rep = bounds.cutoff_bound(model, ef, delta, energy_cut)
             # the oracle's columns stay empty where delta*E leaves the quadrature range
             oracle_entropy, oracle_pass = "", ""
-            if delta * energy_cut <= T0:
-                oc = oracle_vs_bounds(build_truncated_space(model, energy_cut), ef, delta)
+            if delta * energy_cut <= energy.T0:
+                oc = bounds.oracle_vs_bounds(bounds.build_truncated_space(model, energy_cut),
+                                             ef, delta)
                 oracle_entropy, oracle_pass = oc.exact_entropy, oc.ok
             rows.append([
                 model.label, cfg.alpha, delta, energy_cut,
@@ -142,21 +148,22 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    fit = fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
+    with _in_memory(f"--fit-n-max {cfg.fit_n_max}", "levels"):
+        fit = spectra.fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
     rows = [[model.label, fit.kappa, fit.C, r.beta,
              r.trace_value + r.tail_bound, r.bound, r.ratio, r.ok]
-            for r in verify_trace_bound(model, fit, cfg.beta)]
+            for r in bounds.verify_trace_bound(model, fit, cfg.beta)]
     _emit(cfg.out, ["model", "kappa", "C", "beta", "trace", "bound", "ratio", "pass"], rows)
     return EXIT_OK if all(r[7] for r in rows) else EXIT_VERIFY
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ef = build_energy_function(cfg.alpha)
+    ef = energy.build_energy_function(cfg.alpha)
     rows = []
     for delta in cfg.delta:
-        worst = max(verify_spectral_identity(ef, make_synthetic_pair(delta, [bump]))
-                    for bump in SPECTRAL_BUMPS)
-        rows.append(["spectral", f"delta={delta:g} pairs={len(SPECTRAL_BUMPS)}",
+        worst = max(energy.verify_spectral_identity(ef, energy.make_synthetic_pair(delta, [bump]))
+                    for bump in energy.SPECTRAL_BUMPS)
+        rows.append(["spectral", f"delta={delta:g} pairs={len(energy.SPECTRAL_BUMPS)}",
                      worst, worst <= 1e-5])
     _emit(cfg.out, ["check_name", "param_summary", "residual_or_gap", "pass"], rows)
     return EXIT_OK if all(r[3] for r in rows) else EXIT_VERIFY

@@ -22,10 +22,13 @@ the integer d_N the table keeps log d_N (-inf where d_N = 0) as one
 read-only float64 numpy column, taken once per entry by math.log on the
 exact int, so no caller takes logs of huge integers one element at a time
 and the distance series reads its blocks as array slices.  The column is
-never resized in place: a growth publishes a longer array, so a slice a
-reader holds stays valid.  `model_dims` hands out a fresh copy of the
-integers (callers may mutate it) and a reference to the shared log column.
-Custom (file) models are not cached.
+taken on the first log read, and on a later read it catches up with the
+entries appended since, so numpy is imported only by a log read: a run
+that reads d_N alone, such as the `model` command, never loads it.  The
+column is never resized in place: a catch-up publishes a longer array, so
+a slice a reader holds stays valid.  `model_dims` hands out a fresh copy
+of the integers (callers may mutate it); the model's first log read takes
+a reference to the shared log column.  Custom (file) models are not cached.
 
 Tensor powers are exact big-integer arithmetic (Kronecker substitution):
 the base column is packed into a single int with one wide slot per
@@ -40,11 +43,18 @@ shared table of its (kind, power), grown to the top of the requested range
 in one call, and a custom model reads 0 (log -inf): its support ends with
 its file.  So no caller has to extend a model before reading it.
 
-Thread rule: every growth of a shared table happens under one module lock,
-so concurrent callers see the tables as if they were grown one after the
-other.  A read past a model's n_max goes through that lock; entries are only
-ever appended, and a longer log column replaces the old one whole, so a read
-up to n_max needs none.
+Thread rule: every growth of a shared table, and every catch-up of its log
+column, happens under one module lock, so concurrent callers see the tables
+as if they were grown one after the other.  A read past a model's n_max goes
+through that lock, as does a model's first log read; entries are only ever
+appended, and a longer log column replaces the old one whole, so any other
+read up to n_max needs none.
+
+Memory: a list of n levels needs at least 8 bytes a slot, and a tensor
+power packs its whole column into one int.  Before either is allocated
+that lower bound is compared with the machine's physical memory, and
+MemoryError is raised at once instead of after the allocation has taken
+what there is.
 
 Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
 requested range, the whole file for a custom model.  The trace of a
@@ -55,13 +65,16 @@ built-in is bounded in closed form instead, by the partition lemma
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SpectrumFileError
+
+if TYPE_CHECKING:                  # numpy is imported by the first log read
+    import numpy as np
 
 _BUILTIN_KINDS = ("u1", "virasoro")
 
@@ -71,21 +84,39 @@ def _log_or_neginf(d: int) -> float:
 
 
 def _logs_of(dims: list[int]) -> np.ndarray:
-    """[log d for d in dims] as a float64 array, each entry math.log's bits."""
-    return np.array([_log_or_neginf(d) for d in dims], dtype=float)
+    """[log d for d in dims] as a read-only float64 array, each entry math.log's bits."""
+    import numpy as np
 
-
-def _read_only(column: np.ndarray) -> np.ndarray:
+    column = np.array([_log_or_neginf(d) for d in dims], dtype=float)
     column.flags.writeable = False
     return column
 
 
+def _memory_bytes() -> int:
+    """The machine's physical memory in bytes (sys.maxsize where the platform
+    does not report it)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):     # no sysconf, or no such name
+        return sys.maxsize
+
+
+def _refuse_past_memory(nbytes: int, what: str) -> None:
+    """Raise MemoryError when nbytes, a lower bound on what `what` needs,
+    passes the machine's physical memory."""
+    held = _memory_bytes()
+    if nbytes > held:
+        raise MemoryError(f"{what} needs at least {nbytes} bytes, more than the "
+                          f"{held} of physical memory")
+
+
 @dataclass
 class _Table:
-    """Exact d_N for N = 0..len(dims)-1 and their logs, in step once grown."""
+    """Exact d_N for N = 0..len(dims)-1, and their logs for the entries up
+    to the last log read (None before the first)."""
 
     dims: list[int] = field(default_factory=lambda: [1])
-    logs: np.ndarray = field(default_factory=lambda: _read_only(_logs_of([1])))
+    logs: np.ndarray | None = None
 
 
 # one table per built-in (kind, power); entries are appended, never changed
@@ -127,6 +158,7 @@ def _grow(kind: str, power: int, n_max: int) -> _Table:
         table = _TABLES[(kind, power)] = _Table()
     have = len(table.dims)
     if have <= n_max:
+        _refuse_past_memory(8 * (n_max + 1 - have), f"the {kind}^{power} table to N = {n_max}")
         if power > 1:
             base = _grow(kind, 1, n_max).dims[: n_max + 1]
             table.dims.extend(_convolve_power(base, power)[have:])
@@ -135,11 +167,6 @@ def _grow(kind: str, power: int, n_max: int) -> _Table:
             table.dims.extend(p[n] - p[n - 1] for n in range(have, n_max + 1))
         else:
             _extend_partitions(table.dims, n_max)
-    # logs catch up with whatever the integer column holds, in a new array:
-    # slices readers took of the old one stay valid
-    done = len(table.logs)
-    if done < len(table.dims):
-        table.logs = _read_only(np.concatenate((table.logs, _logs_of(table.dims[done:]))))
     return table
 
 
@@ -147,6 +174,23 @@ def _table(kind: str, power: int, n_max: int) -> _Table:
     """The shared table of a built-in (kind, power), holding at least N = 0..n_max."""
     with _TABLES_LOCK:
         return _grow(kind, power, n_max)
+
+
+def _table_logs(kind: str, power: int, n_max: int) -> np.ndarray:
+    """The log column of the shared table of (kind, power), holding at least
+    N = 0..n_max: it catches up with whatever the integer column holds, in a
+    new array, so slices readers took of the old one stay valid."""
+    with _TABLES_LOCK:
+        table = _grow(kind, power, n_max)
+        if table.logs is None:
+            table.logs = _logs_of(table.dims)
+        elif len(table.logs) < len(table.dims):
+            import numpy as np
+
+            fresh = _logs_of(table.dims[len(table.logs):])
+            table.logs = np.concatenate((table.logs, fresh))
+            table.logs.flags.writeable = False
+        return table.logs
 
 
 @dataclass
@@ -158,9 +202,11 @@ class SpectrumModel:
     dims: list[int]
     power: int = 1                 # tensor power applied on top of `kind`
     label: str = ""
-    # log d_N for N >= 0, possibly longer than dims: the shared column of a
-    # built-in table, or taken from dims on first use
+    # log d_N for N >= 0, taken on the first log read and possibly longer than
+    # dims: the shared column of the built-in table where model_dims made the
+    # model (_shared), else taken from dims
     _logs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _shared: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _BUILTIN_KINDS + ("custom",):
@@ -184,12 +230,15 @@ class SpectrumModel:
         grown to hi in one call."""
         if self.kind == "custom":
             size = max(hi - lo + 1, 0)
-            if size > sys.maxsize:
-                # no list or array indexes that many entries, let alone holds them
-                raise MemoryError(f"{size} levels pass the index range")
-            return np.full(size, -np.inf) if logs else [0] * size
-        table = _table(self.kind, self.power, hi)
-        return (table.logs if logs else table.dims)[lo: hi + 1]
+            _refuse_past_memory(8 * size, f"a list of {size} levels")
+            if logs:
+                import numpy as np
+
+                return np.full(size, -np.inf)
+            return [0] * size
+        if logs:
+            return _table_logs(self.kind, self.power, hi)[lo: hi + 1]
+        return _table(self.kind, self.power, hi).dims[lo: hi + 1]
 
     def dims_upto(self, hi: int) -> list[int]:
         """[d_0, ..., d_hi] as a fresh list, for any hi >= 0."""
@@ -210,10 +259,13 @@ class SpectrumModel:
         if lo > self.n_max:
             return self._past(lo, hi, logs=True)
         if self._logs is None:
-            self._logs = _read_only(_logs_of(self.dims))
+            self._logs = (_table_logs(self.kind, self.power, self.n_max) if self._shared
+                          else _logs_of(self.dims))
         own = self._logs[lo: min(hi, self.n_max) + 1]
         if hi <= self.n_max:
             return own
+        import numpy as np
+
         return np.concatenate((own, self._past(self.n_max + 1, hi, logs=True)))
 
 
@@ -232,6 +284,7 @@ def _convolve_power(base: list[int], m: int) -> list[int]:
     size = len(base)
     slot = (m * (max(base).bit_length() + size.bit_length()) + 7) // 8
     width = size * slot
+    _refuse_past_memory(width, f"tensor power {m} of {size} levels")
     packed = int.from_bytes(b"".join(d.to_bytes(slot, "little") for d in base), "little")
     mask = (1 << (8 * width)) - 1
     out = None
@@ -268,7 +321,7 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
     if kind in _BUILTIN_KINDS:
         table = _table(kind, power, n_max)
         model = SpectrumModel(kind=kind, dims=table.dims[: n_max + 1], power=power)
-        model._logs = table.logs
+        model._shared = True
         return model
     if kind != "custom":
         raise ValueError(f"unknown model kind {kind!r}")
@@ -278,6 +331,7 @@ def model_dims(kind: str, n_max: int, power: int = 1, path: str | None = None) -
     if power > 1:
         # the power's support runs to power * N_last: pad so no level is cut
         top = min(n_max, power * (len(dims) - 1))
+        _refuse_past_memory(8 * (top + 1), f"tensor power {power} to N = {top}")
         dims = _convolve_power(dims + [0] * (top + 1 - len(dims)), power)
         try:
             float(sum(dims))
@@ -351,8 +405,9 @@ def parse_spectrum_file(path: str) -> list[int]:
         raise SpectrumFileError("no spectrum rows found")
     top = entries[-1][0]
     try:
+        _refuse_past_memory(8 * (top + 1), f"a list to N = {top}")
         dims = [0] * (top + 1)
-    except (MemoryError, OverflowError):     # OverflowError: past the index range
+    except MemoryError:
         raise SpectrumFileError(
             f"N = {top} is more levels than memory holds", top_line) from None
     for n, d in entries:

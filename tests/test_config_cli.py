@@ -12,7 +12,8 @@ import pytest
 
 import entrocut.cli as cli
 import oracles
-from entrocut import ConfigError, RunConfig, bounds, load_config, parse_config_file, spectra
+from entrocut import (ConfigError, RunConfig, bounds, energy, load_config, parse_config_file,
+                      spectra)
 from entrocut.bounds import eta
 from entrocut.energy import window
 
@@ -287,8 +288,9 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "build_energy_function", counted("window", cli.build_energy_function))
-    monkeypatch.setattr(cli, "fit_growth_constants", counted("fit", cli.fit_growth_constants))
+    monkeypatch.setattr(energy, "build_energy_function",
+                        counted("window", energy.build_energy_function))
+    monkeypatch.setattr(spectra, "fit_growth_constants", counted("fit", spectra.fit_growth_constants))
     monkeypatch.setattr(cli, "_build_model", counted("model", cli._build_model))
     argv = {"spectral": ["verify", "--delta", "0.5,1.0"], "trace": ["trace"]}[suite]
     code, _, _ = _run(capsys, argv)
@@ -299,7 +301,7 @@ def test_cli_verify_builds_only_what_its_suites_read(capsys, monkeypatch, suite,
 def test_cli_verify_failure_exits_one(capsys, monkeypatch):
     def fake_check(ef, pair):
         return 1.0                  # a relative residual far above the 1e-5 mark
-    monkeypatch.setattr(cli, "verify_spectral_identity", fake_check)
+    monkeypatch.setattr(energy, "verify_spectral_identity", fake_check)
     code, out, _ = _run(capsys, ["verify", "--delta", "0.5"])
     assert code == 1
     assert out.strip().split("\n")[1].endswith(",0")
@@ -623,7 +625,7 @@ def test_cli_oracle_error_in_range_exits_two(capsys, monkeypatch):
     def boom(space, ef, delta):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "oracle_vs_bounds", boom)
+    monkeypatch.setattr(bounds, "oracle_vs_bounds", boom)
     code, out, err = _run(capsys, ["bounds", "--delta", "0.5", "--E", "2"])
     assert code == 2 and out == ""
     assert err == "entrocut: boom\n"

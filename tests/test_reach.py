@@ -2,14 +2,16 @@
 
 The walk starts at `cli.main` and at the `ec.<name>` attributes the
 benchmark's workloads read (`perfbench/workloads.py`, parsed, not
-imported).  From each module-level definition it reaches, it follows every
-name the definition's source mentions: a name defined at module level in
-the same module, or imported there from a sibling module.  A reached class
-counts with its whole body, methods included.  A name in `entrocut.__all__`
-that the walk never reaches is run by nothing but the tests, and belongs in
-`tests/` or nowhere.  A walk of the same kind, over `cli.py` alone, checks
-that each command reads every setting it offers and offers every setting
-it reads.
+imported), each resolved through the package's export table.  From each
+module-level definition it reaches, it follows every name the definition's
+source mentions: a name defined at module level in the same module, or
+imported there from a sibling module, and every `module.name` read of a
+sibling module the definition's module imports whole (`from . import
+energy`).  A reached class counts with its whole body, methods included.  A
+name in `entrocut.__all__` that the walk never reaches is run by nothing but
+the tests, and belongs in `tests/` or nowhere.  A walk of the same kind,
+over `cli.py` alone, checks that each command reads every setting it offers
+and offers every setting it reads.
 """
 
 import ast
@@ -25,14 +27,16 @@ PACKAGE = ROOT / "src" / "entrocut"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
-def _module_tables() -> tuple[dict, dict]:
-    """(defs, imports): defs[module][name] is the module-level node that
-    binds name; imports[module][name] is the (module, name) it imports."""
+def _module_tables() -> tuple[dict, dict, dict]:
+    """(defs, imports, siblings): defs[module][name] is the module-level node
+    that binds name; imports[module][name] is the (module, name) it imports;
+    siblings[module][name] is the sibling module it imports whole as name."""
     defs: dict = {}
     imports: dict = {}
+    siblings: dict = {}
     for path in sorted(PACKAGE.glob("*.py")):
         mod = path.stem
-        defs[mod], imports[mod] = {}, {}
+        defs[mod], imports[mod], siblings[mod] = {}, {}, {}
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod][node.name] = node
@@ -42,10 +46,13 @@ def _module_tables() -> tuple[dict, dict]:
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
                             defs[mod][name.id] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
-                    imports[mod][alias.asname or alias.name] = (node.module, alias.name)
-    return defs, imports
+                    if node.module:
+                        imports[mod][alias.asname or alias.name] = (node.module, alias.name)
+                    else:
+                        siblings[mod][alias.asname or alias.name] = alias.name
+    return defs, imports, siblings
 
 
 def _benchmark_names() -> set[str]:
@@ -61,7 +68,7 @@ def _benchmark_names() -> set[str]:
 
 
 def _reached() -> set[tuple[str, str]]:
-    defs, imports = _module_tables()
+    defs, imports, siblings = _module_tables()
 
     def resolve(mod: str, name: str) -> tuple[str, str] | None:
         seen = set()
@@ -74,7 +81,8 @@ def _reached() -> set[tuple[str, str]]:
             mod, name = imports[mod][name]
         return None
 
-    roots = [("cli", "main")] + [resolve("__init__", n) for n in sorted(_benchmark_names())]
+    roots = [("cli", "main")] + [resolve(entrocut._HOME[n], n) if n in entrocut._HOME else None
+                                 for n in sorted(_benchmark_names())]
     assert None not in roots, "the benchmark reads a name the package does not define"
     reached: set[tuple[str, str]] = set()
     todo = list(roots)
@@ -85,19 +93,22 @@ def _reached() -> set[tuple[str, str]]:
         reached.add(key)
         mod, name = key
         for node in ast.walk(defs[mod][name]):
+            found = None
             if isinstance(node, ast.Name):
                 found = resolve(mod, node.id)
-                if found is not None:
-                    todo.append(found)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in siblings[mod]:
+                found = resolve(siblings[mod][node.value.id], node.attr)
+            if found is not None:
+                todo.append(found)
     return reached
 
 
 def test_every_public_name_is_reached_by_a_command_or_the_benchmark():
     assert len(_benchmark_names()) == 10     # the parse found the benchmark's reads
     reached = _reached()
-    _, imports = _module_tables()
     unreached = sorted(name for name in entrocut.__all__
-                       if imports["__init__"][name] not in reached)
+                       if (entrocut._HOME[name], name) not in reached)
     assert unreached == [], f"run only by the tests: {', '.join(unreached)}"
 
 

@@ -270,6 +270,43 @@ def test_log_column_equals_log_dims_bit_for_bit(cold_tables, tmp_path):
     _reads_bits(custom, 4, 6, _logs([0, 0, 0]))
 
 
+def test_log_column_is_taken_on_the_first_log_read_and_shared(cold_tables):
+    # reads of d_N alone take no log, so they need no numpy; every model of a
+    # built-in then reads the one shared column, grown in place of a copy
+    model = model_dims("u1", 12)
+    assert model.dims_upto(40) == oracles.partition_counts_table(40)
+    assert spectra._TABLES[("u1", 1)].logs is None
+    own = model.log_dims(0, 12)
+    table = spectra._TABLES[("u1", 1)]
+    assert len(table.logs) == len(table.dims) == 41
+    assert np.shares_memory(own, table.logs)
+    past = model_dims("u1", 5).log_dims(30, 60)
+    assert len(table.logs) == len(table.dims) == 61
+    assert np.shares_memory(past, table.logs)
+    assert np.shares_memory(model_dims("u1", 60).log_dims(0, 60), table.logs)
+    assert own.tolist() == [math.log(d) for d in oracles.partition_counts_table(12)]
+
+
+def test_lists_past_memory_are_refused_before_allocating(cold_tables, tmp_path, monkeypatch):
+    # 8 bytes a list slot, and a tensor power's packed int, are lower bounds
+    # on what a growth takes; past the physical memory (64 KB here) it
+    # raises at once and leaves the tables as they were
+    monkeypatch.setattr(spectra, "_memory_bytes", lambda: 1 << 16)
+    assert model_dims("u1", 5000).n_max == 5000
+    with pytest.raises(MemoryError, match="the u1\\^1 table to N = 20000 needs at least 120000 bytes"):
+        model_dims("u1", 20_000)
+    assert len(spectra._TABLES[("u1", 1)].dims) == 5001
+    with pytest.raises(MemoryError, match="tensor power 3 of 20001 levels needs at least"):
+        spectra._convolve_power([1] * 20_001, 3)
+    path = tmp_path / "spec.txt"
+    path.write_text("0 1\n2 3\n")
+    with pytest.raises(MemoryError, match="a list of 20000 levels needs at least"):
+        model_dims("custom", 2, path=str(path)).dims_upto(20_002)
+    path.write_text("0 1\n20000 3\n")
+    with pytest.raises(SpectrumFileError, match="N = 20000 is more levels than memory holds"):
+        parse_spectrum_file(str(path))
+
+
 def test_log_column_is_read_only():
     model = model_dims("u1", 20)
     with pytest.raises(ValueError):
