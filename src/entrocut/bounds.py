@@ -20,9 +20,9 @@ built densely only in the tests (`tests/oracles.py`).
 
 Partition-trace bounds with explicit constants cap Tr(e^{-beta L0}), which
 at p*beta is also the p-sum of the damping map e^{-beta L0} (its singular
-values are e^{-beta N}, d_N times each).  Series are accumulated in log
-space so fast-growing spectra cannot silently overflow, and every
-truncation is closed with a certified analytic tail.
+values are e^{-beta N}, d_N times each).  The distance series is summed in
+log space (`_logsumexp`) so fast-growing spectra cannot silently overflow,
+and every truncation is closed with a certified analytic tail.
 """
 
 from __future__ import annotations
@@ -147,13 +147,15 @@ def _log0(x: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) for a finite 1-D array, with the bits of
-    scipy.special.logsumexp: the maxima are taken out of the shifted sum, in
-    place, so the pairwise sum reduces the same row, and log1p(s/m) + log(m)
-    + max for m maxima."""
+    """log(sum(exp(a))) for a 1-D array of finite or -inf entries, with the
+    bits of scipy.special.logsumexp: the maxima are taken out of the shifted
+    sum, in place, so the pairwise sum reduces the same row, and log1p(s/m) +
+    log(m) + max for m maxima.  -inf when every entry is."""
     a_max = a.max()
+    if a_max == -np.inf:
+        return a_max
     shifted = a - a_max
-    top = shifted == 0.0          # exactly the maxima, for finite a
+    top = shifted == 0.0          # exactly the maxima
     m = np.float64(np.count_nonzero(top))
     shifted[top] = -np.inf
     return np.log1p(np.exp(shifted).sum() / m) + np.log(m) + a_max
@@ -232,14 +234,15 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
 
     Built-in spectra stream until the termination rule fires, then add a
     certified analytic tail from the growth fit; finitely supported custom
-    spectra are summed in full.  Raises DivergenceError when the fitted
-    growth exponent is not below the window decay exponent.
+    spectra are summed in full.  The streamed C and S terms are kept and each
+    summed once (`_logsumexp`); the stop rule reads running prefix sums.
+    Raises DivergenceError when the fitted growth exponent is not below the
+    window decay exponent.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    tail = tail or TailConfig()
     finite_support = model.kind == "custom"
-    fit = tail.fit
+    fit = (tail or TailConfig()).fit
     if not finite_support:
         if fit is None:
             raise ValueError("a GrowthFit is required for spectra with unbounded support")
@@ -249,14 +252,13 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
                 f"is not below the window decay exponent alpha = {ef.alpha:g}"
             )
 
-    log_c = -np.inf
-    log_s = -np.inf
+    run_log_c = -math.inf
+    kept_c, kept_s = [], []
     consec = 0
     n_stop: int | None = None
     envelope_used = False
     n = 0
     hard_cap = model.n_max if finite_support else _N_CAP
-    lt_c = np.zeros(0)
     while n <= hard_cap and n_stop is None:
         hi = min(n + _BLOCK - 1, hard_cap)
         _, up, flags = f_delta_batch(ef, delta, n, hi)
@@ -267,58 +269,56 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
         lt_s = _LOG4 + ld + _log0(_eta_upper(up / 2.0))
         if n == 0:
             lt_s[0] = -np.inf        # vacuum level never contributes to S
-        # logaddexp.accumulate is a sequential fold, carried across blocks
-        run_c = np.logaddexp.accumulate(np.concatenate(([log_c], lt_c)))[1:]
-        thresh = _LOG_REL_EPS + run_c
+        # the stop rule reads a running log C from the block's prefix sums,
+        # shifted by the largest log so far (finite: the vacuum term is first)
+        m = max(run_log_c, float(lt_c.max()))
+        run = math.exp(run_log_c - m) + np.cumsum(np.exp(lt_c - m))
+        thresh = _LOG_REL_EPS + m + _log0(run)
         small = (lt_c < thresh) & (lt_s < thresh)
         stop_i, consec = _series_stop(small, consec, finite_support)
         end = len(lt_c) if stop_i is None else stop_i + 1
-        log_c = float(run_c[end - 1])
-        log_s = float(np.logaddexp.accumulate(np.concatenate(([log_s], lt_s[:end])))[-1])
+        run_log_c = m + math.log(run[end - 1])
+        kept_c.append(lt_c[:end])
+        kept_s.append(lt_s[:end])
         envelope_used = envelope_used or bool(flags[:end].any())
-        if stop_i is None:
-            n = hi + 1
-        else:
-            n_stop = n + stop_i
-    if n_stop is None:
-        if finite_support:
-            n_stop = hard_cap
-        else:
-            if len(lt_c) and float(np.argmax(lt_c)) >= 0.9 * len(lt_c):
-                raise DivergenceError(
-                    f"series terms still growing at N = {_N_CAP}: fitted growth "
-                    f"kappa = {fit.kappa:g} is too close to the decay exponent "
-                    f"alpha = {ef.alpha:g}"
-                )
+        n_stop = None if stop_i is None else n + stop_i
+        n = hi + 1
+    if finite_support:
+        n_stop = hard_cap
+    elif n_stop is None:
+        if float(np.argmax(lt_c)) >= 0.9 * len(lt_c):
             raise DivergenceError(
-                f"series decays too slowly to meet the termination rule by "
-                f"N = {_N_CAP} (kappa = {fit.kappa:g} < alpha = {ef.alpha:g})"
+                f"series terms still growing at N = {_N_CAP}: fitted growth "
+                f"kappa = {fit.kappa:g} is too close to the decay exponent "
+                f"alpha = {ef.alpha:g}"
             )
+        raise DivergenceError(
+            f"series decays too slowly to meet the termination rule by "
+            f"N = {_N_CAP} (kappa = {fit.kappa:g} < alpha = {ef.alpha:g})"
+        )
 
-    tail_log_c = -np.inf
-    tail_log_s = -np.inf
+    tail_log_c = tail_log_s = -math.inf
     if not finite_support:
         tail_log_c, tail_log_s = _series_tail(ef, delta, fit, n_stop + 1)
         envelope_used = True
 
-    log_c_total = float(np.logaddexp(log_c, tail_log_c))
-    log_s_total = float(np.logaddexp(log_s, tail_log_s))
+    # one sum over every streamed term, so the block size moves no bit of it
+    log_c_total = float(np.logaddexp(_logsumexp(np.concatenate(kept_c)), tail_log_c))
+    log_s_total = float(np.logaddexp(_logsumexp(np.concatenate(kept_s)), tail_log_s))
     if max(log_c_total, log_s_total) >= _LOG_FLOAT_MAX:
         raise DivergenceError(
             f"series value exceeds floating range (log C_delta = {log_c_total:.3f})"
         )
     c_delta = math.exp(log_c_total)
-    s_delta = 0.0 if log_s_total == -np.inf else math.exp(log_s_total)
-    tail_est = math.exp(tail_log_c) + (0.0 if tail_log_s == -np.inf else math.exp(tail_log_s)) \
-        if not finite_support else 0.0
-    h_bound = c_delta * math.log(c_delta) + s_delta
+    s_delta = math.exp(log_s_total)
+    tail_est = math.exp(tail_log_c) + math.exp(tail_log_s)
     report = BoundReport(
         model_label=model.label,
         alpha=ef.alpha,
         delta=delta,
         C_delta=c_delta,
         S_delta=s_delta,
-        H_delta_bound=h_bound,
+        H_delta_bound=c_delta * math.log(c_delta) + s_delta,
         n_max_used=n_stop,
         tail_estimate=tail_est,
         envelope_used=envelope_used,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,7 @@ from entrocut import (
 )
 from entrocut import bounds
 from entrocut.bounds import eta
-from entrocut.energy import build_energy_function, window
+from entrocut.energy import build_energy_function, f_delta_batch, window
 
 
 def _custom(dims):
@@ -332,9 +333,14 @@ def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, m
         return logsumexp_np(a)
 
     monkeypatch.setattr(bounds, "_logsumexp", record)
-    for delta in (1.0, 2.0):
-        distance_regularized_bound(u1_3000, ef075, delta, TailConfig(fit=u1_fit))
-    assert seen and all(len(a) == bounds._TAIL_CHUNK for a in seen)
+    streamed = [distance_regularized_bound(u1_3000, ef075, delta,
+                                           TailConfig(fit=u1_fit)).n_max_used + 1
+                for delta in (1.0, 2.0)]
+    # each run sums its streamed C and S terms in one call each, then the
+    # tail sums its chunks; the S stream opens with the vacuum's -inf
+    lengths = [len(a) for a in seen]
+    assert all(lengths.count(n) == 2 for n in streamed)
+    assert set(lengths) - set(streamed) == {bounds._TAIL_CHUNK}
     for a in seen:
         assert _bits(logsumexp_np(a)) == _bits(logsumexp(a))
 
@@ -498,26 +504,26 @@ def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
     assert run() == cold
 
 
-# C_delta, S_delta, H_delta and n_max_used as the series gave them when it
-# still read its blocks from lists, with blocks of 512 doubling to 8192,
-# re-taken when the window's IJ0 moved from a cubic Hermite table to its
-# committed Chebyshev panels (a 3e-9 relative move of the fitted envelope's
-# constant moves the sums by up to 2.4e-7 relative; no n_max_used moved)
+# C_delta, S_delta, H_delta and n_max_used of the series, re-taken when the
+# streamed C and S terms became one logsumexp each in place of a sequential
+# logaddexp fold: the sums rose by 3.5e-15 to 5.9e-13 relative, towards
+# math.fsum of the same terms (test_streamed_sums_match_fsum), and no
+# n_max_used moved
 _SERIES_BITS = {
-    ("u1", 0.5): ("0x1.ad16f4ae5486bp+82", "0x1.092b1dff59bd4p+89", "0x1.c96f9d0879408p+89", 10369),
-    ("u1", 0.55): ("0x1.c45925b26bf28p+73", "0x1.f44479cb93d27p+79", "0x1.aef6ab1d9f55ap+80", 8773),
-    ("u1", 0.8): ("0x1.04b28b6f1b40cp+47", "0x1.74884e0b2c356p+52", "0x1.3f0b084510454p+53", 4626),
-    ("u1", 1.0): ("0x1.d5a4aa8b10c0ep+35", "0x1.034815e9ec056p+41", "0x1.b9c2757c2a274p+41", 3202),
-    ("u1", 1.3): ("0x1.f528d55997737p+25", "0x1.a34d8e6454026p+30", "0x1.5e9b1e126f065p+31", 2106),
-    ("u1", 1.7): ("0x1.387f669850a64p+18", "0x1.a963b27d207e5p+22", "0x1.507bc87f98edap+23", 1396),
-    ("u1", 2.0): ("0x1.5871c76e8ebadp+14", "0x1.b052936d65237p+18", "0x1.43cf17990103bp+19", 1099),
-    ("virasoro", 0.5): ("0x1.43c258dc1420bp+77", "0x1.89768e60e1897p+83", "0x1.4c52e4e90c91ep+84", 10286),
-    ("virasoro", 0.55): ("0x1.7d154239c3c82p+68", "0x1.9d9619b526abcp+74", "0x1.5c4e3676f4392p+75", 8698),
-    ("virasoro", 0.8): ("0x1.5250b0eeda9a0p+42", "0x1.d59365e72dcb0p+47", "0x1.86275cee63aa6p+48", 4574),
-    ("virasoro", 1.0): ("0x1.88ba0d9bea1aep+31", "0x1.a22f5dc0bd03cp+36", "0x1.5792e56757f80p+37", 3160),
-    ("virasoro", 1.3): ("0x1.13cff39230303p+22", "0x1.bc61171a06a45p+26", "0x1.624471e6d3f54p+27", 2074),
-    ("virasoro", 1.7): ("0x1.afb4ac2c4440ep+14", "0x1.1d57a3d9134e4p+19", "0x1.a74eca6c00e2cp+19", 1373),
-    ("virasoro", 2.0): ("0x1.0a8c678e95b8cp+11", "0x1.465b9949304f0p+15", "0x1.c60d174dda481p+15", 1081),
+    ("u1", 0.5): ("0x1.ad16f4ae5520ep+82", "0x1.092b1dff5a694p+89", "0x1.c96f9d087a32dp+89", 10369),
+    ("u1", 0.55): ("0x1.c45925b26c4e6p+73", "0x1.f44479cb948a2p+79", "0x1.aef6ab1d9fd6ep+80", 8773),
+    ("u1", 0.8): ("0x1.04b28b6f1b677p+47", "0x1.74884e0b2c7b4p+52", "0x1.3f0b0845107c8p+53", 4626),
+    ("u1", 1.0): ("0x1.d5a4aa8b10d34p+35", "0x1.034815e9ec0c7p+41", "0x1.b9c2757c2a35cp+41", 3202),
+    ("u1", 1.3): ("0x1.f528d5599796bp+25", "0x1.a34d8e6454146p+30", "0x1.5e9b1e126f19cp+31", 2106),
+    ("u1", 1.7): ("0x1.387f669850acfp+18", "0x1.a963b27d207ffp+22", "0x1.507bc87f98f15p+23", 1396),
+    ("u1", 2.0): ("0x1.5871c76e8ebf8p+14", "0x1.b052936d6526dp+18", "0x1.43cf179901070p+19", 1099),
+    ("virasoro", 0.5): ("0x1.43c258dc1455dp+77", "0x1.89768e60e260ap+83", "0x1.4c52e4e90d142p+84", 10286),
+    ("virasoro", 0.55): ("0x1.7d154239c465ep+68", "0x1.9d9619b5277a8p+74", "0x1.5c4e3676f4dc4p+75", 8698),
+    ("virasoro", 0.8): ("0x1.5250b0eedac84p+42", "0x1.d59365e72e6c7p+47", "0x1.86275cee64111p+48", 4574),
+    ("virasoro", 1.0): ("0x1.88ba0d9bea259p+31", "0x1.a22f5dc0bd247p+36", "0x1.5792e567580c3p+37", 3160),
+    ("virasoro", 1.3): ("0x1.13cff39230396p+22", "0x1.bc61171a06ca8p+26", "0x1.624471e6d40d0p+27", 2074),
+    ("virasoro", 1.7): ("0x1.afb4ac2c4445fp+14", "0x1.1d57a3d91351ap+19", "0x1.a74eca6c00e7fp+19", 1373),
+    ("virasoro", 2.0): ("0x1.0a8c678e95ba1p+11", "0x1.465b994930574p+15", "0x1.c60d174dda511p+15", 1081),
 }
 
 
@@ -534,6 +540,49 @@ def test_series_keeps_its_bits(ef075, series_fits, kind, delta):
                                      TailConfig(fit=series_fits[kind]))
     got = (rep.C_delta.hex(), rep.S_delta.hex(), rep.H_delta_bound.hex(), rep.n_max_used)
     assert got == _SERIES_BITS[(kind, delta)]
+
+
+@pytest.mark.parametrize("block", [512, 8192])
+def test_series_bits_do_not_depend_on_the_block_size(ef075, series_fits, monkeypatch, block):
+    monkeypatch.setattr(bounds, "_BLOCK", block)
+    for (kind, delta), want in _SERIES_BITS.items():
+        rep = distance_regularized_bound(model_dims(kind, 12), ef075, delta,
+                                         TailConfig(fit=series_fits[kind]))
+        got = (rep.C_delta.hex(), rep.S_delta.hex(), rep.H_delta_bound.hex(), rep.n_max_used)
+        assert got == want, (kind, delta)
+
+
+def test_streamed_sums_match_fsum(ef075, series_fits, monkeypatch):
+    # with no tail, C_delta and S_delta are the sums of the streamed terms
+    # alone; a sequential logaddexp fold drifted from their correctly
+    # rounded sum by up to 5.9e-13 relative (S, u1 at delta 0.5)
+    monkeypatch.setattr(bounds, "_series_tail", lambda *args: (-math.inf, -math.inf))
+    for (kind, delta), (_, _, _, n_stop) in _SERIES_BITS.items():
+        model = model_dims(kind, 12)
+        rep = distance_regularized_bound(model, ef075, delta, TailConfig(fit=series_fits[kind]))
+        assert rep.n_max_used == n_stop
+        up = f_delta_batch(ef075, delta, 0, n_stop)[1]
+        ld = model.log_dims(0, n_stop)
+        c_terms = np.exp(math.log(2.0) + ld + bounds._log0(up))
+        s_terms = np.exp(math.log(4.0) + ld[1:] + bounds._log0(bounds._eta_upper(up[1:] / 2.0)))
+        for got, terms in ((rep.C_delta, c_terms), (rep.S_delta, s_terms)):
+            want = math.fsum(terms)
+            assert abs(got - want) <= 1e-14 * want, (kind, delta)
+
+
+# the parent's bits: a logaddexp fold of one or two finite terms among -inf
+@pytest.mark.parametrize("dims,c_hex,s_hex", [
+    ([1], "0x1.000000000232fp+0", "0x0.0p+0"),
+    ([1] + [0] * 5000 + [3], "0x1.000000000232fp+0", "0x1.b4a24dea63bf5p-109"),
+])
+def test_series_with_all_minus_inf_terms_warns_nothing(ef075, dims, c_hex, s_hex):
+    # [1] has no S term but the vacuum's -inf; 5000 zero levels fill whole
+    # blocks with -inf terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = distance_regularized_bound(_custom(dims), ef075, 0.3)
+        assert bounds._logsumexp(np.full(3, -np.inf)) == -np.inf
+    assert (rep.C_delta.hex(), rep.S_delta.hex(), rep.n_max_used) == (c_hex, s_hex, len(dims) - 1)
 
 
 def _tail_every_chunk(ef, delta, fit, n_start):
