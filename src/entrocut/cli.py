@@ -15,7 +15,10 @@ Output is deterministic CSV: LF line endings, repr() floats, '.' decimals,
 empty strings for absent optionals.  Exit codes: 0 success, 1 verification
 failure or a window that fails its build check, 2 usage or parse error, more
 samples, levels or tensor factors than memory holds, or an `--out` path that
-cannot be written, 3 numeric divergence.
+cannot be written, 3 numeric divergence.  A built-in tensor power of any
+size is tabulated to N = 12; past memory it is refused by the flag that
+reads further (`--n-max`, `--E` or `--fit-n-max`), and tensor factors past
+memory are a custom file's.
 
 What loads when: this module imports `config` and `errors`, and holds the
 numeric modules `energy`, `spectra` and `bounds` as references that the

@@ -14,28 +14,31 @@ nonnegative Hamiltonian with a unique ground state (d_0 = 1).  Built-in kinds:
     read from a text file of "N d_N" lines.
 
 Built-in tables are shared.  Each built-in (kind, power) has one exact
-table in this module, grown in place and never rebuilt: the pentagonal
-recurrence for the partition numbers p(N) continues from the last entry it
-holds, virasoro entries are differences of that column, and a tensor power
-is recomputed from the cached base column when it has to grow.  Next to
-the integer d_N the table keeps log d_N (-inf where d_N = 0) as one
-read-only float64 numpy column, taken once per entry by math.log on the
-exact int, so no caller takes logs of huge integers one element at a time
-and the distance series reads its blocks as array slices.  The column is
-taken on the first log read, and on a later read it catches up with the
-entries appended since, so numpy is imported only by a log read: a run
-that reads d_N alone, such as the `model` command, never loads it.  The
-column is never resized in place: a catch-up publishes a longer array, so
-a slice a reader holds stays valid.  `model_dims` hands out a fresh copy
-of the integers (callers may mutate it); the model's first log read takes
-a reference to the shared log column.  Custom (file) models are not cached.
+table in this module, and a growth only appends to it: u1^m continues
+J. C. P. Miller's power recurrence over Euler's pentagonal series from the
+last entry it holds (at m = 1 Euler's recurrence for the partition numbers
+p(N)), and virasoro^m = (1 - q)^m u1^m appends signed binomial sums of the
+u1^m column, grown first.  Next to the integer d_N the table keeps
+log d_N (-inf where d_N = 0) as one read-only float64 numpy column, taken
+once per entry by math.log on the exact int, so no caller takes logs of
+huge integers one element at a time and the distance series reads its
+blocks as array slices.  The column is taken on the first log read, and on
+a later read it catches up with the entries appended since, so numpy is
+imported only by a log read: a run that reads d_N alone, such as the
+`model` command, never loads it.  The column is never resized in place: a
+catch-up publishes a longer array, so a slice a reader holds stays valid.
+`model_dims` hands out a fresh copy of the integers (callers may mutate
+it); the model's first log read takes a reference to the shared log
+column.  Custom (file) models are not cached.
 
-Tensor powers are exact big-integer arithmetic (Kronecker substitution):
-the base column is packed into a single int with one wide slot per
-coefficient, raised to the m-th power by repeated squaring modulo the slots
-beyond N, and unpacked.  The slots are wide enough that no coefficient
-carries into the next, so the result is exactly the truncated m-fold
-convolution.
+The tensor power of a custom file is exact big-integer arithmetic
+(Kronecker substitution): the file's column is packed into a single int
+with one wide slot per coefficient, raised to the m-th power by repeated
+squaring modulo the slots beyond N, and unpacked.  The slots are wide
+enough that no coefficient carries into the next, so the result is exactly
+the truncated m-fold convolution.  A dense file's power costs less this way
+than by a recurrence, whose cost grows with the file's nonzero levels; no
+built-in table takes this route.
 
 A model answers for every N >= 0.  Up to its n_max it reads its own dims,
 so a model built by hand keeps its data.  Past n_max a built-in reads the
@@ -50,10 +53,11 @@ through that lock, as does a model's first log read; entries are only ever
 appended, and a longer log column replaces the old one whole, so any other
 read up to n_max needs none.
 
-Memory: a list of n levels needs at least 8 bytes a slot, and a tensor
-power packs its whole column into one int.  Before either is allocated
-that lower bound is compared with the machine's physical memory, and
-MemoryError is raised at once instead of after the allocation has taken
+Memory: a list of n levels needs at least 8 bytes a slot, the ints d_N of
+u1^m at least the bytes of C(m + N - 1, N), and a custom file's tensor
+power packs its whole column into one int.  Before any of them is
+allocated that lower bound is compared with the machine's physical memory,
+and MemoryError is raised at once instead of after the allocation has taken
 what there is.
 
 Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
@@ -124,13 +128,19 @@ _TABLES: dict[tuple[str, int], _Table] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _extend_partitions(p: list[int], n_max: int) -> None:
-    """Append p(len(p)), ..., p(n_max) to p by Euler's pentagonal recurrence.
+def _extend_u1_power(w: list[int], m: int, n_max: int) -> None:
+    """Append d_len(w), ..., d_n_max of u1^m to w, the coefficients of
+    E(q)^-m, where E(q) = prod_n (1 - q^n) = sum_k (-1)^k q^{k(3k-1)/2}
+    (Euler's pentagonal theorem, k over all integers).
 
-    p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
-    The generalized pentagonal offsets up to n_max are listed once, by sign:
-    odd k adds (1, 2, 12, 15, ...), even k subtracts (5, 7, 22, 26, ...).
-    Each list ascends, so a sum stops at its first offset past n.
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) for
+    W = E^-m reads w_N = t1 + (m - 1) t2 / N, with t1 = sum_g s_g w_{N-g}
+    and t2 = sum_g s_g g w_{N-g} over the generalized pentagonal offsets
+    g <= N: s_g = +1 for odd k (1, 2, 12, 15, ...) and -1 for even k
+    (5, 7, 22, 26, ...).  w_N and t1 are ints, so the division is exact.
+    At m = 1 it is Euler's recurrence for the partition numbers, and t2 is
+    not taken.  Each offset list ascends, so a sum stops at its first
+    offset past N.
     """
     plus: list[int] = []
     minus: list[int] = []
@@ -138,17 +148,63 @@ def _extend_partitions(p: list[int], n_max: int) -> None:
     while k * (3 * k - 1) // 2 <= n_max:
         (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
-    for n in range(len(p), n_max + 1):
-        total = 0
+    if m == 1:
+        for n in range(len(w), n_max + 1):
+            total = 0
+            for g in plus:
+                if g > n:
+                    break
+                total += w[n - g]
+            for g in minus:
+                if g > n:
+                    break
+                total -= w[n - g]
+            w.append(total)
+        return
+    for n in range(len(w), n_max + 1):
+        t1 = t2 = 0
         for g in plus:
             if g > n:
                 break
-            total += p[n - g]
+            d = w[n - g]
+            t1 += d
+            t2 += g * d
         for g in minus:
             if g > n:
                 break
-            total -= p[n - g]
-        p.append(total)
+            d = w[n - g]
+            t1 -= d
+            t2 -= g * d
+        w.append(t1 + (m - 1) * t2 // n)
+
+
+def _extend_virasoro_power(v: list[int], u: list[int], m: int, n_max: int) -> None:
+    """Append d_len(v), ..., d_n_max of virasoro^m to v, read from the u1^m
+    column u (at least n_max + 1 entries): virasoro^m = (1 - q)^m u1^m, so
+    d_N = sum_j (-1)^j C(m, j) u_{N-j}, summed one j at a time over the new
+    entries."""
+    have = len(v)
+    new = u[have: n_max + 1]
+    for j in range(1, min(m, n_max) + 1):
+        c = (-1) ** j * math.comb(m, j)
+        shifted = [0] * max(j - have, 0) + u[max(have - j, 0): n_max + 1 - j]
+        new = [d + c * e for d, e in zip(new, shifted)]
+    v.extend(new)
+
+
+def _u1_power_bytes(m: int, lo: int, hi: int) -> int:
+    """A lower bound on the bytes of the ints d_lo, ..., d_hi of u1^m, for
+    1 <= lo <= hi.
+
+    d_N >= C(m + N - 1, N), the m-tuples of partitions into parts 1 alone,
+    and C(m + N - 1, N) = prod_{i=1}^{N} (m - 1 + i)/i >= ((m + N - 1)/N)^N,
+    whose log N log(1 + (m - 1)/N) grows with N.  So cut into 64 runs, the
+    range holds at least each run's count times that log at its first N.
+    """
+    step = -(-(hi + 1 - lo) // 64)
+    nats = sum(min(step, hi + 1 - n) * n * (math.log(m + n - 1) - math.log(n))
+               for n in range(lo, hi + 1, step))
+    return int(nats / math.log(256))
 
 
 def _grow(kind: str, power: int, n_max: int) -> _Table:
@@ -156,17 +212,15 @@ def _grow(kind: str, power: int, n_max: int) -> _Table:
     table = _TABLES.get((kind, power))
     if table is None:
         table = _TABLES[(kind, power)] = _Table()
-    have = len(table.dims)
+    have = len(table.dims)           # >= 1: a table starts with d_0
     if have <= n_max:
-        _refuse_past_memory(8 * (n_max + 1 - have), f"the {kind}^{power} table to N = {n_max}")
-        if power > 1:
-            base = _grow(kind, 1, n_max).dims[: n_max + 1]
-            table.dims.extend(_convolve_power(base, power)[have:])
-        elif kind == "virasoro":
-            p = _grow("u1", 1, n_max).dims
-            table.dims.extend(p[n] - p[n - 1] for n in range(have, n_max + 1))
+        what = f"the {kind}^{power} table to N = {n_max}"
+        if kind == "u1":
+            _refuse_past_memory(8 * (n_max + 1 - have) + _u1_power_bytes(power, have, n_max), what)
+            _extend_u1_power(table.dims, power, n_max)
         else:
-            _extend_partitions(table.dims, n_max)
+            _refuse_past_memory(8 * (n_max + 1 - have), what)
+            _extend_virasoro_power(table.dims, _grow("u1", power, n_max).dims, power, n_max)
     return table
 
 
@@ -279,7 +333,8 @@ def _convolve_power(base: list[int], m: int) -> list[int]:
     bytes, holds it without carrying into the next; the j-fold coefficients
     of a smaller power j obey the same bound.  The power is taken by
     repeated squaring, floor(log2 m) squarings and popcount(m) - 1 products,
-    each cut to the slots below len(base).
+    each cut to the slots below len(base).  Only a custom file's tensor
+    power takes this route.
     """
     size = len(base)
     slot = (m * (max(base).bit_length() + size.bit_length()) + 7) // 8

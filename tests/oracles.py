@@ -71,6 +71,33 @@ def convolve_exact(a: list[int], b: list[int], n_max: int) -> list[int]:
     return [int(v) for v in out[: n_max + 1]]
 
 
+def power_kronecker(base: list[int], m: int, log_bound: float) -> list[int]:
+    """base^m truncated to len(base), in exact ints, by Kronecker substitution.
+
+    log_bound bounds log c for every truncated coefficient c of base^m; with
+    base[0] = 1 and no negative entry, those of base^j, j < m, are no
+    larger.  So a slot of log_bound nats holds each kept coefficient with no
+    carry from below, and what a product spills past the cut carries only
+    upward, into slots that are dropped.  Slots sized to the coefficients,
+    not to m times the widest base entry, keep the packed ints a few times
+    narrower than `spectra._convolve_power`'s.
+    """
+    size = len(base)
+    slot = int(log_bound / math.log(256)) + 1
+    width = size * slot
+    packed = int.from_bytes(b"".join(d.to_bytes(slot, "little") for d in base), "little")
+    mask = (1 << (8 * width)) - 1
+    out, square = 1, packed
+    while m:
+        if m & 1:
+            out = (out * square) & mask
+        m >>= 1
+        if m:
+            square = (square * square) & mask
+    raw = out.to_bytes(width, "little")
+    return [int.from_bytes(raw[i: i + slot], "little") for i in range(0, width, slot)]
+
+
 def entropy_eigvalsh(matrix: np.ndarray) -> float:
     """Von Neumann entropy through numpy's LAPACK eigensolver."""
     evals = np.linalg.eigvalsh(np.asarray(matrix))

@@ -81,12 +81,14 @@ def test_series_stop_matches_the_loop(finite_support):
 
 
 def test_finite_support_sums_past_long_runs_of_zeros(ef075):
-    # 600 zero levels: the stop rule would fire on the 10th, across the
-    # first block of 512, but a finitely supported spectrum is summed in full
-    model = _custom([1] + [0] * 600 + [3])
+    # 2100 zero levels: the stop rule would fire on the 10th, and the run
+    # crosses the first block of 2048 into the second, but a finitely
+    # supported spectrum is summed in full
+    assert bounds._BLOCK < 2101
+    model = _custom([1] + [0] * 2100 + [3])
     rep = distance_regularized_bound(model, ef075, 0.3)
-    up = window(ef075, [0.0, 0.3 * 601])[1]
-    assert rep.n_max_used == 601
+    up = window(ef075, [0.0, 0.3 * 2101])[1]
+    assert rep.n_max_used == 2101
     assert rep.C_delta == pytest.approx(2.0 * up[0] + 6.0 * up[1], rel=1e-12)
     assert rep.S_delta == pytest.approx(12.0 * eta(up[1] / 2.0), rel=1e-12)
 
@@ -181,15 +183,15 @@ def test_cutoff_bound_grows_a_power_table_once(cold_tables, ef075, monkeypatch):
     # every level past n_max comes from one growth of the u1^2 table, not one per level
     model = model_dims("u1", 12, power=2)
     calls = []
-    real = spectra._convolve_power
+    real = spectra._extend_u1_power
 
-    def counted(base, m):
-        calls.append(m)
-        return real(base, m)
+    def counted(w, m, n_max):
+        calls.append((m, len(w), n_max))
+        real(w, m, n_max)
 
-    monkeypatch.setattr(spectra, "_convolve_power", counted)
+    monkeypatch.setattr(spectra, "_extend_u1_power", counted)
     rep = cutoff_bound(model, ef075, 0.5, 300)
-    assert calls == [2]
+    assert calls == [(2, 13, 300)]
     assert rep.C_E == 2.0 * ef075.sup_f * float(sum(model_dims("u1", 300, power=2).dims))
 
 

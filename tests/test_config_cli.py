@@ -187,6 +187,21 @@ def test_cli_custom_tensor_power_keeps_every_level(capsys, tmp_path):
     assert float(out.split("\n")[1].split(",")[4]) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
+def test_cli_model_prints_a_billionth_power(capsys):
+    # the Kronecker route packed this power into more than memory holds and
+    # exited 2; the recurrence appends its first levels as small ints:
+    # d_1 = m and d_2 = m(m+3)/2 for u1^m, d_2 = m and d_4 = 2m + C(m, 2)
+    # for virasoro^m
+    m = 10 ** 9
+    code, out, err = _run(capsys, ["model", "--power", str(m), "--n-max", "2"])
+    assert (code, out, err) == (0, f"N,d_N\n0,1\n1,{m}\n2,{m * (m + 3) // 2}\n", "")
+    code, out, err = _run(capsys, ["model", "--kind", "virasoro", "--power", str(m),
+                                   "--n-max", "4"])
+    assert code == 0 and err == ""
+    assert out.split("\n")[1:-1] == ["0,1", "1,0", f"2,{m}", f"3,{m}",
+                                      f"4,{2 * m + m * (m - 1) // 2}"]
+
+
 @pytest.mark.parametrize("command", ["bounds", "trace"])
 def test_cli_refuses_a_custom_power_beyond_the_float_range(capsys, tmp_path, command):
     # the file's own sum converts to a float but its square's does not; bounds

@@ -164,13 +164,19 @@ sys.exit(main(sys.argv[1:]))
     (["bounds", "--E", "100000"], 3,
      "entrocut: divergence: the level dimensions up to E = 100000 of u1 sum beyond "
      "the float range\n"),
+    (["model", "--power", "9" * 4000, "--n-max", "20000"], 2,
+     "entrocut: --n-max 20000 is more levels than memory holds\n"),
+    (["model", "--power", "1000000000000000000", "--n-max", "10000000"], 2,
+     "entrocut: --n-max 10000000 is more levels than memory holds\n"),
 ], ids=["bounds-E-1e20", "model-power-1e5", "model-n-max-1e20", "trace-fit-n-max-1e20",
-        "bounds-E-1e5"])
+        "bounds-E-1e5", "model-power-4000-digits", "model-power-1e18-n-max-1e7"])
 def test_cli_input_past_memory_is_refused_before_allocating(tmp_path, argv, code, err):
     # the pentagonal recurrence to N = 1e20 once listed about 1.6e10 offsets
     # (exit 2 after 11.7 s at 1.9 GB under this limit), and the 100000th
     # power of a 3-level file once packed about 50 GB (a MemoryError
-    # traceback); the 2 GB address-space limit is set in the child alone,
+    # traceback); the ints of a u1 power with 4000 digits to N = 20000 take
+    # at least about 330 GB, which the recurrence would otherwise start to
+    # append; the 2 GB address-space limit is set in the child alone,
     # so that a regression fails here instead of taking the machine's memory
     (tmp_path / "spec.txt").write_text("0 1\n2 3\n")
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)

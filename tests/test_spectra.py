@@ -193,14 +193,18 @@ def test_model_rejects_bad_input(tmp_path):
 @pytest.fixture(scope="module")
 def tables_2000():
     p = oracles.partition_counts_table(2000)
+    vir = oracles.partition_counts_table(2000, min_part=2)
     return {
         ("u1", 1): p,
-        ("virasoro", 1): oracles.partition_counts_table(2000, min_part=2),
+        ("virasoro", 1): vir,
         ("u1", 2): oracles.convolve_exact(p, p, 2000),
+        ("u1", 5): oracles.power_kronecker(p, 5, _lemma_bound(5, 2000)),
+        ("virasoro", 3): oracles.power_kronecker(vir, 3, _lemma_bound(3, 2000)),
     }
 
 
-@pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2)])
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("virasoro", 1), ("u1", 2), ("u1", 5),
+                                        ("virasoro", 3)])
 def test_table_grown_in_steps_equals_one_call(cold_tables, tables_2000, kind, power):
     stepped = model_dims(kind, 12, power=power)
     for n in (100, 2000):
@@ -288,14 +292,22 @@ def test_log_column_is_taken_on_the_first_log_read_and_shared(cold_tables):
 
 
 def test_lists_past_memory_are_refused_before_allocating(cold_tables, tmp_path, monkeypatch):
-    # 8 bytes a list slot, and a tensor power's packed int, are lower bounds
-    # on what a growth takes; past the physical memory (64 KB here) it
-    # raises at once and leaves the tables as they were
+    # 8 bytes a list slot, the bytes of C(m + N - 1, N) for d_N of u1^m, and
+    # a custom tensor power's packed int are lower bounds on what a growth
+    # takes; past the physical memory (64 KB here) it raises at once and
+    # leaves the tables as they were
     monkeypatch.setattr(spectra, "_memory_bytes", lambda: 1 << 16)
     assert model_dims("u1", 5000).n_max == 5000
     with pytest.raises(MemoryError, match="the u1\\^1 table to N = 20000 needs at least 120000 bytes"):
         model_dims("u1", 20_000)
     assert len(spectra._TABLES[("u1", 1)].dims) == 5001
+    # a built-in power's d_N >= C(m + N - 1, N), about 1.3e6 nats of ints here
+    m = 10 ** 30
+    for kind in ("u1", "virasoro"):
+        with pytest.raises(MemoryError, match=f"the u1\\^{m} table to N = 200 needs at least"):
+            model_dims(kind, 200, power=m)
+    assert spectra._TABLES[("u1", m)].dims == [1]
+    assert model_dims("virasoro", 12, power=m).dims[:3] == [1, 0, m]
     with pytest.raises(MemoryError, match="tensor power 3 of 20001 levels needs at least"):
         spectra._convolve_power([1] * 20_001, 3)
     path = tmp_path / "spec.txt"
@@ -385,3 +397,20 @@ def test_tensor_power_matches_convolution_to_300(tmp_path, kind, power):
 def test_u1_square_matches_convolution_to_3000():
     base = model_dims("u1", 3000).dims
     assert model_dims("u1", 3000, power=2).dims == oracles.convolve_exact(base, base, 3000)
+
+
+def _lemma_bound(power, n_max):
+    # log d_N <= beta N + m pi^2/(6 beta) for u1^m, the partition lemma, is
+    # pi sqrt(2 m N/3) at its best beta; virasoro^m's d_N are no larger
+    return math.pi * math.sqrt(2 * power * n_max / 3) + 1.0
+
+
+@pytest.mark.parametrize("power,n_max", [(2, 3000), (3, 3000), (5, 3000), (8, 3000),
+                                         (16, 600), (32, 600)])
+def test_builtin_powers_match_kronecker(cold_tables, power, n_max):
+    # Miller's recurrence, and virasoro^m by differencing u1^m, against
+    # Kronecker substitution on each kind's own base column
+    for kind in ("u1", "virasoro"):
+        base = model_dims(kind, n_max).dims
+        want = oracles.power_kronecker(base, power, _lemma_bound(power, n_max))
+        assert model_dims(kind, n_max, power=power).dims == want
