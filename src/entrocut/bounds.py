@@ -27,6 +27,7 @@ and every truncation is closed with a certified analytic tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .energy import T0, EnergyFunction, f_delta_batch
 from .errors import DivergenceError, OracleLimitError
-from .spectra import GrowthFit, SpectrumModel, log_trace_coefficient
+from .spectra import GrowthFit, SpectrumModel
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -233,7 +234,7 @@ def distance_regularized_bound(model: SpectrumModel, ef: EnergyFunction,
     and the entropy cap H = C_delta log C_delta + S_delta.
 
     Built-in spectra stream until the termination rule fires, then add a
-    certified analytic tail from the growth fit; finitely supported custom
+    certified analytic tail from the growth constant; finitely supported custom
     spectra are summed in full.  The streamed C and S terms are kept and each
     summed once (`_logsumexp`); the stop rule reads running prefix sums.
     Raises DivergenceError when the fitted growth exponent is not below the
@@ -500,60 +501,71 @@ def _a_exp(a: float, exponent: float, what: str) -> float:
     return a * math.exp(exponent)
 
 
-def trace_partition(model: SpectrumModel, beta: float, n_trunc: int) -> tuple[float, float]:
-    """(partial sum of d_N e^{-beta N}, certified bound on the rest).
+# relative lift to an upper value: against mpmath `_gamma_upper` errs by
+# 5.3e-15, `_sum_exp_neg_power`'s partial sum by 0.75 ulp and a built-in
+# trace's log by 2.9 ulps of its terms' magnitudes (beta in [1e-3, 60])
+_LIFT = 2.0**-45
+# a built-in trace's log: the eta transformation below it, the direct product (42 factors) above
+_ETA_SWITCH = 1.0
 
-    A custom spectrum is finite and is summed whole, to its last level
-    whatever n_trunc is, with a tail of 0.0.  A built-in u1^m or virasoro^m
-    is summed to n_trunc, and the rest is bounded by Chernoff on the
-    partition lemma log Tr e^{-beta L0} <= b/beta, b = m pi^2/6
-    (`spectra.log_trace_coefficient`): with n1 = n_trunc + 1 and
-    0 < theta <= 1, e^{-beta N} <= e^{-(1-theta) beta n1} e^{-theta beta N}
-    for N >= n1, so
 
-        sum_{N >= n1} d_N e^{-beta N} <= exp(-(1-theta) beta n1 + b/(theta beta)),
+def _neg_log_euler(x: float, n0: int) -> float:
+    """An upper value of -sum_{n >= n0} log(1 - y^n), y = e^{-x} < 1: terms until the rest,
+    at most y^k / ((1 - y)(1 - y^k)) by -log(1 - t) <= t / (1 - t), is under 2^-60 of it."""
+    total = 0.0
+    for n in itertools.count(n0):
+        yn = math.exp(-x * n)
+        rest = yn / (-math.expm1(-x) * (1.0 - yn))
+        if rest <= total * 2.0**-60:
+            return total + rest
+        total -= math.log1p(-yn)
 
-    least at theta = min(1, sqrt(b/n1)/beta).  Raises DivergenceError naming
-    beta when the partial sum or that bound leaves the float range.
+
+def trace_partition(model: SpectrumModel, beta: float) -> float:
+    """An upper value of Tr e^{-beta L0} = sum_N d_N e^{-beta N}.
+
+    A custom spectrum is summed whole.  A built-in u1^m or virasoro^m reads no
+    table: its log is m copies of -sum_{n >= n0} log(1 - e^{-beta n}), n0 = 1 for
+    u1 and 2 for virasoro, which below _ETA_SWITCH the Dedekind eta transformation
+    (Apostol, Modular Functions and Dirichlet Series, Thm 3.1) gives as pi^2/(6 beta)
+    + log(beta/(2 pi))/2 - beta/24 - sum_n log(1 - e^{-4 pi^2 n/beta}), plus
+    log(1 - e^{-beta}) for virasoro.  The log is raised by m _LIFT times its terms'
+    magnitudes, the exp by an ulp: the value exceeds the trace by a factor under
+    exp(2^-44 m (pi^2/(6 beta) + 2 |log beta| + 3)).  Raises DivergenceError past the float range.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if n_trunc < 0:
-        raise ValueError("n_trunc must be >= 0")
-    finite_support = model.kind == "custom"
-    if finite_support:
-        n_trunc = model.n_max
-    value = 0.0
-    try:
-        for nn, ld in enumerate(model.log_dims(0, n_trunc).tolist()):
-            if ld == -np.inf:
-                continue
-            value += math.exp(ld - beta * nn)
-    except OverflowError:
+    if model.kind == "custom":
+        logs = (model.log_dims(0, model.n_max) - beta * np.arange(model.n_max + 1)).tolist()
         value = math.inf
-    if value == math.inf:
-        logs = model.log_dims(0, n_trunc) - beta * np.arange(n_trunc + 1)
-        log_value = np.logaddexp.reduce(logs)
-        raise DivergenceError(
-            f"trace partial sum at beta = {beta:g} is e^{log_value:.6g}, beyond the float range")
-
-    if finite_support:
-        return value, 0.0
-    b = log_trace_coefficient(model)
-    n1 = n_trunc + 1
-    theta = min(1.0, math.sqrt(b / n1) / beta)
-    exponent = -(1.0 - theta) * beta * n1 + b / (theta * beta)
-    return value, _a_exp(1.0, exponent, f"trace tail at beta = {beta:g}")
+        if max(logs) < _LOG_FLOAT_MAX:
+            value = 0.0
+            for x in logs:
+                value += math.exp(x)
+        if value == math.inf:
+            raise DivergenceError(f"trace partial sum at beta = {beta:g} is "
+                                  f"e^{np.logaddexp.reduce(logs):.6g}, beyond the float range")
+        return value
+    if beta >= _ETA_SWITCH:
+        terms = [_neg_log_euler(beta, 2 if model.kind == "virasoro" else 1)]
+    else:
+        terms = [math.pi ** 2 / (6.0 * beta), 0.5 * math.log(beta / (2.0 * math.pi)),
+                 -beta / 24.0, _neg_log_euler(4.0 * math.pi ** 2 / beta, 1)]
+        if model.kind == "virasoro":
+            terms.append(math.log(-math.expm1(-beta)))
+    log_value = model.power * (math.fsum(terms) + _LIFT * math.fsum(map(abs, terms)))
+    if log_value >= _LOG_FLOAT_MAX:
+        raise DivergenceError(f"trace at beta = {beta:g} is e^{log_value:.6g}, "
+                              "beyond the float range")
+    return math.nextafter(math.exp(log_value), math.inf)
 
 
 @dataclass(frozen=True)
 class TraceBoundConstants:
-    """Explicit constants for Tr(e^{-beta L0}) <= a exp(b beta^{-c}).
-
-    `trace_bound_constants` derives them from a growth bound
-    d_N <= C e^{N^kappa}: b = 1, c = 1/(1 - kappa), and a = C sum_N
-    e^{-N^kappa} + a2, where a2 absorbs the supremum of N^kappa - beta N.
-    """
+    """Explicit constants for Tr(e^{-beta L0}) <= a exp(b beta^{-c}), which
+    `trace_bound_constants` derives from a growth bound d_N <= C e^{N^kappa}:
+    b = 1, c = 1/(1 - kappa), and a = C sum_N e^{-N^kappa} + a2, where a2
+    absorbs the supremum of N^kappa - beta N."""
 
     a: float
     b: float
@@ -564,13 +576,6 @@ class TraceBoundConstants:
             raise ValueError("beta must be positive")
         return _a_exp(self.a, self.b * _pow_or_inf(beta, -self.c),
                       f"trace bound at beta = {beta:g}")
-
-
-# relative lift that makes a computed Gamma(s, x) an upper value: both routes
-# of `_gamma_upper` land within 5.3e-15 of mpmath on the trace constant's
-# kappa grid, 0.006 to 0.3199, so 2^-45 = 2.8e-14 covers their rounding
-# five times over
-_GAMMA_LIFT = 1.0 + 2.0**-45
 
 
 def _gamma_upper(s: float, x: float) -> float:
@@ -584,7 +589,7 @@ def _gamma_upper(s: float, x: float) -> float:
     x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)): cut short, it errs low and
     the difference high.  For every (s, x) the trace constant passes it,
     gamma(s, x) stays below 0.7 Gamma(s) there, so the difference keeps its
-    digits.  Either value is raised by _GAMMA_LIFT to cover its rounding.
+    digits.  Either value is raised by _LIFT relative to cover its rounding.
     """
     prefactor = math.exp(s * math.log(x) - x)
     if x > s + 1.0:
@@ -601,27 +606,25 @@ def _gamma_upper(s: float, x: float) -> float:
             step = c * d
             h *= step
             if abs(step - 1.0) <= 2.0**-52:
-                return prefactor * h * _GAMMA_LIFT
+                return prefactor * h * (1.0 + _LIFT)
     term = series = 1.0 / s
     sk = s                       # s + k: the terms rise while it is below x
     while sk < x or term > series * 2.0**-60:
         sk += 1.0
         term *= x / sk
         series += term
-    return (math.gamma(s) - prefactor * series) * _GAMMA_LIFT
+    return (math.gamma(s) - prefactor * series) * (1.0 + _LIFT)
 
 
 def _sum_exp_neg_power(kappa: float) -> float:
-    """sum_{N>=0} e^{-N^kappa}, closed with an incomplete-gamma integral tail.
-
-    Integral comparison for the decreasing remainder:
+    """An upper value of sum_{N>=0} e^{-N^kappa}: M = 200,000 terms, whose
+    pairwise sum is raised by _LIFT relative, and for the decreasing rest
     sum_{N>=M} e^{-N^kappa} <= int_{M-1}^inf e^{-x^kappa} dx
-    = Gamma(1/kappa, (M-1)^kappa) / kappa, with s = 1/kappa > 1, taken as an
-    upper value of Gamma(s, x) (`_gamma_upper`) over kappa.  From about
-    kappa = 0.32 on the tail is under half an ulp of the partial sum and
-    leaves its bits unchanged, and from about 0.6 on its prefactor
-    x^s e^{-x} underflows to 0.0.  Raises DivergenceError when the tail passes
-    the float range (kappa below about 0.00586).
+    = Gamma(1/kappa, (M-1)^kappa) / kappa, taken as an upper value of
+    Gamma(s, x), s = 1/kappa (`_gamma_upper`).  From about kappa = 0.32 on
+    the tail is under half an ulp of the sum, and from about 0.6 on its
+    prefactor x^s e^{-x} underflows to 0.0.  Raises DivergenceError when the
+    tail passes the float range (kappa below about 0.00586).
     """
     m = 200_000
     # the terms e^{-N^kappa} built in one array, in place: the same array,
@@ -642,7 +645,7 @@ def _sum_exp_neg_power(kappa: float) -> float:
         raise DivergenceError(
             f"sum_N e^(-N^kappa) at kappa = {kappa:g} is e^{log_tail:.6g}, beyond the float range"
         )
-    return partial + _gamma_upper(s, x) / kappa
+    return partial * (1.0 + _LIFT) + _gamma_upper(s, x) / kappa
 
 
 def trace_bound_constants(kappa: float, log_C: float) -> TraceBoundConstants:
@@ -655,12 +658,12 @@ def trace_bound_constants(kappa: float, log_C: float) -> TraceBoundConstants:
     log a2 = 1 + b1^{(c0-c1+1)/(c0-c1)}, and c = c0 = 1/(1 - kappa), the
     larger of c0 and c1 = kappa/(1 - kappa) for every kappa in (0, 1).
     Raises DivergenceError naming log C when C times the series leaves the
-    float range.
+    float range, as an infinite log C does.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if not math.isfinite(log_C):
-        raise ValueError(f"log_C must be finite, got {log_C}")
+    if math.isnan(log_C) or log_C == -math.inf:
+        raise ValueError(f"log_C must be a number above -inf, got {log_C}")
     b1 = (1.0 - kappa) * kappa ** (-kappa / (1.0 - kappa))
     c0 = 1.0 / (1.0 - kappa)
     c1 = kappa / (1.0 - kappa)
@@ -674,7 +677,6 @@ def trace_bound_constants(kappa: float, log_C: float) -> TraceBoundConstants:
 class TraceCheckRow:
     beta: float
     trace_value: float
-    tail_bound: float
     bound: float
     ratio: float
     ok: bool
@@ -684,23 +686,13 @@ def verify_trace_bound(model: SpectrumModel, fit: GrowthFit,
                        beta_grid: list[float] | tuple[float, ...]) -> tuple[TraceCheckRow, ...]:
     """Check trace <= a exp(b beta^{-c}) on the grid; a failed row does not raise.
 
-    The fit gives only the constants a, b and c; the trace itself is
-    `trace_partition` to the end of the fit's scan, closed by the
-    partition-lemma tail.  Raises DivergenceError when the bound or the tail
-    at some beta exceeds the float range.
+    The fit gives only the constants a, b and c; the trace itself is the
+    upper value of `trace_partition`.  Raises DivergenceError when the bound
+    or the trace at some beta exceeds the float range.
     """
     constants = trace_bound_constants(fit.kappa, fit.log_C)
     rows = []
     for beta in beta_grid:
-        value, tail_bound = trace_partition(model, beta, fit.certified_range[1])
-        bound = constants.bound(beta)
-        total = value + tail_bound
-        rows.append(TraceCheckRow(
-            beta=float(beta),
-            trace_value=value,
-            tail_bound=tail_bound,
-            bound=bound,
-            ratio=total / bound,
-            ok=total <= bound,
-        ))
+        value, bound = trace_partition(model, beta), constants.bound(beta)
+        rows.append(TraceCheckRow(float(beta), value, bound, value / bound, value <= bound))
     return tuple(rows)

@@ -17,8 +17,8 @@ failure or a window that fails its build check, 2 usage or parse error, more
 samples, levels or tensor factors than memory holds, or an `--out` path that
 cannot be written, 3 numeric divergence.  A built-in tensor power of any
 size is tabulated to N = 12; past memory it is refused by the flag that
-reads further (`--n-max`, `--E` or `--fit-n-max`), and tensor factors past
-memory are a custom file's.
+reads further (`--n-max` or `--E`), and tensor factors past memory are a
+custom file's.
 
 What loads when: this module imports `config` and `errors`, and holds the
 numeric modules `energy`, `spectra` and `bounds` as references that the
@@ -64,8 +64,17 @@ def _fmt(value) -> str:
 
 
 def _emit(out_path: str | None, header: list[str], rows: list[list]) -> None:
-    text = ",".join(header) + "\n"
-    text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    # every input is parsed by now, so an exact d_N may pass Python's limit
+    # on int-to-text digits (3.11 on), which still refuses oversized inputs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = ",".join(header) + "\n"
+        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -151,10 +160,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_trace(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = _build_model(cfg)
-    with _in_memory(f"--fit-n-max {cfg.fit_n_max}", "levels"):
-        fit = spectra.fit_growth_constants(model, cfg.kappa, n_max=cfg.fit_n_max)
-    rows = [[model.label, fit.kappa, fit.C, r.beta,
-             r.trace_value + r.tail_bound, r.bound, r.ratio, r.ok]
+    fit = spectra.fit_growth_constants(model, cfg.kappa)
+    rows = [[model.label, fit.kappa, fit.C, r.beta, r.trace_value, r.bound, r.ratio, r.ok]
             for r in bounds.verify_trace_bound(model, fit, cfg.beta)]
     _emit(cfg.out, ["model", "kappa", "C", "beta", "trace", "bound", "ratio", "pass"], rows)
     return EXIT_OK if all(r[7] for r in rows) else EXIT_VERIFY
@@ -183,7 +190,7 @@ _COMMANDS = {
     "bounds": (cmd_bounds, "cutoff bounds with oracle columns",
                ("model", "file", "power", "alpha", "delta", "E", "kappa")),
     "trace": (cmd_trace, "partition trace against the explicit bound",
-              ("model", "file", "power", "kappa", "beta", "fit_n_max")),
+              ("model", "file", "power", "kappa", "beta")),
     "verify": (cmd_verify, "check the window's sum rule", ("alpha", "delta")),
 }
 

@@ -31,7 +31,6 @@ class RunConfig:
     beta: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
     kappa: float = 0.6
     out: str | None = None
-    fit_n_max: int = 3000
 
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
@@ -51,7 +50,7 @@ class RunConfig:
             raise ConfigError("E values must be >= 0")
         if any(b <= 0 for b in self.beta):
             raise ConfigError("beta values must be positive")
-        for name, floor in (("n_max", 0), ("power", 1), ("fit_n_max", 1)):
+        for name, floor in (("n_max", 0), ("power", 1)):
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")

@@ -59,11 +59,6 @@ power packs its whole column into one int.  Before any of them is
 allocated that lower bound is compared with the machine's physical memory,
 and MemoryError is raised at once instead of after the allocation has taken
 what there is.
-
-Growth fits d_N <= C * exp(N^kappa) are certified by a direct scan of the
-requested range, the whole file for a custom model.  The trace of a
-built-in is bounded in closed form instead, by the partition lemma
-(`log_trace_coefficient`).
 """
 
 from __future__ import annotations
@@ -474,15 +469,10 @@ def parse_spectrum_file(path: str) -> list[int]:
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Certified constant C with dims[N] <= C * exp(N^kappa) on a scanned range.
-
-    log C is the exact maximum of log dims[N] - N^kappa over the range, so the
-    inequality holds there by construction.
-    """
+    """Constant C with d_N <= C * exp(N^kappa) for every N >= 0."""
 
     kappa: float
     log_C: float
-    certified_range: tuple[int, int]
 
     @property
     def C(self) -> float:
@@ -494,20 +484,32 @@ class GrowthFit:
 
 
 def fit_growth_constants(model: SpectrumModel, kappa: float, n_max: int | None = None) -> GrowthFit:
-    """Smallest C with dims[N] <= C e^{N^kappa} for all N in 0..n_max.
-
-    n_max sets the scan of a built-in and defaults to the model's own.  A
-    custom model is finite, so its whole file is scanned whatever n_max is,
-    and C covers every level.
+    """C with d_N <= C e^{N^kappa} for every N (n_max is not read): log C
+    is the larger of the maximum of log d_N - N^kappa over the model's own
+    levels (a custom file's whole support) and, for a built-in, a bound for
+    every N.  The partition lemma log Z <= b/beta (`log_trace_coefficient`)
+    and Z >= d_N e^{-beta N} give log d_N <= 2 sqrt(b N) at beta = sqrt(b/N),
+    and for kappa > 1/2, 2 sqrt(b x) - x^kappa peaks at
+    (2 kappa - 1) (sqrt(b)/kappa)^{2 kappa/(2 kappa - 1)}, raised by 2^-40
+    for its rounding (the power's exponent is under about 760 wherever it is
+    a float) and inf past the float range.  For kappa <= 1/2 no C exists.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    hi = model.n_max if n_max is None or model.kind == "custom" else n_max
     best = -math.inf
-    for n, ld in enumerate(model.log_dims(0, hi).tolist()):
+    if model.kind != "custom":
+        if kappa <= 0.5:
+            raise ValueError(f"kappa = {kappa:g} is at or below 1/2, where no constant C "
+                             f"gives d_N <= C e^(N^kappa) for {model.label}")
+        root_b, e = math.sqrt(log_trace_coefficient(model)), 2.0 * kappa / (2.0 * kappa - 1.0)
+        try:
+            best = (1.0 + 2.0**-40) * (2.0 * kappa - 1.0) * (root_b / kappa) ** e
+        except OverflowError:
+            best = math.inf
+    for n, ld in enumerate(model.log_dims(0, model.n_max).tolist()):
         if ld != -math.inf:
             best = max(best, ld - float(n) ** kappa)
-    return GrowthFit(kappa=kappa, log_C=best, certified_range=(0, hi))
+    return GrowthFit(kappa=kappa, log_C=best)
 
 
 def log_trace_coefficient(model: SpectrumModel) -> float:
@@ -519,8 +521,7 @@ def log_trace_coefficient(model: SpectrumModel) -> float:
     = sum_k 1/(k(e^{beta k}-1)) <= sum_k 1/(beta k^2) = pi^2/(6 beta), by e^x - 1 >= x.
     The m-th power multiplies the log by m.  A virasoro level is a partition
     with no part 1, so d_N^vir <= p(N) termwise, and its powers' d_N are at
-    most u1^m's.  A custom spectrum has no such bound: it is finite and is
-    read whole.
+    most u1^m's.  A custom spectrum has no such bound.
     """
     if model.kind == "custom":
         raise ValueError("the partition lemma bounds built-in spectra only")

@@ -518,27 +518,35 @@ def trace_direct(dims: list[int], beta: float) -> float:
     return math.fsum(d * math.exp(-beta * n) for n, d in enumerate(dims))
 
 
-def log_trace_exact(beta: float, kind: str = "u1", power: int = 1) -> float:
+def log_trace_exact_mp(beta: float, kind: str = "u1", power: int = 1) -> mp.mpf:
     """log Tr e^{-beta L0} for u1^power or virasoro^power, from the Dedekind
-    eta transformation instead of any sum over levels.
+    eta transformation instead of any sum over levels, as an mpf.
 
     With P(q) = prod_{n>=1} (1 - q^n)^{-1}, the generating function of p(N),
     P(e^{-beta}) = sqrt(beta/(2 pi)) exp(pi^2/(6 beta) - beta/24) P(e^{-4 pi^2/beta}),
-    and the last factor is a product at q' = e^{-4 pi^2/beta}, taken at 40
-    digits to the first factor below 1e-45.  Virasoro's generating function
-    is P(q) (1 - q); a tensor power raises it to that power.
+    and the last factor is a product at q' = e^{-4 pi^2/beta}, taken to the
+    first factor below the working precision.  Virasoro's generating function
+    is P(q) (1 - q); a tensor power raises it to that power.  The log of u1
+    is near e^{-beta} and of virasoro near e^{-2 beta} at large beta, while
+    the terms summed are near pi^2/(6 beta) + beta/24, so the work takes
+    40 + beta digits: 40 of them survive the cancellation.
     """
-    with mp.workdps(40):
+    with mp.workdps(40 + int(beta)):
         b = mp.mpf(beta)
         q_dual = mp.exp(-4 * mp.pi ** 2 / b)
         log_p = mp.log(b / (2 * mp.pi)) / 2 + mp.pi ** 2 / (6 * b) - b / 24
         n = 1
-        while q_dual ** n > mp.mpf("1e-45"):
+        while q_dual ** n > mp.eps:
             log_p -= mp.log1p(-q_dual ** n)
             n += 1
         if kind == "virasoro":
             log_p += mp.log1p(-mp.exp(-b))
-        return float(power * log_p)
+        return power * log_p
+
+
+def log_trace_exact(beta: float, kind: str = "u1", power: int = 1) -> float:
+    """`log_trace_exact_mp` rounded to a float."""
+    return float(log_trace_exact_mp(beta, kind, power))
 
 
 def boundary_gap(pair, points: int = 501) -> float:
@@ -575,3 +583,30 @@ def schatten_sum_direct(matrix: np.ndarray, p: float, cut: float = 1e-12) -> flo
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0.0
     return float(np.sum(sigma[sigma > cut * sigma[0]] ** p))
+
+
+def sum_exp_neg_power_exact(kappa: float, m: int = 200_000, dps: int = 30) -> mp.mpf:
+    """sum_{N<m} e^{-N^kappa} + Gamma(1/kappa, (m-1)^kappa)/kappa at dps digits:
+    the exact value of what `bounds._sum_exp_neg_power` sums in floats, its
+    partial sum and its incomplete-gamma tail.  Terms below 10^-(dps+5) of
+    the running sum are dropped, which moves no digit kept.  About 7 s a
+    kappa where all m terms count (kappa 0.1 and 0.31), so the values are
+    committed in SUM_EXP_NEG_POWER."""
+    with mp.workdps(dps):
+        k = mp.mpf(kappa)
+        total = mp.mpf(0)
+        for n in range(m):
+            term = mp.exp(-mp.mpf(n) ** k)
+            total += term
+            if n > 10 and term < total * mp.mpf(10) ** (-dps - 5):
+                break
+        return total + mp.gammainc(1 / k, mp.mpf(m - 1) ** k) / k
+
+
+# kappa -> sum_exp_neg_power_exact(kappa) to 25 digits
+SUM_EXP_NEG_POWER = {
+    0.1: "3628800.79944840547245432",
+    0.31: "8.742895031463368185136772",
+    0.6: "2.153287825344551430333568",
+    0.9: "1.648257626803184976187451",
+}

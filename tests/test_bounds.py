@@ -212,24 +212,24 @@ def test_bound_report_validate_rejects_chain_violations():
 def test_trace_partition_matches_direct_sum(u1_small):
     model = _custom([1, 4, 0, 2, 9])
     for beta in (0.5, 2.0):
-        value, tail = trace_partition(model, beta, model.n_max)
-        assert tail == 0.0
+        value = trace_partition(model, beta)
         assert value == pytest.approx(oracles.trace_direct(model.dims, beta), rel=1e-14)
 
 
-def test_trace_partition_tail_covers_remainder(u1_3000, u1_fit):
-    v1, t1 = trace_partition(u1_3000, 1.0, 1500)
-    v2, _ = trace_partition(u1_3000, 1.0, 3000)
-    assert v2 <= v1 + t1
-    assert t1 >= 0.0
+def test_trace_partition_tail_covers_remainder(u1_3000):
+    # the closed form covers the table's 3000 levels and every level past
+    # them, whose share of the trace is about e^{-30} at beta = 0.01
+    for beta in (0.01, 0.1, 1.0):
+        partial = oracles.trace_direct(u1_3000.dims, beta)
+        assert trace_partition(u1_3000, beta) >= partial, beta
 
 
-def test_trace_partition_diverges_at_tiny_beta(u1_3000, u1_fit):
-    # the lemma's tail bound is e^{pi^2/(6 beta)}: e^16449 and e^1.6e300
-    with pytest.raises(DivergenceError, match=r"trace tail at beta = 0\.0001 is e\^16449"):
-        trace_partition(u1_3000, 1e-4, 3000)
-    with pytest.raises(DivergenceError, match=r"trace tail at beta = 1e-300 is e\^1\.6449"):
-        trace_partition(u1_3000, 1e-300, 3000)
+def test_trace_partition_diverges_at_tiny_beta(u1_3000):
+    # log Z is about pi^2/(6 beta) + log(beta/(2 pi))/2: e^16443.8 and e^1.6e300
+    with pytest.raises(DivergenceError, match=r"trace at beta = 0\.0001 is e\^16443\.8,"):
+        trace_partition(u1_3000, 1e-4)
+    with pytest.raises(DivergenceError, match=r"trace at beta = 1e-300 is e\^1\.6449"):
+        trace_partition(u1_3000, 1e-300)
 
 
 @pytest.mark.parametrize("dims,beta", [
@@ -238,15 +238,15 @@ def test_trace_partition_diverges_at_tiny_beta(u1_3000, u1_fit):
 ])
 def test_trace_partition_past_the_float_range_raises_divergence(dims, beta):
     # an OverflowError traceback once, or an inf partial sum in the trace column
-    model = SpectrumModel(kind="u1", dims=dims)
+    model = _custom(dims)
     with pytest.raises(DivergenceError, match=f"trace partial sum at beta = {beta:g} is e\\^7"):
-        trace_partition(model, beta, len(dims) - 1)
+        trace_partition(model, beta)
 
 
 def test_trace_constant_past_the_float_range_names_log_c():
     # log C = log(10^320) - 2^0.01 = 735.82 is past the float range, so C
     # reads inf; the fit once ended in an OverflowError traceback
-    model = SpectrumModel(kind="u1", dims=[1, 0, 10**320])
+    model = _custom([1, 0, 10**320])
     fit = fit_growth_constants(model, 0.01)
     assert fit.C == math.inf and fit.log_C == pytest.approx(735.82, abs=0.01)
     with pytest.raises(DivergenceError, match=r"with log C = 735\.82, is e\^"):
@@ -254,20 +254,29 @@ def test_trace_constant_past_the_float_range_names_log_c():
 
 
 _EXACT_BETAS = (0.01, 0.03, 0.05, 0.1, 0.5, 2.0)
+# 1e-3 to 50 in 60 steps, with both sides of the eta switch at beta = 1
+_TRACE_BETAS = tuple(1e-3 * 50000.0 ** (i / 59) for i in range(60)) + (
+    math.nextafter(bounds._ETA_SWITCH, 0.0), bounds._ETA_SWITCH)
 
 
-@pytest.mark.parametrize("kind,power", [("u1", 1), ("u1", 2), ("virasoro", 1), ("virasoro", 2)])
+@pytest.mark.parametrize("kind,power", [("u1", 1), ("u1", 2), ("u1", 32), ("virasoro", 1),
+                                        ("virasoro", 2), ("virasoro", 32)])
 def test_trace_partition_covers_the_exact_trace(kind, power):
-    # a kappa = 0.45 growth fit once closed the tail of u1 at beta = 0.01 at
-    # 1.38e46, against an exact trace of e^161.27; the lemma's tail is a bound
+    # the table's partial sum and its Chernoff tail once printed e^3.2 times
+    # the exact trace of u1 at beta = 0.01; the closed form is an upper value
+    # within its stated margin, and past the float range it raises
     model = model_dims(kind, 12, power=power)
-    for beta in _EXACT_BETAS:
-        value, tail = trace_partition(model, beta, 3000)
-        log_exact = oracles.log_trace_exact(beta, kind, power)
-        assert value + tail >= math.exp(log_exact) * (1.0 - 1e-13), beta
-        if beta >= 0.05:
-            # past the bulk of the sum the tail is sharp
-            assert math.log(value + tail) - log_exact <= 5e-3, beta
+    for beta in _TRACE_BETAS:
+        log_exact = oracles.log_trace_exact_mp(beta, kind, power)
+        margin = 2.0**-44 * power * (math.pi ** 2 / (6.0 * beta) + 2.0 * abs(math.log(beta)) + 3.0)
+        if log_exact + margin > bounds._LOG_FLOAT_MAX:
+            with pytest.raises(DivergenceError, match=f"trace at beta = {beta:g} is e\\^"):
+                trace_partition(model, beta)
+            assert log_exact > bounds._LOG_FLOAT_MAX - 1e-9, beta
+            continue
+        with mp.workdps(60):
+            excess = mp.log(trace_partition(model, beta)) - log_exact
+        assert 0 <= excess <= margin + 2.0**-51, (beta, float(excess))
 
 
 @pytest.mark.parametrize("kind,power", [("u1", 1), ("u1", 3), ("virasoro", 1), ("virasoro", 2)])
@@ -284,12 +293,10 @@ def test_custom_spectrum_is_read_whole():
     # one level past the fit's scan: it once left both the sum and C
     dims = [1, 1] + [0] * 4998 + [10 ** 300]
     model = _custom(dims)
-    value, tail = trace_partition(model, 0.1, 3000)
-    assert tail == 0.0
+    value = trace_partition(model, 0.1)
     # e^{log d_N - beta N} at log d_N = 690.8 carries about 1e-13 of rounding
     assert value == pytest.approx(oracles.trace_direct(dims, 0.1), rel=1e-12)
     fit = fit_growth_constants(model, 0.5, n_max=3000)
-    assert fit.certified_range == (0, 5000)
     assert fit.log_C == pytest.approx(math.log(10 ** 300) - math.sqrt(5000.0), rel=1e-15)
 
 
@@ -350,21 +357,25 @@ def test_logsumexp_matches_scipy_on_series_tail_chunks(u1_3000, u1_fit, ef075, m
 @pytest.mark.parametrize("kappa", [0.006, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.31, 0.3199,
                                    0.32, 0.45, 0.5, 0.6, 0.9])
 def test_sum_exp_neg_power_matches_the_incomplete_gamma_tail(kappa):
-    # the result is the partial sum + scipy's tail: to the bit from kappa =
-    # 0.32 on, where the closed-form majorant skips the tail (adding it could
-    # not change a bit), and below it never under that sum and over it by at
-    # most the tail's lift to an upper value, 2^-45, and its rounding (the
-    # cancelling series once put it 15 ulps under, at kappa = 0.31)
+    # the result is the partial sum + scipy's tail, never under it and over
+    # it by at most the lift of both to upper values, 2^-45, and rounding
+    # (the cancelling series once put it 15 ulps under, at kappa = 0.31)
     from scipy.special import gammaincc
     m = 200_000
     partial = float(np.sum(np.exp(-np.arange(m, dtype=float) ** kappa)))
     s = 1.0 / kappa
     want = partial + float(math.gamma(s) * gammaincc(s, (m - 1.0) ** kappa) / kappa)
     got = bounds._sum_exp_neg_power(kappa)
-    if kappa >= 0.32:
-        assert _bits(got) == _bits(want)
-    else:
-        assert want <= got <= want * (1.0 + 2.0**-44)
+    assert want <= got <= want * (1.0 + 2.0**-44)
+
+
+@pytest.mark.parametrize("kappa", sorted(oracles.SUM_EXP_NEG_POWER))
+def test_sum_exp_neg_power_is_an_upper_value(kappa):
+    # the rounded pairwise partial sum once lay under the exact sum of its
+    # terms plus the tail, by 0.23 ulp at kappa = 0.31 and 0.75 ulp at 0.6
+    want = mp.mpf(oracles.SUM_EXP_NEG_POWER[kappa])
+    got = bounds._sum_exp_neg_power(kappa)
+    assert want <= got <= want * (1 + mp.mpf(2.0**-44)), kappa
 
 
 def test_gamma_upper_is_an_upper_value_within_1e_13():
@@ -421,10 +432,8 @@ def test_nu_p_substitution_identity(u1_3000, u1_fit):
     # each, so its p-sum is the trace at p * beta: p = 0.5 at beta = 2 is
     # p = 1 at beta = 1
     rows = verify_trace_bound(u1_3000, u1_fit, [0.5 * 2.0, 1.0 * 1.0])
-    a, b = (r.trace_value + r.tail_bound for r in rows)
-    assert a == b
-    v, t = trace_partition(u1_3000, 1.0, u1_fit.certified_range[1])
-    assert a == v + t
+    a, b = (r.trace_value for r in rows)
+    assert a == b == trace_partition(u1_3000, 1.0)
     p_sum = math.fsum(d * math.exp(-2.0 * n) ** 0.5 for n, d in enumerate(u1_3000.dims))
     assert a == pytest.approx(p_sum, rel=1e-12)
 
@@ -436,7 +445,7 @@ def test_nu_p_cap_dominates(u1_3000, u1_fit):
     rows = verify_trace_bound(u1_3000, u1_fit, [p * beta for p, beta in grid])
     assert all(r.ok for r in rows)
     for (p, beta), r in zip(grid, rows):
-        assert r.trace_value + r.tail_bound <= r.bound
+        assert r.trace_value <= r.bound
         assert r.bound == pytest.approx(
             tc.a * math.exp((tc.b / p ** tc.c) * beta ** (-tc.c)), rel=1e-12)
 
@@ -496,8 +505,7 @@ def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
     def run():
         reps = [distance_regularized_bound(model_dims(kind, 12), ef075, delta, TailConfig(fit=fit))
                 for delta in (0.5, 0.8, 1.3, 2.0)]
-        traces = [trace_partition(model_dims(kind, 12), beta, 3000)
-                  for beta in (0.5, 1.0, 2.0)]
+        traces = [trace_partition(model_dims(kind, 12), beta) for beta in (0.5, 1.0, 2.0)]
         return reps, traces
 
     cold = run()
@@ -506,26 +514,27 @@ def test_series_and_trace_do_not_depend_on_the_table_state(ef075, kind):
     assert run() == cold
 
 
-# C_delta, S_delta, H_delta and n_max_used of the series, re-taken when the
-# streamed C and S terms became one logsumexp each in place of a sequential
-# logaddexp fold: the sums rose by 3.5e-15 to 5.9e-13 relative, towards
-# math.fsum of the same terms (test_streamed_sums_match_fsum), and no
-# n_max_used moved
+# C_delta, S_delta, H_delta and n_max_used of the series, re-taken when a
+# built-in's growth constant became the partition lemma's closed form
+# (log C 19.08 for both kinds at kappa 0.6, where a 3000-level scan gave 9.63
+# for u1 and 6.17 for virasoro): the analytic tail rose with it, C_delta by
+# 3.6e-15 to 7.3e-6 relative and S_delta by 1.1e-14 to 2.3e-5 (virasoro at
+# delta 0.5 the most), and no n_max_used moved
 _SERIES_BITS = {
-    ("u1", 0.5): ("0x1.ad16f4ae5520ep+82", "0x1.092b1dff5a694p+89", "0x1.c96f9d087a32dp+89", 10369),
-    ("u1", 0.55): ("0x1.c45925b26c4e6p+73", "0x1.f44479cb948a2p+79", "0x1.aef6ab1d9fd6ep+80", 8773),
-    ("u1", 0.8): ("0x1.04b28b6f1b677p+47", "0x1.74884e0b2c7b4p+52", "0x1.3f0b0845107c8p+53", 4626),
-    ("u1", 1.0): ("0x1.d5a4aa8b10d34p+35", "0x1.034815e9ec0c7p+41", "0x1.b9c2757c2a35cp+41", 3202),
-    ("u1", 1.3): ("0x1.f528d5599796bp+25", "0x1.a34d8e6454146p+30", "0x1.5e9b1e126f19cp+31", 2106),
-    ("u1", 1.7): ("0x1.387f669850acfp+18", "0x1.a963b27d207ffp+22", "0x1.507bc87f98f15p+23", 1396),
-    ("u1", 2.0): ("0x1.5871c76e8ebf8p+14", "0x1.b052936d6526dp+18", "0x1.43cf179901070p+19", 1099),
-    ("virasoro", 0.5): ("0x1.43c258dc1455dp+77", "0x1.89768e60e260ap+83", "0x1.4c52e4e90d142p+84", 10286),
-    ("virasoro", 0.55): ("0x1.7d154239c465ep+68", "0x1.9d9619b5277a8p+74", "0x1.5c4e3676f4dc4p+75", 8698),
-    ("virasoro", 0.8): ("0x1.5250b0eedac84p+42", "0x1.d59365e72e6c7p+47", "0x1.86275cee64111p+48", 4574),
-    ("virasoro", 1.0): ("0x1.88ba0d9bea259p+31", "0x1.a22f5dc0bd247p+36", "0x1.5792e567580c3p+37", 3160),
-    ("virasoro", 1.3): ("0x1.13cff39230396p+22", "0x1.bc61171a06ca8p+26", "0x1.624471e6d40d0p+27", 2074),
-    ("virasoro", 1.7): ("0x1.afb4ac2c4445fp+14", "0x1.1d57a3d91351ap+19", "0x1.a74eca6c00e7fp+19", 1373),
-    ("virasoro", 2.0): ("0x1.0a8c678e95ba1p+11", "0x1.465b994930574p+15", "0x1.c60d174dda511p+15", 1081),
+    ("u1", 0.5): ("0x1.ad16f7c32c0bap+82", "0x1.092b23e378c11p+89", "0x1.c96fa454394dbp+89", 10369),
+    ("u1", 0.55): ("0x1.c45925c3d41acp+73", "0x1.f4447a0a102b0p+79", "0x1.aef6ab43f5b4ap+80", 8773),
+    ("u1", 0.8): ("0x1.04b28b6f1b9c6p+47", "0x1.74884e0b2dacdp+52", "0x1.3f0b084511310p+53", 4626),
+    ("u1", 1.0): ("0x1.d5a4aa8b10da9p+35", "0x1.034815e9ec1cap+41", "0x1.b9c2757c2a48ep+41", 3202),
+    ("u1", 1.3): ("0x1.f528d5599798bp+25", "0x1.a34d8e64541afp+30", "0x1.5e9b1e126f1dap+31", 2106),
+    ("u1", 1.7): ("0x1.387f669850ad9p+18", "0x1.a963b27d20842p+22", "0x1.507bc87f98f3bp+23", 1396),
+    ("u1", 2.0): ("0x1.5871c76e8ec03p+14", "0x1.b052936d652bep+18", "0x1.43cf17990109cp+19", 1099),
+    ("virasoro", 0.5): ("0x1.43c2f42ce8673p+77", "0x1.8978dc3640a79p+83", "0x1.4c544e166ffa2p+84", 10286),
+    ("virasoro", 0.55): ("0x1.7d1545d0ad60fp+68", "0x1.9d96267fe5935p+74", "0x1.5c4e3e38bcb7dp+75", 8698),
+    ("virasoro", 0.8): ("0x1.5250b0eee8442p+42", "0x1.d59365e77a722p+47", "0x1.86275cee907b1p+48", 4574),
+    ("virasoro", 1.0): ("0x1.88ba0d9beb14fp+31", "0x1.a22f5dc0c1c80p+36", "0x1.5792e5675ab3ap+37", 3160),
+    ("virasoro", 1.3): ("0x1.13cff39230581p+22", "0x1.bc61171a07d26p+26", "0x1.624471e6d4a09p+27", 2074),
+    ("virasoro", 1.7): ("0x1.afb4ac2c445f3p+14", "0x1.1d57a3d913b0ep+19", "0x1.a74eca6c01500p+19", 1373),
+    ("virasoro", 2.0): ("0x1.0a8c678e95c7ep+11", "0x1.465b994930b8dp+15", "0x1.c60d174ddaba2p+15", 1081),
 }
 
 

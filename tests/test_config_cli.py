@@ -38,13 +38,13 @@ def test_config_file_every_key_parses_to_its_annotated_type(tmp_path):
     path.write_text(
         "model = custom\nfile = s.txt\npower = 2\nn_max = 9\nalpha = 1\n"
         "delta = 1, 0.5\nE = 0, 4\nbeta = 2\nkappa = 0.5\n"
-        "out = o.csv\nfit_n_max = 800\n"
+        "out = o.csv\n"
     )
     got = parse_config_file(str(path))
     want = {
         "model": "custom", "file": "s.txt", "power": 2, "n_max": 9, "alpha": 1.0,
         "delta": [1.0, 0.5], "E": [0, 4], "beta": [2.0], "kappa": 0.5,
-        "out": "o.csv", "fit_n_max": 800,
+        "out": "o.csv",
     }
     assert set(want) == {f.name for f in dataclasses.fields(RunConfig)}
     assert got == want
@@ -553,15 +553,17 @@ def test_cli_trace_bound_beyond_float_range_exits_three(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["trace", "--kappa", "0.005"],
-    ["trace", "--kappa", "1e-300"],
+    ["trace", "--model", "custom", "--file", "spec.txt", "--kappa", "0.005"],
+    ["trace", "--model", "custom", "--file", "spec.txt", "--kappa", "1e-300"],
     ["trace", "--config", "kappa.cfg"],
 ])
 def test_cli_trace_series_beyond_float_range_exits_three(capsys, tmp_path, monkeypatch, argv):
     # below kappa = 0.00586 the tail Gamma(1/kappa)/kappa of sum_N e^{-N^kappa}
-    # is past the float range; math.gamma once raised OverflowError below 0.00583
+    # is past the float range; math.gamma once raised OverflowError below
+    # 0.00583.  A custom file takes any kappa; a built-in needs kappa > 1/2
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "kappa.cfg").write_text("kappa = 0.005\n")
+    (tmp_path / "spec.txt").write_text("0 1\n2 3\n")
+    (tmp_path / "kappa.cfg").write_text("model = custom\nfile = spec.txt\nkappa = 0.005\n")
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("entrocut: divergence: sum_N e^(-N^kappa) at kappa = ")
@@ -569,12 +571,68 @@ def test_cli_trace_series_beyond_float_range_exits_three(capsys, tmp_path, monke
 
 
 def test_cli_trace_covers_the_exact_trace(capsys):
-    # the kappa = 0.45 fit's tail once printed 4.4814e22, under the exact 4.4853e22
-    code, out, err = _run(capsys, ["trace", "--kappa", "0.45", "--beta", "0.03"])
+    # the kappa = 0.45 fit's tail once printed 4.4814e22 at beta = 0.03, under
+    # the exact 4.4853e22; the column is the closed form's upper value
+    code, out, err = _run(capsys, ["trace", "--beta", "0.1,0.3"])
     assert code == 0 and err == ""
-    row = out.strip().split("\n")[1].split(",")
-    assert float(row[4]) >= math.exp(oracles.log_trace_exact(0.03)) * (1.0 - 1e-13)
-    assert row[7] == "1"
+    for line, beta in zip(out.strip().split("\n")[1:], (0.1, 0.3)):
+        row = line.split(",")
+        excess = math.log(float(row[4])) - oracles.log_trace_exact(beta)
+        assert 0.0 <= excess <= 1e-12, beta
+        assert row[7] == "1"
+
+
+@pytest.mark.parametrize("argv", [["trace"], ["trace", "--model", "virasoro", "--power", "2"],
+                                  ["trace", "--power", "3", "--beta", "10,0.2"]])
+def test_cli_trace_grows_no_table_past_the_model(capsys, cold_tables, argv):
+    # its growth constant and its trace are closed forms: the fit once grew
+    # and scanned a table to --fit-n-max = 3000 levels, and the trace summed it
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert spectra._TABLES and all(len(t.dims) <= 13 for t in spectra._TABLES.values())
+
+
+@pytest.mark.parametrize("kappa", ["0.5", "0.45", "0.1"])
+def test_cli_trace_of_a_builtin_refuses_kappa_at_or_below_one_half(capsys, kappa):
+    code, out, err = _run(capsys, ["trace", "--model", "virasoro", "--kappa", kappa])
+    assert code == 2 and out == ""
+    assert err == (f"entrocut: kappa = {kappa} is at or below 1/2, where no constant C "
+                   "gives d_N <= C e^(N^kappa) for virasoro\n")
+
+
+def test_cli_trace_of_a_fourth_power_exits_three(capsys):
+    # the proven log C of u1^4 at kappa = 0.6 is 1221: C sum_N e^{-N^kappa}
+    # passes the float range; a 3000-level scan once gave a C that the levels
+    # past it break, and exit 0
+    code, out, err = _run(capsys, ["trace", "--power", "4"])
+    assert code == 3 and out == ""
+    assert err.startswith("entrocut: divergence: C sum_N e^(-N^kappa) at kappa = 0.6, "
+                          "with log C = 1221.")
+
+
+def test_cli_model_prints_d_n_past_the_int_digit_limit(capsys, tmp_path):
+    # d_12 of u1^m at m = 10^400 has 4,393 digits; Python's limit of 4300
+    # on int-to-text digits (3.11 on) once made this exit 2
+    m = 10 ** 400
+    code, out, err = _run(capsys, ["model", "--power", str(m)])
+    assert code == 0 and err == ""
+    dims = spectra.model_dims("u1", 12, power=m).dims
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == "N,d_N\n" + "".join(f"{n},{d}\n" for n, d in enumerate(dims))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(out.split("\n")[13]) > 4300
+    # the limit still refuses an int input of that size, and stays in force
+    if limit is not None:
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"power = {'9' * (limit + 1)}\n")
+        code, out, err = _run(capsys, ["model", "--config", str(cfg)])
+        assert code == 2 and out == "" and err.startswith("entrocut: line 1: bad value")
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_trace_reads_a_custom_file_whole(capsys, tmp_path):
@@ -662,6 +720,8 @@ def test_cli_rejects_unknown_flag_value(capsys):
                  ["verify", "--model", "virasoro"], ["verify", "--file", "spec.txt"],
                  ["verify", "--power", "2"], ["verify", "--beta", "1.0"],
                  ["verify", "--kappa", "0.6"], ["verify", "--fit-n-max", "500"],
+                 # trace's growth constant is proven, not fitted to a scan
+                 ["trace", "--fit-n-max", "5"],
                  # a flag is spelled whole; --pow once read as --power
                  ["trace", "--pow", "2"]):
         with pytest.raises(SystemExit) as exc:
@@ -685,12 +745,12 @@ def test_cli_bounds_oracle_skips_oversized_cuts(capsys):
 
 def test_cli_trace_reads_the_power_and_fit_settings(capsys):
     # trace's ratios are verify_trace_bound's at the settings it is given
-    for extra, power, fit_n_max in (([], 1, 3000), (["--power", "2"], 2, 3000),
-                                    (["--fit-n-max", "500"], 1, 500)):
+    for extra, power, kappa in (([], 1, 0.6), (["--power", "2"], 2, 0.6),
+                                (["--kappa", "0.7"], 1, 0.7)):
         code, out, _ = _run(capsys, ["trace", *extra])
         assert code == 0
         model = spectra.model_dims("u1", 12, power=power)
-        fit = spectra.fit_growth_constants(model, 0.6, n_max=fit_n_max)
+        fit = spectra.fit_growth_constants(model, kappa)
         want = [repr(r.ratio)
                 for r in bounds.verify_trace_bound(model, fit, (0.5, 1.0, 2.0, 4.0))]
         assert [line.split(",")[6] for line in out.strip().split("\n")[1:]] == want, extra
@@ -716,7 +776,6 @@ def test_cli_bounds_fills_the_oracle_past_four_hundred_states(capsys, ef075):
 @pytest.mark.parametrize("argv,message", [
     (["model", "--n-max", "-1"], "n_max must be >= 0, got -1"),
     (["bounds", "--power", "0"], "power must be >= 1, got 0"),
-    (["trace", "--fit-n-max", "0"], "fit_n_max must be >= 1, got 0"),
 ])
 def test_cli_range_check_names_its_field(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -236,11 +236,14 @@ print(code, *[m for m in ("numpy.random", "_hashlib", "scipy") if m in sys.modul
 """
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["trace", "--kappa", "0.1"]])
-def test_cli_process_runs_on_numpy_alone(argv):
+@pytest.mark.parametrize("argv", [["verify"],
+                                  ["trace", "--model", "custom", "--file", "SPEC", "--kappa", "0.1"]])
+def test_cli_process_runs_on_numpy_alone(argv, tmp_path):
     # the spectral pairs once drew on numpy.random (5.5 MB resident, and
     # OpenSSL's _hashlib through secrets), and the trace constant's tail
     # below kappa = 0.32 on scipy.special.gammaincc
+    (tmp_path / "spec.txt").write_text("0 1\n2 3\n")
+    argv = [str(tmp_path / "spec.txt") if a == "SPEC" else a for a in argv]
     assert _fresh_process(_MODULES_PROBE, *argv).stdout.split() == ["0"]
 
 

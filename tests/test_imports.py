@@ -159,8 +159,6 @@ sys.exit(main(sys.argv[1:]))
      "entrocut: --power 100000 is more tensor factors than memory holds\n"),
     (["model", "--n-max", "99999999999999999999"], 2,
      "entrocut: --n-max 99999999999999999999 is more levels than memory holds\n"),
-    (["trace", "--fit-n-max", "99999999999999999999"], 2,
-     "entrocut: --fit-n-max 99999999999999999999 is more levels than memory holds\n"),
     (["bounds", "--E", "100000"], 3,
      "entrocut: divergence: the level dimensions up to E = 100000 of u1 sum beyond "
      "the float range\n"),
@@ -168,7 +166,7 @@ sys.exit(main(sys.argv[1:]))
      "entrocut: --n-max 20000 is more levels than memory holds\n"),
     (["model", "--power", "1000000000000000000", "--n-max", "10000000"], 2,
      "entrocut: --n-max 10000000 is more levels than memory holds\n"),
-], ids=["bounds-E-1e20", "model-power-1e5", "model-n-max-1e20", "trace-fit-n-max-1e20",
+], ids=["bounds-E-1e20", "model-power-1e5", "model-n-max-1e20",
         "bounds-E-1e5", "model-power-4000-digits", "model-power-1e18-n-max-1e7"])
 def test_cli_input_past_memory_is_refused_before_allocating(tmp_path, argv, code, err):
     # the pentagonal recurrence to N = 1e20 once listed about 1.6e10 offsets

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from entrocut import (
     SpectrumFileError,
+    SpectrumModel,
     extend_model,
     fit_growth_constants,
     model_dims,
@@ -144,13 +145,46 @@ def test_spectrum_file_missing_path_raises():
 
 
 def test_growth_fit_certifies_inequality_on_range(u1_3000, u1_fit):
+    # the closed form covers every N, the model's 3000 and the levels past them
     fit = u1_fit
-    lo, hi = fit.certified_range
-    assert (lo, hi) == (0, 3000)
-    for n in range(hi + 1):
-        d = u1_3000.dims[n]
-        if d:
-            assert math.log(d) <= fit.log_C + float(n) ** fit.kappa + 1e-12
+    assert fit.log_C == pytest.approx(19.0795, abs=1e-4)
+    for n, ld in enumerate(u1_3000.log_dims(0, 6000).tolist()):
+        assert ld <= fit.log_C + float(n) ** fit.kappa, n
+
+
+@pytest.mark.parametrize("kind", ["u1", "virasoro"])
+def test_growth_constant_of_a_power_covers_the_levels_past_a_scan(kind):
+    # a scan of u1^2 to N = 3000 at kappa = 0.6 gave log C = 64.49, and every
+    # N from 3001 to 12000 broke d_N <= C e^{N^kappa}; the closed form gives
+    # 152.64, whose maximum lies near N = 63,700
+    model = model_dims(kind, 3000, power=2)
+    fit = fit_growth_constants(model, 0.6)
+    assert fit.log_C == pytest.approx(152.64, abs=0.01)
+    logs = model.log_dims(3001, 6000).tolist()
+    assert all(ld <= fit.log_C + float(n) ** 0.6 for n, ld in enumerate(logs, start=3001))
+    assert max(ld - float(n) ** 0.6 for n, ld in enumerate(logs, start=3001)) > 64.49
+
+
+@pytest.mark.parametrize("kind", ["u1", "virasoro"])
+def test_growth_constant_is_the_larger_of_scan_and_closed_form(kind):
+    # a hand-built model keeps its own levels: the scan of them wins where
+    # they pass the closed form, which covers every level past them
+    proven = fit_growth_constants(model_dims(kind, 12), 0.7).log_C
+    model = SpectrumModel(kind=kind, dims=[1, 0, 10 ** 20])
+    assert fit_growth_constants(model, 0.7).log_C == pytest.approx(
+        math.log(10 ** 20) - 2.0 ** 0.7, rel=1e-15)
+    assert fit_growth_constants(SpectrumModel(kind=kind, dims=[1]), 0.7).log_C == proven
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.45, 0.1])
+def test_growth_constant_of_a_builtin_needs_kappa_above_one_half(kappa):
+    # log d_N grows as pi sqrt(2N/3), which no N^kappa with kappa <= 1/2 outgrows
+    with pytest.raises(ValueError, match=f"kappa = {kappa:g} is at or below 1/2"):
+        fit_growth_constants(model_dims("virasoro", 12, power=3), kappa)
+    # a custom file is finite, so any kappa has its C
+    custom = SpectrumModel(kind="custom", dims=[1, 2, 5])
+    assert fit_growth_constants(custom, kappa).log_C == pytest.approx(
+        max(0.0, math.log(2.0) - 1.0, math.log(5.0) - 2.0 ** kappa), rel=1e-15)
 
 
 def test_growth_fit_rejects_bad_kappa(u1_small):
@@ -166,12 +200,11 @@ def test_log_dim_handles_zero_dims():
 
 def test_negative_hi_raises():
     # log_dims once read a negative hi as a Python index from the end, and a
-    # fit then certified the range (0, -3)
+    # fit then certified the range (0, -3); a fit now reads no n_max
     model = model_dims("u1", 12)
     with pytest.raises(ValueError, match="hi must be >= 0"):
         model.log_dims(0, -3)
-    with pytest.raises(ValueError, match="hi must be >= 0"):
-        fit_growth_constants(model, 0.6, n_max=-3)
+    assert fit_growth_constants(model, 0.6, n_max=-3) == fit_growth_constants(model, 0.6)
 
 
 def test_partition_log_asymptotic_within_two_percent_at_1000():
